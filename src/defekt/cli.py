@@ -54,7 +54,6 @@ from .universal import (
     frobenius_of_K,
     idempotent_report,
     invariant_triple,
-    minimize,
     theory_from_json,
 )
 
@@ -131,11 +130,6 @@ def _emit(doc, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_json(m: Matrix) -> list:
-    fmt = m.field.format
-    return [[fmt(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def _vector_json(v: Matrix) -> list:
     fmt = v.field.format
     return [fmt(x) for x in v.flat()]
@@ -166,15 +160,14 @@ def _verify_json(rep) -> dict:
 
 def _cmd_minimize(args) -> dict:
     t = _load_theory(args)
-    ss = minimize(t.interval)
-    fmt = t.field.format
+    ss = t.statespace
     return {
         "dim": ss.dim,
         "action": {
-            name: _matrix_json(ss.action[i]) for i, name in enumerate(t.alphabet)
+            name: ss.action[i].to_lists() for i, name in enumerate(t.alphabet)
         },
         "cyclic": _vector_json(ss.cyclic),
-        "cotrace": [fmt(x) for x in ss.cotrace.flat()],
+        "cotrace": _vector_json(ss.cotrace),
         "word_basis": [word_to_str(t.alphabet, w) for w in ss.word_basis],
         "cobasis_words": [word_to_str(t.alphabet, w) for w in ss.cobasis_words],
     }
@@ -254,7 +247,7 @@ def _cmd_frob_beta(args) -> dict:
         "commutators": [_vector_json(v) for v in rep.commutators],
         "center": [_vector_json(v) for v in rep.center],
         "quotient_reps": list(rep.quotient_reps),
-        "matrix": _matrix_json(rep.matrix),
+        "matrix": rep.matrix.to_lists(),
     }
 
 

@@ -20,8 +20,8 @@ when all their closures agree.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exactla import Matrix
 from .series import Word, word_from_json
-from .universal import Theory, arc_word_family, minimize
+from .universal import Theory
 
 __all__ = [
     "Arc",
@@ -366,14 +366,15 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
 
 
 class _Context:
-    """Per-theory caches: the minimal state space, the arc word family and
-    memoized interval, circle and Gram computations."""
+    """Per-theory caches: the theory's minimal state space and arc word
+    family, and memoized interval, circle and Gram computations.  It holds
+    no reference to the theory, so the theory's lifetime bounds its own."""
 
     def __init__(self, t: Theory):
-        self.theory = t
         self.field = t.field
-        self.space = minimize(t.interval)
-        self.arc_words = tuple(arc_word_family(self.space, t.circular))
+        self.circular = t.circular
+        self.space = t.statespace
+        self.arc_words = t.arc_words
         self._act: dict = {}
         self._ival: dict = {}
         self._cval: dict = {}
@@ -422,14 +423,22 @@ class _Context:
     def circle_value(self, word: Word):
         v = self._cval.get(word)
         if v is None:
-            v = self.theory.circular.value(word)
+            v = self.circular.value(word)
             self._cval[word] = v
         return v
 
 
-@lru_cache(maxsize=None)
+_contexts: "weakref.WeakKeyDictionary[Theory, _Context]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def _context(t: Theory) -> _Context:
-    return _Context(t)
+    """The context of a theory, dropped when the theory is freed."""
+    ctx = _contexts.get(t)
+    if ctx is None:
+        ctx = _contexts[t] = _Context(t)
+    return ctx
 
 
 def evaluate_closed(t: Theory, d: Diagram):

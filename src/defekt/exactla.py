@@ -25,6 +25,7 @@ from .errors import (
 
 __all__ = [
     "QQ",
+    "Echelon",
     "Field",
     "FpValue",
     "Matrix",
@@ -285,6 +286,36 @@ def _dot(xs, ys, field: Field):
         if x and y:
             s = s + x * y
     return s
+
+
+class Echelon:
+    """Incremental row echelon form for independence testing.
+
+    ``add`` reduces a vector by the rows kept so far, in the order they
+    were kept, and keeps the normalized remainder when it is nonzero.  Fed
+    the columns of a matrix in order, it accepts exactly the pivot columns
+    of the matrix's rref.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows: list[tuple[int, list]] = []  # (pivot index, normalized row)
+
+    def add(self, vec) -> bool:
+        """Keep the vector if it is independent of the span; True if kept."""
+        v = list(vec)
+        for p, row in self.rows:
+            c = v[p]
+            if c:
+                v = [x - c * y if y else x for x, y in zip(v, row)]
+        for p, x in enumerate(v):
+            if x:
+                inv = self.field.one / x
+                self.rows.append((p, [inv * y for y in v]))
+                return True
+        return False
 
 
 class Matrix:

@@ -14,6 +14,7 @@ Elements are column coordinate vectors over the algebra basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ClosedComponent,
@@ -21,7 +22,7 @@ from .errors import (
     SchemaError,
     SingularMatrix,
 )
-from .exactla import Field, Matrix
+from .exactla import Echelon, Field, Matrix, vstack
 
 __all__ = [
     "BetaReport",
@@ -50,10 +51,9 @@ class FrobeniusAlgebra:
     ``mult[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j; ``unit`` and ``trace`` are coordinate
     tuples.  Construction checks shapes only; the algebra axioms are the
-    business of :func:`verify`.
+    business of :func:`verify`.  The dual bases and the hole element are
+    built on first use and held for the life of the algebra.
     """
-
-    __slots__ = ("field", "names", "mult", "unit", "trace")
 
     def __init__(self, field: Field, names, mult, unit, trace):
         n = len(names)
@@ -165,6 +165,29 @@ class FrobeniusAlgebra:
             for j in range(i + 1, self.dim)
         )
 
+    # A degenerate trace raises inside the property, so nothing is stored
+    # and every access raises DegenerateTrace again.
+
+    @cached_property
+    def duals(self) -> tuple[tuple, tuple]:
+        """See :func:`dual_bases`."""
+        try:
+            ginv = self.gram().inverse()
+        except SingularMatrix:
+            raise DegenerateTrace("trace pairing is singular") from None
+        xs = tuple(self.basis_el(i) for i in range(self.dim))
+        ys = tuple(Matrix.col_vector(self.field, list(ginv.column(j)))
+                   for j in range(self.dim))
+        return xs, ys
+
+    @cached_property
+    def hole(self) -> Matrix:
+        """See :func:`hole_element`."""
+        out = self.zero_el()
+        for x, y in zip(*self.duals):
+            out = out + self.mul(x, y)
+        return out
+
 
 # -- verification -------------------------------------------------------------
 
@@ -238,25 +261,17 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
     )
 
 
-def dual_bases(b: FrobeniusAlgebra) -> tuple[list[Matrix], list[Matrix]]:
+def dual_bases(b: FrobeniusAlgebra) -> tuple[tuple, tuple]:
     """Bases {x_i}, {y_i} with trace(x_i * y_j) = delta_ij; the x_i are the
     algebra basis and y_j has coordinates column j of the inverse Gram
-    matrix."""
-    try:
-        ginv = b.gram().inverse()
-    except SingularMatrix:
-        raise DegenerateTrace("trace pairing is singular") from None
-    xs = [b.basis_el(i) for i in range(b.dim)]
-    ys = [Matrix.col_vector(b.field, list(ginv.column(j)))
-          for j in range(b.dim)]
-    return xs, ys
+    matrix.  Raises DegenerateTrace when the trace pairing is singular."""
+    return b.duals
 
 
 def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
     """sum_i y_i * elem * x_i; central, basis-choice independent."""
-    xs, ys = dual_bases(b)
     out = b.zero_el()
-    for x, y in zip(xs, ys):
+    for x, y in zip(*b.duals):
         out = out + b.mul(b.mul(y, elem), x)
     return out
 
@@ -264,57 +279,35 @@ def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
 def hole_element(b: FrobeniusAlgebra) -> Matrix:
     """E = sum_i x_i y_i; the central element inserted by an undecorated
     side-boundary circle (equals window(unit))."""
-    xs, ys = dual_bases(b)
-    out = b.zero_el()
-    for x, y in zip(xs, ys):
-        out = out + b.mul(x, y)
-    return out
+    return b.hole
 
 
 # -- center, commutators, and the induced map --------------------------------
 
 
-def _col_span_basis(field: Field, vectors: list[Matrix]) -> list[Matrix]:
-    """First linearly independent vectors of the list, in order."""
-    kept: list[Matrix] = []
-    ech_rows: list[tuple[int, list]] = []
-    z, one = field.zero, field.one
-    for v in vectors:
-        w = list(v.flat())
-        for p, r in ech_rows:
-            c = w[p]
-            if c != z:
-                w = [a - c * bb for a, bb in zip(w, r)]
-        piv = next((i for i, a in enumerate(w) if a != z), None)
-        if piv is not None:
-            inv = one / w[piv]
-            ech_rows.append((piv, [inv * a for a in w]))
-            kept.append(v)
-    return kept
-
-
 def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
-    """Basis of [B,B] = span{e_i e_j - e_j e_i}, deterministic order."""
-    vecs = []
+    """Basis of [B,B] = span{e_i e_j - e_j e_i}, deterministic order: the
+    first commutators independent of those before them."""
+    ech = Echelon(b.field)
+    kept = []
     for i in range(b.dim):
         for j in range(i + 1, b.dim):
             ei, ej = b.basis_el(i), b.basis_el(j)
-            vecs.append(b.mul(ei, ej) - b.mul(ej, ei))
-    return _col_span_basis(b.field, vecs)
+            c = b.mul(ei, ej) - b.mul(ej, ei)
+            if ech.add(c.flat()):
+                kept.append(c)
+    return kept
 
 
 def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
     """Basis of Z(B), the solutions of x*e_j = e_j*x for all j."""
-    F = b.field
-    n = b.dim
-    if n == 0:
+    if b.dim == 0:
         return []
     blocks = []
-    for j in range(n):
+    for j in range(b.dim):
         ej = b.basis_el(j)
         blocks.append(b.right_mult_matrix(ej) - b.left_mult_matrix(ej))
-    stacked = Matrix(F, [row for m in blocks for row in m.to_lists()], cols=n)
-    return stacked.kernel_basis()
+    return vstack(blocks).kernel_basis()
 
 
 @dataclass(frozen=True)
@@ -347,29 +340,10 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
     kills = all(window(b, c).is_zero() for c in comms)
 
     # coset representatives: standard basis vectors extending [B,B]
-    reps: list[int] = []
-    ech: list[tuple[int, list]] = []
-    z, one = F.zero, F.one
-
-    def _absorb(vec: list) -> bool:
-        w = list(vec)
-        for p, r in ech:
-            c = w[p]
-            if c != z:
-                w = [a - c * bb for a, bb in zip(w, r)]
-        piv = next((i for i, a in enumerate(w) if a != z), None)
-        if piv is None:
-            return False
-        inv = one / w[piv]
-        ech.append((piv, [inv * a for a in w]))
-        return True
-
+    ech = Echelon(F)
     for c in comms:
-        _absorb(list(c.flat()))
-    for i in range(n):
-        e = [one if j == i else z for j in range(n)]
-        if _absorb(e):
-            reps.append(i)
+        ech.add(c.flat())
+    reps = [i for i in range(n) if ech.add(b.basis_el(i).flat())]
 
     cent_mat = (Matrix(F, [list(col) for col in
                            zip(*[list(c.flat()) for c in cent])], cols=len(cent))

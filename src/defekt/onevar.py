@@ -149,8 +149,7 @@ def cross_check(zi: RationalFunction1, zc: RationalFunction1,
 
 
 def poly_to_json(p: Polynomial) -> list[str]:
-    fmt = p.field.format
-    return [fmt(c) for c in p.to_list()]
+    return p.to_list()
 
 
 def rational1_to_json(z: RationalFunction1) -> dict:

@@ -30,11 +30,11 @@ from .frobenius import (
     FrobeniusAlgebra,
     SurfaceSpec,
     VerifyReport,
-    dual_bases,
     eval_surface,
     frobenius_from_json,
     hole_element,
     verify,
+    window,
 )
 from .series import RationalFunction1, rational1_from_json
 
@@ -128,9 +128,7 @@ class KnowledgeableReport:
 def _comult_matrix(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
     """Coefficient matrix M of Delta(elem) = sum M[r,s] e_r (x) e_s, with
     Delta(v) = sum_i (v * y_i) (x) x_i over dual bases tr(x_i y_j) = d_ij."""
-    xs, ys = dual_bases(b)
-    del xs
-    cols = [b.mul(elem, y) for y in ys]
+    cols = [b.mul(elem, y) for y in b.duals[1]]
     n = b.dim
     return Matrix(
         b.field,
@@ -177,16 +175,10 @@ def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
             == jz * _comult_matrix(b, b.basis_el(i)) * jzt
             for i in range(b.dim)
         )
-        xs, ys = dual_bases(b)
-        cardy = True
-        for i in range(b.dim):
-            e = b.basis_el(i)
-            win = b.zero_el()
-            for x, y in zip(xs, ys):
-                win = win + b.mul(b.mul(y, e), x)
-            if jc * (jz * e) != win:
-                cardy = False
-                break
+        cardy = all(
+            jc * (jz * b.basis_el(i)) == window(b, b.basis_el(i))
+            for i in range(b.dim)
+        )
 
     return KnowledgeableReport(
         open_report=vb,

@@ -27,6 +27,7 @@ Frobenius algebra under the circle-closure trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlphabetMismatch,
@@ -35,7 +36,7 @@ from .errors import (
     SaturationLimit,
     SchemaError,
 )
-from .exactla import Field, Matrix, _dot, field_from_json, hstack
+from .exactla import Echelon, Field, Matrix, _dot, field_from_json, hstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -62,38 +63,6 @@ __all__ = [
     "theory_from_json",
     "trace_K",
 ]
-
-
-class _Echelon:
-    """Incremental row echelon over a field for independence testing."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: list[tuple[int, list]] = []  # (pivot index, normalized row)
-
-    def _reduce(self, vec: list) -> list:
-        v = list(vec)
-        z = self.field.zero
-        for p, row in self.rows:
-            c = v[p]
-            if c != z:
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        """Insert if independent of the span; returns True when added."""
-        v = self._reduce(vec)
-        z = self.field.zero
-        for p, x in enumerate(v):
-            if x != z:
-                inv = self.field.one / x
-                self.rows.append((p, [inv * y for y in v]))
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 class StateSpace:
@@ -172,6 +141,31 @@ def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
     )
 
 
+def _row_saturation(field: Field, start: list, letters) -> tuple[list, list]:
+    """Breadth-first, length-then-lex saturation of the row ``start`` under
+    right multiplication by the letter matrices: the words w whose rows
+    start * letters(w) are independent of the rows before, and those rows."""
+    ech = Echelon(field)
+    words: list[Word] = []
+    rows: list[list] = []
+    layer: list[tuple[Word, list]] = []
+    if ech.add(start):
+        words.append(())
+        rows.append(start)
+        layer = [((), start)]
+    while layer:
+        nxt: list[tuple[Word, list]] = []
+        for w, v in layer:
+            for a, mat in enumerate(letters):
+                vv = list((Matrix.row_vector(field, v) * mat).flat())
+                if ech.add(vv):
+                    words.append(w + (a,))
+                    rows.append(vv)
+                    nxt.append((w + (a,), vv))
+        layer = nxt
+    return words, rows
+
+
 def minimize(rep: LinearRepresentation) -> StateSpace:
     """Minimal state space generated by an interval presentation.
 
@@ -184,23 +178,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     nl = rep.num_letters
 
     # forward (covector) side: rows init * act(w)
-    ech = _Echelon(F)
-    kept_rows: list[list] = []
-    init_vec = list(rep.init.flat())
-    layer: list[tuple[Word, list]] = []
-    if ech.add(init_vec):
-        kept_rows.append(init_vec)
-        layer = [((), init_vec)]
-    while layer:
-        nxt: list[tuple[Word, list]] = []
-        for w, v in layer:
-            for a in range(nl):
-                row = Matrix.row_vector(F, v) * rep.letters[a]
-                vv = list(row.flat())
-                if ech.add(vv):
-                    kept_rows.append(vv)
-                    nxt.append((w + (a,), vv))
-        layer = nxt
+    _, kept_rows = _row_saturation(F, list(rep.init.flat()), rep.letters)
     if not kept_rows:
         return _zero_statespace(F, nl)
     W = Matrix(F, kept_rows, cols=rep.dim)
@@ -213,7 +191,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     gamma1 = W * rep.final
 
     # backward (vector) side on the restricted presentation
-    ech2 = _Echelon(F)
+    ech2 = Echelon(F)
     kept_cols: list[list] = []
     word_basis: list[Word] = []
     g_vec = list(gamma1.flat())
@@ -244,27 +222,8 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     e0 = Matrix(F, [[F.one if j == 0 else F.zero for j in range(f)]], cols=f)
     cotrace = e0 * V
 
-    ss = StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, ())
-
     # covector-side word family: rows cotrace * action(w)
-    ech3 = _Echelon(F)
-    cobasis: list[Word] = []
-    ct = list(cotrace.flat())
-    layer3: list[tuple[Word, list]] = []
-    if ech3.add(ct):
-        cobasis.append(())
-        layer3 = [((), ct)]
-    while layer3:
-        nxt3: list[tuple[Word, list]] = []
-        for w, v in layer3:
-            for a in range(nl):
-                row = Matrix.row_vector(F, v) * action[a]
-                vv = list(row.flat())
-                if ech3.add(vv):
-                    cobasis.append(w + (a,))
-                    nxt3.append((w + (a,), vv))
-        layer3 = nxt3
-
+    cobasis, _ = _row_saturation(F, list(cotrace.flat()), action)
     return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
 
 
@@ -286,7 +245,7 @@ def arc_word_family(ss: StateSpace, circ: CircularRepresentation) -> list[Word]:
     nl = ss.num_letters
     k, m = ss.dim, circ.dim
     bound = k * k + m * m + 1
-    ech = _Echelon(F)
+    ech = Echelon(F)
     words: list[Word] = []
     id_pair = (Matrix.identity(F, k), Matrix.identity(F, m))
     layer: list[tuple[Word, Matrix, Matrix]] = []
@@ -325,17 +284,16 @@ class PairAlgebra:
 
     def __init__(self, theory: "Theory"):
         F = theory.field
-        ss = minimize(theory.interval)
+        ss = theory.statespace
         circ = theory.circular
         k, m = ss.dim, circ.dim
         self.field = F
-        self.theory = theory
         self.statespace = ss
         self.circ = circ
         self.k = k
         self.m = m
 
-        words = arc_word_family(ss, circ)
+        words = theory.arc_words
         self.arc_words = words
 
         # generators: decorated arcs, then half-interval pairs E_ij
@@ -519,16 +477,34 @@ class Theory:
     circular: CircularRepresentation
     circular_is_trace: bool = False
 
+    # Derived structures, each built on first use and held for the life of
+    # the theory; none refers back to the theory.
+
+    @cached_property
+    def statespace(self) -> StateSpace:
+        """The minimal state space of the interval evaluation."""
+        return minimize(self.interval)
+
+    @cached_property
+    def arc_words(self) -> tuple:
+        """The arc word family of the state space and the circle data."""
+        return tuple(arc_word_family(self.statespace, self.circular))
+
+    @cached_property
+    def pair_algebra(self) -> PairAlgebra:
+        """The state space of the +- boundary pair."""
+        return PairAlgebra(self)
+
 
 def build_pair_algebra(t: Theory) -> PairAlgebra:
     """State space of the +- boundary pair: arcs and half-interval pairs
     modulo negligible elements."""
-    return PairAlgebra(t)
+    return t.pair_algebra
 
 
 def invariant_triple(t: Theory) -> tuple[int, int, int]:
     """(dim A(+), dim of arcs-inside-matrix-part, dim kernel ideal)."""
-    pa = build_pair_algebra(t)
+    pa = t.pair_algebra
     return (pa.k, pa.U_prime_dim, pa.K_dim)
 
 
@@ -659,7 +635,7 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     if not isinstance(cdoc, dict):
         raise SchemaError("circular", "expected an object with a 'kind' key")
     ckind = cdoc.get("kind")
-    circular_is_trace = False
+    space = None
     if ckind == "tracerep":
         circular = circrep_from_json(field, alphabet, cdoc, "circular")
     elif ckind == "rational1":
@@ -670,9 +646,14 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
         z = rational1_from_json(field, cdoc, "circular")
         circular = CircularRepresentation.from_rational(z, len(alphabet))
     elif ckind == "trace_of_interval":
-        circular = interval_trace_series(minimize(interval))
-        circular_is_trace = True
+        space = minimize(interval)
+        circular = interval_trace_series(space)
     else:
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
 
-    return Theory(field, alphabet, interval, circular, circular_is_trace)
+    t = Theory(field, alphabet, interval, circular, space is not None)
+    if space is not None:
+        # the circle data was built from the state space: hand it to the
+        # theory (cached_property reads the instance dict first)
+        vars(t)["statespace"] = space
+    return t

@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
 
 import pytest
 
+import defekt
 from defekt.cli import run
 from defekt.exactla import PrimeField, QQ
 from defekt.frobenius import frobenius_to_json
@@ -152,6 +154,16 @@ def test_onevar_analyze(capsys):
     assert doc["g_interval"] == ["-2", "1"]
     assert doc["dims"] == {"A_plus": 1, "U": 2, "K": 1}
     assert doc["z_trace"] == {"num": ["1"], "den": ["1", "-2"]}
+
+
+def test_onevar_analyze_over_a_prime_field(capsys):
+    code, doc = run_cli(capsys, "onevar", "analyze",
+                        "--zi", "1:1,-2", "--zc", "3", "--field", "prime:7")
+    assert code == 0
+    # -2 is the residue 5 mod 7
+    assert doc["g_interval"] == ["5", "1"]
+    assert doc["z_trace"] == {"num": ["1"], "den": ["1", "5"]}
+    assert doc["dims"] == {"A_plus": 1, "U": 2, "K": 2}
 
 
 def test_onevar_polynomial_literals(capsys):
@@ -355,9 +367,13 @@ def test_out_flag_and_byte_stability(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     theory = write(tmp_path, "t.json", EVAL1)
+    # the child imports the same defekt as this process, installed or not
+    src = os.path.dirname(os.path.dirname(defekt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "defekt.cli", "statespace", theory, "--eps", "+-"],
         capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"eps": "+-", "dim": 2}

@@ -1,4 +1,6 @@
 """Tests for oriented decorated diagrams: gluing, evaluation, state spaces."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from defekt.diagrams import (
     FloatingCircle,
     FloatingInterval,
     HalfInterval,
+    _context,
     compose,
     diagram_from_json,
     evaluate_closed,
@@ -29,7 +32,7 @@ from defekt.errors import (
     SizeBound,
 )
 from defekt.exactla import QQ, Matrix
-from defekt.universal import build_pair_algebra, minimize
+from defekt.universal import build_pair_algebra, minimize, theory_from_json
 
 from factories import _rat, one_letter_theory, theory_corpus
 
@@ -278,6 +281,30 @@ def test_state_space_matches_pair_algebra(name, t):
     assert state_space_dim(t, "+") == pa.k
     assert state_space_dim(t, "-") == pa.k
     assert state_space_dim(t, "") == 1
+
+
+@pytest.mark.parametrize("circular", [
+    {"kind": "rational1", "num": ["5"], "den": ["1"]},
+    {"kind": "trace_of_interval"},
+], ids=["rational1", "trace"])
+def test_context_lives_as_long_as_its_theory(circular):
+    doc = {
+        "alphabet": ["a"],
+        "interval": {"kind": "rational1", "num": ["3", "1"], "den": ["1"]},
+        "circular": circular,
+    }
+    t = theory_from_json(doc)
+    assert _context(t) is _context(t)
+    # with the cycle collector off, only a reference cycle could keep the
+    # theory alive once the last name for it goes
+    gc.disable()
+    try:
+        assert state_space_dim(t, "+-") == build_pair_algebra(t).dim
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_interval_dims():

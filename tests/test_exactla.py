@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from defekt.errors import BothZero, FieldMismatch, NotSquare, SingularMatrix
 from defekt.exactla import (
     QQ,
+    Echelon,
     Matrix,
     Polynomial,
     PrimeField,
@@ -308,6 +309,15 @@ def test_rref_matches_reference_elimination(m):
     assert pivots == ref_pivots
     assert r.data == ref
     assert all(type(x) is type(m.field.zero) for row in r.data for x in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(nmax=5))
+def test_echelon_accepts_the_rref_pivot_columns(m):
+    ech = Echelon(m.field)
+    accepted = tuple(j for j in range(m.cols) if ech.add(m.column(j)))
+    assert accepted == m.rref()[1]
+    assert len(accepted) == m.rank()
 
 
 @settings(max_examples=40, deadline=None)

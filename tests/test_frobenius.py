@@ -118,6 +118,20 @@ def test_group_algebra_duals():
         assert ys[i] == C5.basis_el((5 - i) % 5)
 
 
+def test_dual_bases_repeat():
+    B = mat2_block(QQ, Fr(1))
+    first = dual_bases(B)
+    assert dual_bases(B) == first
+    assert hole_element(B) == hole_element(B)
+    # a degenerate trace is refused on every call, not only the first
+    b = nilpotent_block(QQ, Fr(1), Fr(0))
+    for _ in range(2):
+        with pytest.raises(DegenerateTrace):
+            dual_bases(b)
+        with pytest.raises(DegenerateTrace):
+            hole_element(b)
+
+
 def test_mat2_window_is_trace_times_identity():
     B = mat2_block(QQ, Fr(1))
     b = B.el([Fr(1), Fr(2), Fr(3), Fr(4)])

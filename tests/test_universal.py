@@ -4,6 +4,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from defekt import universal
+from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, SchemaError
 from defekt.exactla import Matrix, PrimeField, QQ
 from defekt.frobenius import verify
@@ -411,6 +413,37 @@ def test_theory_from_json_trace_of_interval():
     t = theory_from_json(doc)
     assert t.circular_is_trace
     assert invariant_triple(t) == (2, 2, 0)
+
+
+@pytest.mark.parametrize("circular", [
+    {"kind": "rational1", "num": ["5"], "den": ["1"]},
+    {"kind": "trace_of_interval"},
+], ids=["rational1", "trace"])
+def test_theory_builds_its_state_space_and_pair_algebra_once(monkeypatch,
+                                                             circular):
+    calls = {"minimize": 0, "pair_algebra": 0}
+    real_minimize = universal.minimize
+    real_init = universal.PairAlgebra.__init__
+
+    def counted_minimize(rep):
+        calls["minimize"] += 1
+        return real_minimize(rep)
+
+    def counted_init(self, theory):
+        calls["pair_algebra"] += 1
+        real_init(self, theory)
+
+    monkeypatch.setattr(universal, "minimize", counted_minimize)
+    monkeypatch.setattr(universal.PairAlgebra, "__init__", counted_init)
+    doc = theory_doc()
+    doc["circular"] = circular
+    t = theory_from_json(doc)
+    pa = build_pair_algebra(t)
+    assert invariant_triple(t) == (pa.k, pa.U_prime_dim, pa.K_dim)
+    assert build_pair_algebra(t) is pa
+    assert state_space_dim(t, "+-") == pa.dim
+    assert state_space_dim(t, "+") == pa.k
+    assert calls == {"minimize": 1, "pair_algebra": 1}
 
 
 def test_theory_from_json_field_override():
