@@ -19,10 +19,11 @@ from functools import cached_property
 from .errors import (
     ClosedComponent,
     DegenerateTrace,
+    FieldMismatch,
     SchemaError,
     SingularMatrix,
 )
-from .exactla import Echelon, Field, Matrix, vstack
+from .exactla import Echelon, Field, Matrix
 
 __all__ = [
     "BetaReport",
@@ -123,7 +124,27 @@ class FrobeniusAlgebra:
         return Matrix(F, rows, cols=n)
 
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
-        return self.left_mult_matrix(x) * y
+        """x*y, contracted from the structure constants:
+        out_k = sum_{i,j} x_i y_j mult[i][j][k].  Zero coordinates and zero
+        constants add nothing, so skipping them is exact; a product of
+        basis elements costs n steps, a dense element times a basis
+        element n^2."""
+        n = self.dim
+        for v in (x, y):
+            if (not isinstance(v, Matrix) or v.field != self.field
+                    or v.rows != n or v.cols != 1):
+                raise FieldMismatch(
+                    f"algebra elements must be {n}x1 columns over {self.field!r}")
+        out = [self.field.zero] * n
+        ys = [(j, yj) for j, (yj,) in enumerate(y.data) if yj]
+        for (xi,), plane in zip(x.data, self.mult):
+            if xi:
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, m in enumerate(plane[j]):
+                        if m:
+                            out[k] = out[k] + c * m
+        return Matrix.col_vector(self.field, out)
 
     def product(self, elements) -> Matrix:
         out = self.unit_el()
@@ -300,14 +321,17 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
 
 
 def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
-    """Basis of Z(B), the solutions of x*e_j = e_j*x for all j."""
-    if b.dim == 0:
+    """Basis of Z(B), the solutions of x*e_j = e_j*x for all j.  Row k of
+    block j reads coordinate k of x*e_j - e_j*x off the structure
+    constants: mult[i][j][k] - mult[j][i][k] in column i."""
+    n = b.dim
+    if n == 0:
         return []
-    blocks = []
-    for j in range(b.dim):
-        ej = b.basis_el(j)
-        blocks.append(b.right_mult_matrix(ej) - b.left_mult_matrix(ej))
-    return vstack(blocks).kernel_basis()
+    m = b.mult
+    return Matrix(b.field, [
+        [m[i][j][k] - m[j][i][k] for i in range(n)]
+        for j in range(n) for k in range(n)
+    ], cols=n).kernel_basis()
 
 
 @dataclass(frozen=True)

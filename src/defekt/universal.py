@@ -465,6 +465,14 @@ class PairAlgebra:
     def from_K_coords(self, z: Matrix) -> Matrix:
         return self._K_mat * z
 
+    @cached_property
+    def _K_trace(self) -> tuple:
+        # the closure trace trace(D*rho) + trace(y) is linear, so it is
+        # read once per basis triple and carried to K's basis
+        tr = [(self.circ.weight * rho).trace() + y.trace()
+              for _, rho, y in self.basis_triples]
+        return tuple(_dot(b.flat(), tr, self.field) for b in self.K_basis)
+
 
 @dataclass(frozen=True, eq=False)
 class Theory:
@@ -519,8 +527,9 @@ def project_word(pa: PairAlgebra, word) -> Matrix:
 
 def trace_K(pa: PairAlgebra, x: Matrix):
     """Closure trace on the kernel ideal (coordinates over K's basis)."""
-    phi, rho, y = pa.triple_of(pa.from_K_coords(x))
-    return (pa.circ.weight * rho).trace() + y.trace()
+    if x.field != pa.field or x.rows != pa.K_dim or x.cols != 1:
+        raise FieldMismatch("kernel coordinates must be a K_dim x 1 column")
+    return _dot(x.flat(), pa._K_trace, pa.field)
 
 
 def frobenius_of_K(pa: PairAlgebra):
@@ -543,9 +552,7 @@ def frobenius_of_K(pa: PairAlgebra):
             row.append(tuple(pa.to_K_coords(prod).flat()))
         mult.append(tuple(row))
     unit = tuple(pa.to_K_coords(pa.one_K).flat())
-    trace = tuple(
-        trace_K(pa, _unit_col(F, n, i)) for i in range(n)
-    )
+    trace = pa._K_trace
     return FrobeniusAlgebra(F, tuple(names), tuple(mult), unit, trace)
 
 

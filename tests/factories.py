@@ -8,6 +8,8 @@ returns the fixed list of theories the property suites sweep.
 """
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from defekt.exactla import Matrix, PrimeField, QQ
 from defekt.frobenius import FrobeniusAlgebra
 from defekt.openclosed import KnowledgeablePair
@@ -147,6 +149,16 @@ def random_symmetric_frobenius(rng, field, max_dim: int = 4) -> FrobeniusAlgebra
 
 def random_element(rng, b: FrobeniusAlgebra) -> Matrix:
     return b.el([random_scalar(rng, b.field) for _ in range(b.dim)])
+
+
+def entries(sparse):
+    """Small integer entries (a hypothesis strategy); sparse ones are zero
+    three times in four, like the block generators, echelon rows and basis
+    elements the library multiplies."""
+    ints = st.integers(-4, 4)
+    if sparse:
+        return st.integers(0, 3).flatmap(lambda k: ints if k == 0 else st.just(0))
+    return ints
 
 
 # -- open/closed pairs ---------------------------------------------------------

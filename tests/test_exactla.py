@@ -22,6 +22,7 @@ from defekt.exactla import (
     rref,
 )
 
+from factories import entries
 from oracles import naive_det, naive_rank
 
 F7 = PrimeField(7)
@@ -220,15 +221,6 @@ def test_hstack():
     a = Matrix(QQ, [[1], [2]])
     b = Matrix(QQ, [[3], [4]])
     assert hstack([a, b]).data == ((1, 3), (2, 4))
-
-
-def entries(sparse):
-    """Small integer entries; sparse ones are zero three times in four, like
-    the block generators and echelon rows the library multiplies."""
-    ints = st.integers(-4, 4)
-    if sparse:
-        return st.integers(0, 3).flatmap(lambda k: ints if k == 0 else st.just(0))
-    return ints
 
 
 @st.composite

@@ -1,10 +1,18 @@
 """Tests for the symmetric Frobenius algebra engine."""
+import itertools
 import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defekt.errors import ClosedComponent, DegenerateTrace, SchemaError
+from defekt.errors import (
+    ClosedComponent,
+    DegenerateTrace,
+    FieldMismatch,
+    SchemaError,
+)
 from defekt.exactla import Matrix, PrimeField, QQ
 from defekt.frobenius import (
     FrobeniusAlgebra,
@@ -26,14 +34,148 @@ from defekt.frobenius import (
     window,
 )
 
+from defekt.openclosed import check_knowledgeable
+
 from factories import (
+    direct_sum,
+    entries,
     group_algebra_cyclic,
+    jordan3_block,
+    knowledgeable_pair_cyclic,
+    knowledgeable_pair_matrix,
     mat2_block,
     nilpotent_block,
     point_block,
     random_element,
     random_symmetric_frobenius,
 )
+
+F7 = PrimeField(7)
+
+
+# -- products -------------------------------------------------------------------
+
+
+def reference_mul(b, x, y):
+    """x*y as the left-multiplication matrix of x, built entry by entry from
+    the structure constants, times y."""
+    F, n = b.field, b.dim
+    left = Matrix(F, [
+        [sum((x[i, 0] * b.mult[i][j][k] for i in range(n)), F.zero)
+         for j in range(n)]
+        for k in range(n)
+    ], cols=n)
+    return left * y
+
+
+@st.composite
+def cubes(draw, nmax=5):
+    """An algebra over QQ or F_7 with arbitrary (mostly non-associative)
+    structure constants, dense or three-quarters zero."""
+    field = draw(st.sampled_from([QQ, F7]))
+    n = draw(st.integers(0, nmax))
+    sparse = draw(st.booleans())
+    mult = [[[field.of(draw(entries(sparse))) for _ in range(n)]
+             for _ in range(n)] for _ in range(n)]
+    zeros = [field.zero] * n
+    return FrobeniusAlgebra(field, [f"e{i}" for i in range(n)], mult,
+                            zeros, zeros)
+
+
+@st.composite
+def elements(draw, b):
+    return b.el([draw(entries(draw(st.booleans()))) for _ in range(b.dim)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_matches_left_multiplication_matrix(data):
+    b = data.draw(cubes())
+    x, y = data.draw(elements(b)), data.draw(elements(b))
+    prod = b.mul(x, y)
+    assert prod == reference_mul(b, x, y)
+    assert all(type(c) is type(b.field.zero) for c in prod.flat())
+
+
+def test_mul_rejects_malformed_elements():
+    B = mat2_block(QQ, Fr(1))
+    x = B.el([Fr(1), Fr(2), Fr(3), Fr(4)])
+    long_x = Matrix.col_vector(QQ, [Fr(1)] * 5)
+    short = Matrix.col_vector(QQ, [Fr(1)] * 3)
+    foreign = Matrix.col_vector(F7, [1, 2, 3, 4])
+    for a, c in ((long_x, x), (short, x), (foreign, x), (x, short)):
+        with pytest.raises(FieldMismatch):
+            B.mul(a, c)
+
+
+def first_nonassociative(b):
+    """The lexicographically first (i, j, k) with (e_i e_j) e_k !=
+    e_i (e_j e_k), by the reference product; None when there is none."""
+    e = [b.basis_el(i) for i in range(b.dim)]
+    m = reference_mul
+    for i, j, k in itertools.product(range(b.dim), repeat=3):
+        if m(b, m(b, e[i], e[j]), e[k]) != m(b, e[i], m(b, e[j], e[k])):
+            return (i, j, k)
+    return None
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A symmetric Frobenius algebra over QQ or F_7, in a hidden basis
+    (dense cube) or as blocks (mostly zero cube), with a few structure
+    constants shifted."""
+    field = draw(st.sampled_from([QQ, F7]))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 16)))
+        b = random_symmetric_frobenius(rng, field, max_dim=4)
+    else:
+        o = field.one
+        b = draw(st.sampled_from([
+            mat2_block(field, o),
+            group_algebra_cyclic(field, 3),
+            direct_sum(nilpotent_block(field, o, o), jordan3_block(field, o, o, o)),
+        ]))
+    n = b.dim
+    mult = [[list(row) for row in plane] for plane in b.mult]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        mult[i][j][k] = mult[i][j][k] + field.of(draw(st.integers(1, 4)))
+    return FrobeniusAlgebra(field, b.names, mult, b.unit, b.trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbed_algebras())
+def test_verify_witness_is_first_failing_triple(b):
+    rep = verify(b)
+    want = first_nonassociative(b)
+    assert rep.associative_witness == want
+    assert rep.associative == (want is None)
+
+
+def test_products_build_no_multiplication_matrix(monkeypatch):
+    # the structure constants are contracted directly; no n x n matrix is
+    # formed per product
+    rng = random.Random(31)
+    F5 = PrimeField(5)
+    algebras = [mat2_block(QQ, Fr(1)), group_algebra_cyclic(F5, 5),
+                random_symmetric_frobenius(rng, QQ),
+                random_symmetric_frobenius(rng, F7)]
+    pairs = [knowledgeable_pair_cyclic(F5, F5.parse(2)),
+             knowledgeable_pair_matrix(QQ)]
+
+    def refuse(self, x):
+        raise AssertionError("left_mult_matrix called")
+
+    monkeypatch.setattr(FrobeniusAlgebra, "left_mult_matrix", refuse)
+    for b in algebras:
+        assert verify(b).passed
+        u, v = random_element(rng, b), random_element(rng, b)
+        assert window(b, b.mul(u, v)) == window(b, b.mul(v, u))
+        s = SurfaceSpec((SurfaceComponent(1, ((u,), (v,))),))
+        assert eval_surface(b, s) == eval_surface_by_surgery(b, s)
+        assert beta_map(b).kills_commutators
+    for pair in pairs:
+        assert check_knowledgeable(pair).passed
 
 
 # -- verification --------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from defekt import universal
 from defekt.diagrams import state_space_dim
-from defekt.errors import DefektError, SchemaError
+from defekt.errors import DefektError, FieldMismatch, SchemaError
 from defekt.exactla import Matrix, PrimeField, QQ
 from defekt.frobenius import verify
 from defekt.series import (
@@ -388,6 +388,32 @@ def test_to_K_coords_round_trip_and_refusal():
             # the unit acts by the identity on A(+), so it is not in K
             with pytest.raises(DefektError):
                 pa.to_K_coords(pa.unit)
+
+
+def trace_K_by_triple(pa, x):
+    """Closure trace of a K element read off its whole spanning triple."""
+    _, rho, y = pa.triple_of(pa.from_K_coords(x))
+    return (pa.circ.weight * rho).trace() + y.trace()
+
+
+def test_trace_K_matches_the_triple_route():
+    fields = set()
+    for name, t in theory_corpus():
+        pa = build_pair_algebra(t)
+        if not pa.K_dim:
+            continue
+        fields.add(pa.field)
+        K = frobenius_of_K(pa)
+        basis = [K.basis_el(i) for i in range(K.dim)]
+        assert K.trace == tuple(trace_K_by_triple(pa, e) for e in basis), name
+        elems = basis + [K.mul(a, b) for a in basis for b in basis]
+        if t.alphabet:
+            elems += [project_word(pa, (0,) * n) for n in range(4)]
+        for x in elems:
+            assert trace_K(pa, x) == trace_K_by_triple(pa, x), name
+        with pytest.raises(FieldMismatch):
+            trace_K(pa, Matrix.zeros(pa.field, pa.K_dim + 1, 1))
+    assert fields == {QQ, PrimeField(7)}
 
 
 # -- theory JSON ---------------------------------------------------------------
