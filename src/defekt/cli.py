@@ -69,7 +69,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read input: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int over 4,300 digits
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 

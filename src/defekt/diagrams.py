@@ -55,6 +55,16 @@ __all__ = [
 ]
 
 
+# Longest boundary whose spanning set is enumerated: the matchings and
+# their decorations grow factorially with the number of points.
+SIZE_BOUND = 8
+
+
+def _check_size(n: int, what: str) -> None:
+    if n > SIZE_BOUND:
+        raise SizeBound(f"{what} {n} exceeds the bound {SIZE_BOUND}")
+
+
 def _check_signs(s, what: str) -> str:
     if not isinstance(s, str) or any(c not in "+-" for c in s):
         raise BoundaryMismatch(f"{what} must be a string of '+' and '-' signs")
@@ -513,15 +523,12 @@ def _record_diagram(eps: str, rec: _Record) -> Diagram:
     return Diagram("", eps, tuple(comps))
 
 
-def spanning_diagrams(t: Theory, eps: str, size_bound: int = 8) -> list:
+def spanning_diagrams(t: Theory, eps: str) -> list:
     """The spanning set of A(eps) as diagrams: all orientation-compatible
     partial matchings, arcs decorated by the arc word family and
     half-intervals by the state-space basis and cobasis words."""
     eps = _check_signs(eps, "eps")
-    if len(eps) > size_bound:
-        raise SizeBound(
-            f"sign sequence of length {len(eps)} exceeds the bound {size_bound}"
-        )
+    _check_size(len(eps), "sign sequence of length")
     ctx = _context(t)
     return [_record_diagram(eps, r) for r in _spanning_records(ctx, eps)]
 
@@ -627,27 +634,20 @@ def _dim_of(ctx: _Context, eps: str) -> int:
     return dim
 
 
-def state_space_dim(t: Theory, eps: str, size_bound: int = 8) -> int:
+def state_space_dim(t: Theory, eps: str) -> int:
     """Dimension of the state space A(eps): the rank of the Gram matrix of
     the spanning set against the mirrored spanning set."""
     eps = _check_signs(eps, "eps")
-    if len(eps) > size_bound:
-        raise SizeBound(
-            f"sign sequence of length {len(eps)} exceeds the bound {size_bound}"
-        )
+    _check_size(len(eps), "sign sequence of length")
     return _dim_of(_context(t), eps)
 
 
-def hom_dim(t: Theory, eps: str, eps2: str, size_bound: int = 8) -> int:
+def hom_dim(t: Theory, eps: str, eps2: str) -> int:
     """Dimension of Hom(eps, eps2), computed by bending: the state space of
     the reversed sign-flipped eps concatenated with eps2."""
     eps = _check_signs(eps, "eps")
     eps2 = _check_signs(eps2, "eps2")
-    if len(eps) + len(eps2) > size_bound:
-        raise SizeBound(
-            f"total boundary length {len(eps) + len(eps2)} exceeds the "
-            f"bound {size_bound}"
-        )
+    _check_size(len(eps) + len(eps2), "total boundary length")
     return _dim_of(_context(t), mirror_signs(eps) + eps2)
 
 

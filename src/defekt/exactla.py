@@ -12,6 +12,8 @@ depend on hash order.
 """
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -146,6 +148,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# The scalars ``Field.format`` writes.  Each part has at most 4,300 digits,
+# Python's default limit for converting between int and str, so every
+# written value reads back and a short string cannot denote a huge number
+# (``Fraction("1e999999999999")`` would compute 10**(10**12)).
+_SCALAR = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
+
+
 class Field:
     """Abstract ground field: the rationals or a prime field F_p."""
 
@@ -158,8 +167,34 @@ class Field:
         raise NotImplementedError
 
     def parse(self, v):
-        """Parse a JSON scalar (int or a string such as '-3/2')."""
-        raise NotImplementedError
+        """Read one scalar of a JSON document: an int, or a string
+        ``[+-]digits`` or ``[+-]digits/digits`` with at most 4,300 digits
+        in each part, which is what :meth:`format` writes.  Anything else
+        raises FieldMismatch."""
+        if isinstance(v, int) and not isinstance(v, bool):
+            return self.of(v)
+        m = _SCALAR.fullmatch(v) if isinstance(v, str) else None
+        if m is None:
+            raise FieldMismatch(
+                f"scalar {reprlib.repr(v)} is not an int or a string [+-]digits "
+                "or [+-]digits/digits with at most 4300 digits in each part")
+        den = int(m[2] or 1)
+        if not den:
+            raise FieldMismatch(f"scalar {reprlib.repr(v)} has a zero denominator")
+        return self.of(Fraction(int(m[1]), den))
+
+    def parse_vector(self, doc, n: int, path: str) -> tuple:
+        """Read a JSON array of n scalars; a bad shape raises SchemaError at
+        ``path`` and a bad entry at its own ``path[i]``."""
+        if not isinstance(doc, list) or len(doc) != n:
+            raise SchemaError(path, f"expected an array of {n} scalars")
+        out = []
+        for i, x in enumerate(doc):
+            try:
+                out.append(self.parse(x))
+            except FieldMismatch as e:
+                raise SchemaError(f"{path}[{i}]", str(e)) from None
+        return tuple(out)
 
     def format(self, x) -> str:
         raise NotImplementedError
@@ -179,16 +214,9 @@ class RationalField(Field):
             return v
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
         if isinstance(v, FpValue):
             raise FieldMismatch("prime-field value used where a rational was expected")
         raise FieldMismatch(f"cannot interpret {v!r} as a rational scalar")
-
-    def parse(self, v):
-        if isinstance(v, bool) or isinstance(v, float):
-            raise FieldMismatch(f"scalar {v!r} is not exact; use ints or 'a/b' strings")
-        return self.of(v)
 
     def format(self, x) -> str:
         return str(x)
@@ -230,14 +258,7 @@ class PrimeField(Field):
                     f"denominator {v.denominator} is divisible by {self.p}"
                 )
             return FpValue(v.numerator * pow(v.denominator, -1, self.p), self.p)
-        if isinstance(v, str):
-            return self.of(Fraction(v))
         raise FieldMismatch(f"cannot interpret {v!r} as a scalar in F_{self.p}")
-
-    def parse(self, v):
-        if isinstance(v, bool) or isinstance(v, float):
-            raise FieldMismatch(f"scalar {v!r} is not exact; use ints or 'a/b' strings")
-        return self.of(v)
 
     def format(self, x) -> str:
         return str(x.v)
@@ -371,27 +392,14 @@ class Matrix:
         return Matrix(field, [[e] for e in entries], cols=1)
 
     @staticmethod
-    def from_lists(field: Field, lists, path: str = "matrix") -> "Matrix":
-        """Parse a JSON array-of-arrays of exact scalars."""
-        if not isinstance(lists, list):
-            raise SchemaError(path, "expected an array of rows")
-        rows = []
-        width = None
-        for i, row in enumerate(lists):
-            if not isinstance(row, list):
-                raise SchemaError(f"{path}[{i}]", "expected an array of scalars")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise SchemaError(f"{path}[{i}]", "ragged row")
-            parsed = []
-            for j, x in enumerate(row):
-                try:
-                    parsed.append(field.parse(x))
-                except (FieldMismatch, ValueError, ZeroDivisionError) as e:
-                    raise SchemaError(f"{path}[{i}][{j}]", str(e)) from None
-            rows.append(parsed)
-        return Matrix(field, rows, cols=width or 0)
+    def from_lists(field: Field, lists, rows: int, cols: int,
+                   path: str = "matrix") -> "Matrix":
+        """Read a JSON array of ``rows`` arrays of ``cols`` exact scalars
+        (see :meth:`Field.parse_vector` for the paths of errors)."""
+        if not isinstance(lists, list) or len(lists) != rows:
+            raise SchemaError(path, f"expected {rows} rows")
+        return Matrix(field, [field.parse_vector(row, cols, f"{path}[{i}]")
+                              for i, row in enumerate(lists)], cols=cols)
 
     def to_lists(self) -> list:
         return [[self.field.format(x) for x in row] for row in self.data]
@@ -693,13 +701,7 @@ class Polynomial:
     def from_list(field: Field, lst, path: str = "poly") -> "Polynomial":
         if not isinstance(lst, list):
             raise SchemaError(path, "expected an array of ascending coefficients")
-        out = []
-        for i, c in enumerate(lst):
-            try:
-                out.append(field.parse(c))
-            except (FieldMismatch, ValueError, ZeroDivisionError) as e:
-                raise SchemaError(f"{path}[{i}]", str(e)) from None
-        return Polynomial(field, out)
+        return Polynomial(field, field.parse_vector(lst, len(lst), path))
 
     def to_list(self) -> list:
         return [self.field.format(c) for c in self.coeffs]

@@ -52,8 +52,9 @@ class FrobeniusAlgebra:
     ``mult[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j; ``unit`` and ``trace`` are coordinate
     tuples.  Construction checks shapes only; the algebra axioms are the
-    business of :func:`verify`.  The dual bases and the hole element are
-    built on first use and held for the life of the algebra.
+    business of :func:`verify`.  The basis columns, the dual bases and the
+    hole element are built on first use and held for the life of the
+    algebra.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
@@ -89,9 +90,15 @@ class FrobeniusAlgebra:
     def el(self, coeffs) -> Matrix:
         return Matrix.col_vector(self.field, list(coeffs))
 
-    def basis_el(self, i: int) -> Matrix:
+    @cached_property
+    def basis_columns(self) -> tuple:
+        """The basis elements e_0, ..., e_{n-1} as coordinate columns."""
         F = self.field
-        return self.el([F.one if j == i else F.zero for j in range(self.dim)])
+        return tuple(self.el([F.one if j == i else F.zero for j in range(self.dim)])
+                     for i in range(self.dim))
+
+    def basis_el(self, i: int) -> Matrix:
+        return self.basis_columns[i]
 
     def unit_el(self) -> Matrix:
         return self.el(self.unit)
@@ -108,18 +115,6 @@ class FrobeniusAlgebra:
             rows.append([
                 sum((x[i, 0] * self.mult[i][j][k] for i in range(n)), F.zero)
                 for j in range(n)
-            ])
-        return Matrix(F, rows, cols=n)
-
-    def right_mult_matrix(self, y: Matrix) -> Matrix:
-        """Matrix of x |-> x*y."""
-        F = self.field
-        n = self.dim
-        rows = []
-        for k in range(n):
-            rows.append([
-                sum((y[j, 0] * self.mult[i][j][k] for j in range(n)), F.zero)
-                for i in range(n)
             ])
         return Matrix(F, rows, cols=n)
 
@@ -191,15 +186,8 @@ class FrobeniusAlgebra:
 
     @cached_property
     def duals(self) -> tuple[tuple, tuple]:
-        """See :func:`dual_bases`."""
-        try:
-            ginv = self.gram().inverse()
-        except SingularMatrix:
-            raise DegenerateTrace("trace pairing is singular") from None
-        xs = tuple(self.basis_el(i) for i in range(self.dim))
-        ys = tuple(Matrix.col_vector(self.field, list(ginv.column(j)))
-                   for j in range(self.dim))
-        return xs, ys
+        """:func:`dual_bases` of this algebra, computed once."""
+        return dual_bases(self)
 
     @cached_property
     def hole(self) -> Matrix:
@@ -285,8 +273,16 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
 def dual_bases(b: FrobeniusAlgebra) -> tuple[tuple, tuple]:
     """Bases {x_i}, {y_i} with trace(x_i * y_j) = delta_ij; the x_i are the
     algebra basis and y_j has coordinates column j of the inverse Gram
-    matrix.  Raises DegenerateTrace when the trace pairing is singular."""
-    return b.duals
+    matrix.  Raises DegenerateTrace when the trace pairing is singular.
+    Each call inverts the Gram matrix; :attr:`FrobeniusAlgebra.duals`
+    holds the result."""
+    try:
+        ginv = b.gram().inverse()
+    except SingularMatrix:
+        raise DegenerateTrace("trace pairing is singular") from None
+    ys = tuple(Matrix.col_vector(b.field, list(ginv.column(j)))
+               for j in range(b.dim))
+    return b.basis_columns, ys
 
 
 def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
@@ -444,7 +440,7 @@ def eval_surface_by_surgery(b: FrobeniusAlgebra, s: SurfaceSpec):
     first boundary word; two boundary circles are merged by cutting the
     neck between them, splicing the last word into the first around the
     dual pair.  Base case: genus 0, one boundary, value trace(pi(w))."""
-    xs, ys = dual_bases(b)
+    xs, ys = b.duals
     F = b.field
 
     def comp_value(genus: int, words: tuple):
@@ -544,19 +540,6 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
 # -- JSON ---------------------------------------------------------------------
 
 
-def _scalar(field: Field, doc, path: str):
-    try:
-        return field.parse(doc)
-    except Exception as e:  # noqa: BLE001 - reported with JSON path
-        raise SchemaError(path, str(e)) from None
-
-
-def _scalar_list(field: Field, doc, n: int, path: str) -> tuple:
-    if not isinstance(doc, list) or len(doc) != n:
-        raise SchemaError(path, f"expected an array of {n} scalars")
-    return tuple(_scalar(field, x, f"{path}[{i}]") for i, x in enumerate(doc))
-
-
 def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     """Parse {"dim":n,"basis":[names],"mult":[[[c]]],"unit":[...],
     "trace":[...]}."""
@@ -565,25 +548,20 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
-    names = doc.get("basis", [f"e{i}" for i in range(dim)])
-    if not isinstance(names, list) or len(names) != dim or not all(
-        isinstance(x, str) for x in names
-    ):
+    names = doc.get("basis")
+    if names is not None and (not isinstance(names, list) or len(names) != dim
+                              or not all(isinstance(x, str) for x in names)):
         raise SchemaError(f"{path}.basis", f"expected {dim} basis names")
     mdoc = doc.get("mult")
     if not isinstance(mdoc, list) or len(mdoc) != dim:
         raise SchemaError(f"{path}.mult", f"expected {dim} planes")
-    mult = []
-    for i, plane in enumerate(mdoc):
-        if not isinstance(plane, list) or len(plane) != dim:
-            raise SchemaError(f"{path}.mult[{i}]", f"expected {dim} rows")
-        mult.append(tuple(
-            _scalar_list(field, row, dim, f"{path}.mult[{i}][{j}]")
-            for j, row in enumerate(plane)
-        ))
-    unit = _scalar_list(field, doc.get("unit"), dim, f"{path}.unit")
-    trace = _scalar_list(field, doc.get("trace"), dim, f"{path}.trace")
-    return FrobeniusAlgebra(field, names, tuple(mult), unit, trace)
+    # the default names are built only now, once mult has shown dim is real
+    names = names or [f"e{i}" for i in range(dim)]
+    mult = tuple(Matrix.from_lists(field, plane, dim, dim, f"{path}.mult[{i}]").data
+                 for i, plane in enumerate(mdoc))
+    unit = field.parse_vector(doc.get("unit"), dim, f"{path}.unit")
+    trace = field.parse_vector(doc.get("trace"), dim, f"{path}.trace")
+    return FrobeniusAlgebra(field, names, mult, unit, trace)
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
@@ -599,7 +577,7 @@ def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
 
 
 def element_from_json(b: FrobeniusAlgebra, doc, path: str) -> Matrix:
-    return b.el(_scalar_list(b.field, doc, b.dim, path))
+    return b.el(b.field.parse_vector(doc, b.dim, path))
 
 
 def surface_from_json(b: FrobeniusAlgebra, doc, path: str = "$") -> SurfaceSpec:

@@ -53,7 +53,7 @@ def trace_series_1var(z: RationalFunction1) -> RationalFunction1:
     g = g_of(z)
     n = g.deg
     q = g.reversed_poly(n)
-    num = q.scale(F.parse(n)) - q.derivative().shifted(1)
+    num = q.scale(n) - q.derivative().shifted(1)
     return RationalFunction1(F, num, q)
 
 

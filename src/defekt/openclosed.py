@@ -318,24 +318,6 @@ def state_space_mixed_dim(t: OpenClosedTheory, k: int, m: int,
 # -- JSON ingestion -----------------------------------------------------------
 
 
-def _matrix_from_json(field: Field, doc, rows: int, cols: int,
-                      path: str) -> Matrix:
-    if not isinstance(doc, list) or len(doc) != rows:
-        raise SchemaError(path, f"expected {rows} rows")
-    data = []
-    for i, row in enumerate(doc):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]", f"expected {cols} entries")
-        out = []
-        for j, v in enumerate(row):
-            try:
-                out.append(field.parse(v))
-            except Exception as exc:  # noqa: BLE001 - reported with JSON path
-                raise SchemaError(f"{path}[{i}][{j}]", str(exc)) from None
-        data.append(out)
-    return Matrix(field, data, cols=cols)
-
-
 def knowledgeable_from_json(field: Field, doc, path: str = "$") -> KnowledgeablePair:
     """Parse {"open": algebra, "closed": algebra, "zipper": rows,
     "cozipper": rows}; the zipper matrix is dim(closed) by dim(open)."""
@@ -343,9 +325,9 @@ def knowledgeable_from_json(field: Field, doc, path: str = "$") -> Knowledgeable
         raise SchemaError(path, "expected a pair object")
     b = frobenius_from_json(field, doc.get("open"), f"{path}.open")
     c = frobenius_from_json(field, doc.get("closed"), f"{path}.closed")
-    jz = _matrix_from_json(field, doc.get("zipper"), c.dim, b.dim,
+    jz = Matrix.from_lists(field, doc.get("zipper"), c.dim, b.dim,
                            f"{path}.zipper")
-    jc = _matrix_from_json(field, doc.get("cozipper"), b.dim, c.dim,
+    jc = Matrix.from_lists(field, doc.get("cozipper"), b.dim, c.dim,
                            f"{path}.cozipper")
     return KnowledgeablePair(b, c, jz, jc)
 

@@ -387,31 +387,16 @@ def _letters_from_json(field: Field, alphabet, doc, dim: int, path: str):
     for name in alphabet:
         if name not in doc:
             raise SchemaError(f"{path}.{name}", "missing letter matrix")
-        m = Matrix.from_lists(field, doc[name], f"{path}.{name}")
-        if m.rows != dim or m.cols != dim:
-            raise SchemaError(f"{path}.{name}", f"expected a {dim}x{dim} matrix")
-        mats.append(m)
+        mats.append(Matrix.from_lists(field, doc[name], dim, dim, f"{path}.{name}"))
     return tuple(mats)
-
-
-def _vector_from_json(field: Field, doc, n: int, path: str) -> list:
-    if not isinstance(doc, list) or len(doc) != n:
-        raise SchemaError(path, f"expected an array of {n} scalars")
-    out = []
-    for i, x in enumerate(doc):
-        try:
-            out.append(field.parse(x))
-        except (FieldMismatch, ValueError, ZeroDivisionError) as e:
-            raise SchemaError(f"{path}[{i}]", str(e)) from None
-    return out
 
 
 def linrep_from_json(field: Field, alphabet, doc, path: str = "interval") -> LinearRepresentation:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
-    init = Matrix.row_vector(field, _vector_from_json(field, doc.get("init"), dim, f"{path}.init"))
-    final = Matrix.col_vector(field, _vector_from_json(field, doc.get("final"), dim, f"{path}.final"))
+    init = Matrix.row_vector(field, field.parse_vector(doc.get("init"), dim, f"{path}.init"))
+    final = Matrix.col_vector(field, field.parse_vector(doc.get("final"), dim, f"{path}.final"))
     letters = _letters_from_json(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
     return LinearRepresentation(field, len(alphabet), dim, init, letters, final)
 
@@ -420,9 +405,7 @@ def circrep_from_json(field: Field, alphabet, doc, path: str = "circular") -> Ci
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
-    weight = Matrix.from_lists(field, doc.get("weight"), f"{path}.weight")
-    if weight.rows != dim or weight.cols != dim:
-        raise SchemaError(f"{path}.weight", f"expected a {dim}x{dim} matrix")
+    weight = Matrix.from_lists(field, doc.get("weight"), dim, dim, f"{path}.weight")
     letters = _letters_from_json(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
     try:
         return CircularRepresentation(field, len(alphabet), dim, letters, weight)

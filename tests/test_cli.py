@@ -345,6 +345,17 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_huge_json_int_exits_two(tmp_path, capsys):
+    # the JSON decoder refuses ints of more than 4,300 digits
+    broken = tmp_path / "huge.json"
+    broken.write_text('{"dim": 1, "mult": [[["1"]]], "unit": ["1"], '
+                      '"trace": [' + "7" * 5000 + "]}")
+    code, doc = run_cli(capsys, "frob", "check", str(broken))
+    assert code == 2
+    assert doc["error"]["code"] == "schema"
+    assert doc["error"]["path"] == str(broken)
+
+
 def test_schema_errors_name_the_path(tmp_path, capsys):
     doc = pair5_doc()
     del doc["zipper"]

@@ -370,8 +370,6 @@ def test_size_bound_enforced():
     with pytest.raises(SizeBound):
         hom_dim(t, "+" * 5, "-" * 4)
     with pytest.raises(SizeBound):
-        state_space_dim(t, "+-", size_bound=1)
-    with pytest.raises(SizeBound):
         spanning_diagrams(t, "+" * 9)
 
 

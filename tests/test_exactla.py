@@ -312,6 +312,20 @@ def test_echelon_accepts_the_rref_pivot_columns(m):
     assert len(accepted) == m.rank()
 
 
+@settings(max_examples=60, deadline=None)
+@given(matrix_pairs(),
+       st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**40)))
+def test_scalars_and_matrices_read_back_what_format_writes(pair, q):
+    m = pair[0]
+    F = m.field
+    if F.char and q.denominator % F.char == 0:
+        q = Fraction(q.numerator)
+    x = F.of(q)
+    assert F.parse(F.format(x)) == x
+    m = m.scale(x)
+    assert Matrix.from_lists(F, m.to_lists(), m.rows, m.cols) == m
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):

@@ -13,6 +13,7 @@ from defekt.errors import (
     FieldMismatch,
     SchemaError,
 )
+import defekt.frobenius as frobenius_module
 from defekt.exactla import Matrix, PrimeField, QQ
 from defekt.frobenius import (
     FrobeniusAlgebra,
@@ -274,6 +275,24 @@ def test_dual_bases_repeat():
             hole_element(b)
 
 
+def test_gram_is_inverted_once_per_algebra(monkeypatch):
+    calls = []
+    real = frobenius_module.dual_bases
+    monkeypatch.setattr(frobenius_module, "dual_bases",
+                        lambda b: calls.append(b) or real(b))
+    B = mat2_block(QQ, Fr(1))
+    s = SurfaceSpec((SurfaceComponent(1, ((B.basis_el(1),), ())),))
+    window(B, B.basis_el(2))
+    hole_element(B)
+    value = eval_surface(B, s)
+    assert calls == [B]
+    assert eval_surface_by_surgery(B, s) == value
+    assert calls == [B]
+    # the basis columns are built once and are the x_i of the dual bases
+    assert B.basis_el(2) is B.basis_columns[2]
+    assert B.duals[0] is B.basis_columns
+
+
 def test_mat2_window_is_trace_times_identity():
     B = mat2_block(QQ, Fr(1))
     b = B.el([Fr(1), Fr(2), Fr(3), Fr(4)])
@@ -503,6 +522,13 @@ def test_json_schema_errors():
     with pytest.raises(SchemaError) as exc:
         frobenius_from_json(QQ, doc)
     assert exc.value.path == "$.trace"
+    # a huge dim is refused by its mult before any default names are built
+    with pytest.raises(SchemaError) as exc:
+        frobenius_from_json(QQ, {"dim": 10**12, "mult": []})
+    assert exc.value.path == "$.mult"
+    with pytest.raises(SchemaError) as exc:
+        frobenius_from_json(QQ, {"dim": 10**12, "basis": ["e0"], "mult": []})
+    assert exc.value.path == "$.basis"
 
 
 def test_surface_json():
