@@ -4,7 +4,7 @@ defect theories.
 The package works over the rationals or a prime field, always exactly:
 
 - ``exactla``: scalars, dense matrices, polynomials, deterministic
-  elimination, division-free characteristic polynomials.
+  elimination.
 - ``series``: words and cyclic words over an alphabet, linear (weighted
   automaton style) representations of interval and circle evaluations,
   one-variable rational generating functions.

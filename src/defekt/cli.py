@@ -59,6 +59,10 @@ from .universal import (
 
 __all__ = ["main", "run"]
 
+# Largest accepted --gmax and --smax of ``oc circle-dim``, whose Gram
+# matrix has ((gmax+1)(smax+1))^2 entries to rank.
+CIRCLE_BOUND = 16
+
 
 # -- input helpers -------------------------------------------------------------
 
@@ -221,6 +225,8 @@ def _cmd_onevar_analyze(args) -> dict:
 
 
 def _cmd_onevar_crosscheck(args) -> dict:
+    if args.depth < 0:
+        raise SchemaError("--depth", "must be at least 0")
     field = _parse_field_flag(args.field) if args.field else QQ
     zi = _parse_series(field, args.zi, "--zi")
     zc = _parse_series(field, args.zc, "--zc")
@@ -289,10 +295,11 @@ def _cmd_oc_eval(args) -> dict:
 
 def _cmd_oc_circle_dim(args) -> dict:
     t = _load_openclosed(args)
-    if args.gmax < 1:
-        raise SchemaError("--gmax", "must be at least 1")
-    if args.smax < 1:
-        raise SchemaError("--smax", "must be at least 1")
+    for flag, value in (("--gmax", args.gmax), ("--smax", args.smax)):
+        if value < 1:
+            raise SchemaError(flag, "must be at least 1")
+        if value > CIRCLE_BOUND:
+            raise SchemaError(flag, f"must be at most {CIRCLE_BOUND}")
     space = state_space_circle(t, args.gmax, args.smax)
     return {
         "gmax": args.gmax,

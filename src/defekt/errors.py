@@ -54,12 +54,6 @@ class AlphabetMismatch(DefektError):
     code = "alphabet_mismatch"
 
 
-class SaturationLimit(DefektError):
-    """Word saturation failed to stabilize within the size bound."""
-
-    code = "saturation_limit"
-
-
 class BoundaryMismatch(DefektError):
     """Diagram composition was attempted along non-matching boundaries."""
 

@@ -6,8 +6,7 @@ stored in ``[0, p)``).  Matrices are immutable dense row-major arrays and
 polynomials are immutable ascending coefficient tuples with no trailing
 zeros.  No floating point is used anywhere, and every algorithm is
 deterministic: row reduction always picks the leftmost nonzero column and
-the topmost available row, and the characteristic polynomial is computed
-division-free (Berkowitz), so results are identical across runs and do not
+the topmost available row, so results are identical across runs and do not
 depend on hash order.
 """
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "Polynomial",
     "PrimeField",
     "RationalField",
-    "char_poly",
     "field_from_json",
     "hstack",
     "kernel_basis",
@@ -596,43 +594,6 @@ class Matrix:
             raise SingularMatrix("matrix is not invertible")
         return sol
 
-    # -- characteristic polynomial ----------------------------------------
-
-    def char_poly(self) -> "Polynomial":
-        """Monic characteristic polynomial det(T*I - A), division-free
-        (Berkowitz), ascending coefficients."""
-        if self.rows != self.cols:
-            raise NotSquare("characteristic polynomial of a non-square matrix")
-        F = self.field
-        n = self.rows
-        V = [F.one]
-        for r in range(1, n + 1):
-            a = self.data[r - 1][r - 1]
-            R = self.data[r - 1][: r - 1]
-            vec = [self.data[i][r - 1] for i in range(r - 1)]
-            t = [F.one, -a]
-            for k in range(2, r + 1):
-                t.append(-_dot(R, vec, F))
-                if k < r:
-                    vec = [
-                        _dot(self.data[i][: r - 1], vec, F) for i in range(r - 1)
-                    ]
-            Vnew = []
-            for i in range(r + 1):
-                s = F.zero
-                lo = max(0, i - (len(t) - 1))
-                hi = min(i, len(V) - 1)
-                for j in range(lo, hi + 1):
-                    s = s + t[i - j] * V[j]
-                Vnew.append(s)
-            V = Vnew
-        return Polynomial(F, list(reversed(V)))
-
-    def det(self):
-        cp = self.char_poly()
-        c0 = cp.coeff(0)
-        return -c0 if self.rows % 2 else c0
-
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
@@ -692,10 +653,6 @@ class Polynomial:
     @staticmethod
     def constant(field: Field, c) -> "Polynomial":
         return Polynomial(field, [c])
-
-    @staticmethod
-    def monomial(field: Field, k: int, c=1) -> "Polynomial":
-        return Polynomial(field, [field.zero] * k + [c])
 
     @staticmethod
     def from_list(field: Field, lst, path: str = "poly") -> "Polynomial":
@@ -862,11 +819,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def kernel_basis(m: Matrix) -> list[Matrix]:
     """Deterministic basis of the right kernel (column vectors)."""
     return m.kernel_basis()
-
-
-def char_poly(m: Matrix) -> Polynomial:
-    """Monic characteristic polynomial, division-free."""
-    return m.char_poly()
 
 
 def poly_gcd_lcm(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

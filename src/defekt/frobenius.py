@@ -224,12 +224,15 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
     """Check associativity, unit laws, trace symmetry, and nondegeneracy of
     the trace pairing."""
     n = b.dim
+    basis = b.basis_columns
+    # every e_j e_k once: the same table gives e_i e_j
+    prod = [[b.mul(x, y) for y in basis] for x in basis]
     assoc, assoc_w = True, None
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                left = b.mul(b.mul(b.basis_el(i), b.basis_el(j)), b.basis_el(k))
-                right = b.mul(b.basis_el(i), b.mul(b.basis_el(j), b.basis_el(k)))
+                left = b.mul(prod[i][j], basis[k])
+                right = b.mul(basis[i], prod[j][k])
                 if left != right:
                     assoc, assoc_w = False, (i, j, k)
                     break
@@ -240,8 +243,7 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
 
     unital, unital_w = True, None
     u = b.unit_el()
-    for i in range(n):
-        e = b.basis_el(i)
+    for i, e in enumerate(basis):
         if b.mul(u, e) != e or b.mul(e, u) != e:
             unital, unital_w = False, i
             break

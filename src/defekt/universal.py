@@ -3,9 +3,11 @@
 ``minimize`` turns a linear presentation of an interval evaluation into the
 minimal state space it generates: restrict to the span reachable from the
 initial covector, then quotient by the span reachable from the final vector.
-The resulting dimension equals the rank of the (word x word) value matrix,
-and the reported word basis is the first length-then-lex family of words
-whose classes are independent.
+The resulting dimension equals the rank of the (word x word) value matrix.
+Every word family of this module (the two sides of ``minimize``, the
+cobasis words and the arc words) comes from one breadth-first saturation,
+``_saturate``, and is the first length-then-lex family of words whose
+vectors are independent.
 
 ``build_pair_algebra`` constructs the state space of a +- boundary pair as
 a quotient of a concrete spanning model.  A spanning element is a triple
@@ -33,10 +35,9 @@ from .errors import (
     AlphabetMismatch,
     DefektError,
     FieldMismatch,
-    SaturationLimit,
     SchemaError,
 )
-from .exactla import Echelon, Field, Matrix, _dot, field_from_json, hstack
+from .exactla import Echelon, Field, Matrix, _dot, field_from_json, hstack, vstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -112,10 +113,6 @@ class StateSpace:
     def value(self, word):
         return (self.cotrace * self.act(word) * self.cyclic)[0, 0]
 
-    def trace_of_word(self, word):
-        """Trace of the word's action on the state space."""
-        return self.act(word).trace()
-
     def pairing_matrix(self) -> Matrix:
         """P[i][j] = value(word_basis[i] + word_basis[j])."""
         return Matrix(
@@ -141,47 +138,53 @@ def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
     )
 
 
-def _row_saturation(field: Field, start: list, letters) -> tuple[list, list]:
-    """Breadth-first, length-then-lex saturation of the row ``start`` under
-    right multiplication by the letter matrices: the words w whose rows
-    start * letters(w) are independent of the rows before, and those rows."""
+def _saturate(field: Field, start: tuple, letters: tuple,
+              prepend: bool = False) -> list[tuple[Word, tuple]]:
+    """Length-then-lex saturation: the kept (word, state) pairs, in order.
+
+    The empty word's state is ``start``, a tuple of matrices; ``letters``
+    holds one sequence of letter matrices per entry.  A letter appended to
+    a word multiplies each entry of its state on the right, or, with
+    ``prepend``, goes in front and multiplies on the left.  From the empty
+    word, each kept word is extended by every letter, and the candidates of
+    one length are tested in sorted word order against one Echelon of the
+    flattened states.  Each length keeps a state or ends the search, so
+    the words are shorter than the dimension of the span."""
     ech = Echelon(field)
-    words: list[Word] = []
-    rows: list[list] = []
-    layer: list[tuple[Word, list]] = []
-    if ech.add(start):
-        words.append(())
-        rows.append(start)
-        layer = [((), start)]
+    kept: list[tuple[Word, tuple]] = []
+    layer = [((), start)]
     while layer:
-        nxt: list[tuple[Word, list]] = []
-        for w, v in layer:
-            for a, mat in enumerate(letters):
-                vv = list((Matrix.row_vector(field, v) * mat).flat())
-                if ech.add(vv):
-                    words.append(w + (a,))
-                    rows.append(vv)
-                    nxt.append((w + (a,), vv))
-        layer = nxt
-    return words, rows
+        layer = [(w, s) for w, s in sorted(layer, key=lambda c: c[0])
+                 if ech.add([x for m in s for x in m.flat()])]
+        kept.extend(layer)
+        layer = [
+            ((a,) + w if prepend else w + (a,),
+             tuple(ls[a] * m if prepend else m * ls[a]
+                   for m, ls in zip(s, letters)))
+            for w, s in layer for a in range(len(letters[0]))
+        ]
+    return kept
 
 
 def minimize(rep: LinearRepresentation) -> StateSpace:
     """Minimal state space generated by an interval presentation.
 
-    Length-then-lex breadth-first saturation of the covector side (rows
-    init * act(w)), restriction, then saturation of the vector side
-    (columns act(w) * final) and quotient.  Both saturations stabilize at
-    word length <= rep.dim.
+    Three word families, each from :func:`_saturate`: the covector side
+    (rows init * act(w), words extended at the end), restriction to their
+    span, then the vector side (columns act(w) * final on the restricted
+    presentation, words extended at the front) and the quotient by it;
+    finally the cobasis words, rows cotrace * action(w) on the state
+    space.  Each family is the first length-then-lex family of words with
+    independent vectors, and stabilizes at word length <= rep.dim.
     """
     F = rep.field
     nl = rep.num_letters
 
     # forward (covector) side: rows init * act(w)
-    _, kept_rows = _row_saturation(F, list(rep.init.flat()), rep.letters)
+    kept_rows = _saturate(F, (rep.init,), (rep.letters,))
     if not kept_rows:
         return _zero_statespace(F, nl)
-    W = Matrix(F, kept_rows, cols=rep.dim)
+    W = vstack([row for _, (row,) in kept_rows])
     f = W.rows
     Wt = W.transpose()
     restricted = []
@@ -191,29 +194,11 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     gamma1 = W * rep.final
 
     # backward (vector) side on the restricted presentation
-    ech2 = Echelon(F)
-    kept_cols: list[list] = []
-    word_basis: list[Word] = []
-    g_vec = list(gamma1.flat())
-    layer2: list[tuple[Word, list]] = []
-    if ech2.add(g_vec):
-        kept_cols.append(g_vec)
-        word_basis.append(())
-        layer2 = [((), g_vec)]
-    while layer2:
-        nxt2: list[tuple[Word, list]] = []
-        for a in range(nl):
-            for w, v in layer2:
-                col = restricted[a] * Matrix.col_vector(F, v)
-                vv = list(col.flat())
-                if ech2.add(vv):
-                    kept_cols.append(vv)
-                    word_basis.append((a,) + w)
-                    nxt2.append(((a,) + w, vv))
-        layer2 = nxt2
+    kept_cols = _saturate(F, (gamma1,), (restricted,), prepend=True)
     if not kept_cols:
         return _zero_statespace(F, nl)
-    V = Matrix(F, [list(col) for col in zip(*kept_cols)], cols=len(kept_cols))
+    word_basis = [w for w, _ in kept_cols]
+    V = hstack([col for _, (col,) in kept_cols])
     k = V.cols
     action = tuple(V.solve(restricted[a] * V) for a in range(nl))
     cyclic = V.solve(gamma1)
@@ -223,7 +208,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     cotrace = e0 * V
 
     # covector-side word family: rows cotrace * action(w)
-    cobasis, _ = _row_saturation(F, list(cotrace.flat()), action)
+    cobasis = [w for w, _ in _saturate(F, (cotrace,), (action,))]
     return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
 
 
@@ -242,33 +227,8 @@ def arc_word_family(ss: StateSpace, circ: CircularRepresentation) -> list[Word]:
     This family spans the arc subalgebra and indexes the circle-closure
     functionals."""
     F = ss.field
-    nl = ss.num_letters
-    k, m = ss.dim, circ.dim
-    bound = k * k + m * m + 1
-    ech = Echelon(F)
-    words: list[Word] = []
-    id_pair = (Matrix.identity(F, k), Matrix.identity(F, m))
-    layer: list[tuple[Word, Matrix, Matrix]] = []
-    if ech.add(list(id_pair[0].flat()) + list(id_pair[1].flat())):
-        words.append(())
-        layer = [((), *id_pair)]
-    length = 0
-    while layer:
-        length += 1
-        if length > bound:
-            raise SaturationLimit(
-                f"arc saturation still growing past length {bound}"
-            )
-        nxt: list[tuple[Word, Matrix, Matrix]] = []
-        for w, phi, rho in layer:
-            for a in range(nl):
-                phi2 = phi * ss.action[a]
-                rho2 = rho * circ.letters[a]
-                if ech.add(list(phi2.flat()) + list(rho2.flat())):
-                    words.append(w + (a,))
-                    nxt.append((w + (a,), phi2, rho2))
-        layer = nxt
-    return words
+    start = (Matrix.identity(F, ss.dim), Matrix.identity(F, circ.dim))
+    return [w for w, _ in _saturate(F, start, (ss.action, circ.letters))]
 
 
 class PairAlgebra:
@@ -543,17 +503,15 @@ def frobenius_of_K(pa: PairAlgebra):
     names = [f"k{i}" for i in range(n)]
     if n == 0:
         return FrobeniusAlgebra(F, (), (), (), ())
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = pa.mul(pa.from_K_coords(_unit_col(F, n, i)),
-                          pa.from_K_coords(_unit_col(F, n, j)))
-            row.append(tuple(pa.to_K_coords(prod).flat()))
-        mult.append(tuple(row))
+    triples = [pa.triple_of(b) for b in pa.K_basis]
+    mult = tuple(
+        tuple(tuple(pa.to_K_coords(pa.coords(pa._triple_mul(s, t))).flat())
+              for t in triples)
+        for s in triples
+    )
     unit = tuple(pa.to_K_coords(pa.one_K).flat())
     trace = pa._K_trace
-    return FrobeniusAlgebra(F, tuple(names), tuple(mult), unit, trace)
+    return FrobeniusAlgebra(F, tuple(names), mult, unit, trace)
 
 
 def _unit_col(field: Field, n: int, i: int) -> Matrix:
@@ -575,12 +533,14 @@ class IdempotentReport:
 
 def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
     els = [pa.one_K] + [pa.I_coords[i][i] for i in range(pa.k)]
-    each = all(pa.mul(e, e) == e for e in els)
-    orth = True
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            if i != j and not pa.mul(a, b).is_zero():
-                orth = False
+    triples = [pa.triple_of(e) for e in els]
+
+    def mul(i, j):
+        return pa.coords(pa._triple_mul(triples[i], triples[j]))
+
+    each = all(mul(i, i) == e for i, e in enumerate(els))
+    orth = all(mul(i, j).is_zero()
+               for i in range(len(els)) for j in range(len(els)) if i != j)
     total = els[0]
     for e in els[1:]:
         total = total + e

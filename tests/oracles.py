@@ -2,8 +2,10 @@
 
 Everything here is deliberately naive and separate from the package's own
 algorithms: determinants by Laplace expansion, ranks by enumerating square
-minors, power series by direct long multiplication, cyclic canonical forms
-by trying every rotation.  Slow, but unarguable on small inputs.
+minors or by textbook elimination, power series by direct long
+multiplication, cyclic canonical forms by trying every rotation, word
+families by testing every word in turn.  Slow, but unarguable on small
+inputs.
 """
 from __future__ import annotations
 
@@ -42,6 +44,47 @@ def naive_rank(rows):
                 if naive_det(sub) != 0:
                     return size
     return 0
+
+
+def elimination_rank(rows):
+    """Rank by Gaussian elimination on a copy of the rows (entries: exact
+    field scalars)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def words_upto(num_letters, n):
+    """Every word of length at most n, in length-then-lex order."""
+    out, layer = [()], [()]
+    for _ in range(n):
+        layer = [w + (a,) for w in layer for a in range(num_letters)]
+        out += layer
+    return out
+
+
+def greedy_words(words, vector):
+    """The words, taken in the given order, whose vectors are independent
+    of the vectors of the words kept before them."""
+    kept, rows = [], []
+    for w in words:
+        v = list(vector(w))
+        if len(rows) == len(v):
+            break  # the kept vectors span the whole space
+        if elimination_rank(rows + [v]) > len(rows):
+            kept.append(w)
+            rows.append(v)
+    return kept
 
 
 def series_mul(a, b, n):

@@ -8,7 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 import defekt
-from defekt.cli import run
+from defekt.cli import CIRCLE_BOUND, run
 from defekt.exactla import PrimeField, QQ
 from defekt.frobenius import frobenius_to_json
 
@@ -189,6 +189,16 @@ def test_onevar_crosscheck(capsys):
     }
 
 
+def test_onevar_crosscheck_rejects_negative_depth(capsys):
+    code, doc = run_cli(capsys, "onevar", "crosscheck",
+                        "--zi", "1:1,-2", "--zc", "1", "--depth", "0")
+    assert code == 0 and doc["depth"] == 0
+    code, doc = run_cli(capsys, "onevar", "crosscheck",
+                        "--zi", "1:1,-2", "--zc", "1", "--depth", "-1")
+    assert code == 2
+    assert doc["error"]["path"] == "--depth"
+
+
 def test_onevar_rejects_pole_at_zero(capsys):
     code, doc = run_cli(capsys, "onevar", "analyze",
                         "--zi", "1:0,1", "--zc", "1")
@@ -330,6 +340,14 @@ def test_oc_circle_dim_validates_bounds(tmp_path, capsys):
     code, doc = run_cli(capsys, "oc", "circle-dim", theory, "--gmax", "0")
     assert code == 2
     assert doc["error"]["path"] == "--gmax"
+    top = str(CIRCLE_BOUND)
+    for flag, other in (("--gmax", "--smax"), ("--smax", "--gmax")):
+        code, doc = run_cli(capsys, "oc", "circle-dim", theory, flag, top, other, "1")
+        assert code == 0 and doc[flag[2:]] == CIRCLE_BOUND
+        code, doc = run_cli(capsys, "oc", "circle-dim", theory,
+                            flag, str(CIRCLE_BOUND + 1), other, "1")
+        assert code == 2
+        assert doc["error"]["path"] == flag
 
 
 # -- plumbing ------------------------------------------------------------------------

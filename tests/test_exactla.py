@@ -14,7 +14,6 @@ from defekt.exactla import (
     Matrix,
     Polynomial,
     PrimeField,
-    char_poly,
     field_from_json,
     hstack,
     kernel_basis,
@@ -23,7 +22,7 @@ from defekt.exactla import (
 )
 
 from factories import entries
-from oracles import naive_det, naive_rank
+from oracles import naive_rank
 
 F7 = PrimeField(7)
 
@@ -82,8 +81,6 @@ def test_matrix_basics():
 def test_zero_dimensional_matrices():
     z = Matrix(QQ, [], cols=0)
     assert z.rows == 0 and z.cols == 0
-    assert z.char_poly() == Polynomial.one(QQ)
-    assert z.det() == 1
     assert (z * z).rows == 0
     wide = Matrix.zeros(QQ, 0, 3)
     assert (wide.transpose() * wide.transpose().transpose()).rows == 3
@@ -126,48 +123,6 @@ def test_solve_and_inverse():
     with pytest.raises(SingularMatrix):
         Matrix(QQ, [[1, 2], [2, 4]]).inverse()
     assert Matrix(QQ, [[1, 0], [0, 0]]).solve(Matrix.col_vector(QQ, [0, 1])) is None
-
-
-def test_char_poly_small_cases():
-    assert char_poly(Matrix(QQ, [[2]])).coeffs == (Fraction(-2), Fraction(1))
-    nilp = Matrix(QQ, [[0, 1], [0, 0]])
-    assert char_poly(nilp).coeffs == (0, 0, 1)
-    comp = Matrix(QQ, [[0, 1], [1, 1]])
-    assert char_poly(comp).coeffs == (-1, -1, 1)
-
-
-def test_char_poly_matches_laplace_oracle():
-    entries = [[3, 1, 0], [-2, 0, 4], [1, 1, 1]]
-    m = Matrix(QQ, entries)
-    # det(T*I - A) expanded with polynomial entries by Laplace
-    x = Polynomial(QQ, [0, 1])
-    rows = [
-        [
-            (x if i == j else Polynomial.zero(QQ))
-            - Polynomial.constant(QQ, entries[i][j])
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    assert naive_det(rows) == m.char_poly()
-
-
-def test_char_poly_block_triangular_multiplies():
-    a = Matrix(QQ, [[1, 2], [0, 3]])
-    b = Matrix(QQ, [[5]])
-    block = Matrix(QQ, [[1, 2, 9], [0, 3, 9], [0, 0, 5]])
-    assert block.char_poly() == a.char_poly() * b.char_poly()
-
-
-def test_char_poly_over_prime_field():
-    m = Matrix(F7, [[0, 1], [1, 1]])
-    cp = m.char_poly()
-    assert cp.coeffs == (F7.of(-1), F7.of(-1), F7.one)
-
-
-def test_det():
-    assert Matrix(QQ, [[1, 2], [3, 4]]).det() == -2
-    assert Matrix(QQ, [[2]]).det() == 2
 
 
 def test_polynomial_arithmetic_and_divmod():
@@ -338,21 +293,3 @@ def test_kernel_vectors_are_killed(m):
     for v in m.kernel_basis():
         assert (m * v).is_zero()
     assert m.cols == m.rank() + len(m.kernel_basis())
-
-
-@settings(max_examples=25, deadline=None)
-@given(matrices(nmax=3))
-def test_char_poly_matches_oracle_randomized(m):
-    F = m.field
-    n = min(m.rows, m.cols)
-    m = Matrix(F, [row[:n] for row in m.data[:n]], cols=n)
-    x = Polynomial(F, [0, 1])
-    rows = [
-        [
-            (x if i == j else Polynomial.zero(F))
-            - Polynomial.constant(F, m.data[i][j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    assert naive_det(rows) == m.char_poly()

@@ -153,6 +153,22 @@ def test_verify_witness_is_first_failing_triple(b):
     assert rep.associative == (want is None)
 
 
+def test_verify_forms_each_basis_product_once(monkeypatch):
+    # e_j e_k once each (n^2), one product per side of every triple
+    # (2n^3) and two per unit law (2n): 749 for F_7[C_7]
+    b = group_algebra_cyclic(F7, 7)
+    calls = []
+    mul = FrobeniusAlgebra.mul
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FrobeniusAlgebra, "mul", counted)
+    assert verify(b).passed
+    assert len(calls) == 2 * 7 ** 3 + 7 ** 2 + 2 * 7 == 749
+
+
 def test_products_build_no_multiplication_matrix(monkeypatch):
     # the structure constants are contracted directly; no n x n matrix is
     # formed per product

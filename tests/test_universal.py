@@ -3,6 +3,8 @@ ideals, and the kernel Frobenius algebra."""
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defekt import universal
 from defekt.diagrams import state_space_dim
@@ -36,7 +38,9 @@ from factories import (
     two_letter_theory,
     zero_interval_theory,
     _rat,
+    entries,
 )
+from oracles import greedy_words, words_upto
 
 
 def ex2_theory(field=QQ):
@@ -115,6 +119,63 @@ def test_minimize_dim_is_hankel_rank():
         assert ss.dim == hankel.rank()
         for w in words:
             assert ss.value(w) == rep.value(w)
+
+
+@st.composite
+def presentations(draw):
+    """An interval presentation and circle letters over QQ or F_7, of
+    dimension at most 3 so that the arc oracle's word lists stay short."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    nl = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    sparse = draw(st.booleans())
+
+    def mat(r, c):
+        rows = draw(st.lists(st.lists(entries(sparse), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return Matrix(field, rows, cols=c)
+
+    rep = LinearRepresentation(field, nl, n, mat(1, n),
+                               [mat(n, n) for _ in range(nl)], mat(n, 1))
+    circ = CircularRepresentation(field, nl, m, [mat(m, m) for _ in range(nl)],
+                                  Matrix.identity(field, m))
+    return rep, circ
+
+
+def _units(*ones):
+    """The 4 x 4 matrix with ones at the given (row, column) entries."""
+    return Matrix(QQ, [[int((r, c) in ones) for c in range(4)]
+                       for r in range(4)])
+
+
+# a*a*final vanishes and a*b*final = b*a*final is new, so only the order
+# in which length-2 words are tested decides between "ab" and "ba"
+ORDER_SENSITIVE = (
+    LinearRepresentation(QQ, 2, 4, Matrix(QQ, [[0, 0, 0, 1]]),
+                         [_units((1, 0), (3, 2)), _units((2, 0), (3, 1))],
+                         Matrix.col_vector(QQ, [1, 0, 0, 0])),
+    CircularRepresentation(QQ, 2, 1, [Matrix(QQ, [[1]])] * 2, Matrix(QQ, [[1]])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+@example(ORDER_SENSITIVE)
+def test_word_families_are_the_greedy_length_then_lex_families(case):
+    rep, circ = case
+    ss = minimize(rep)
+    words = words_upto(rep.num_letters, rep.dim)
+    assert list(ss.word_basis) == greedy_words(
+        words, lambda w: [rep.value(u + w) for u in words])
+    assert list(ss.cobasis_words) == greedy_words(
+        words, lambda w: [rep.value(w + u) for u in words])
+    arcs = universal.arc_word_family(ss, circ)
+    # the span of the words up to some length is closed under the letters
+    # once one more length adds nothing to it
+    assert arcs == greedy_words(
+        words_upto(rep.num_letters, len(arcs[-1]) + 1),
+        lambda w: ss.act(w).flat() + circ.act(w).flat())
 
 
 def test_minimize_pairing_nondegenerate():
