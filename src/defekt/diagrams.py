@@ -628,8 +628,9 @@ def _dim_of(ctx: _Context, eps: str) -> int:
     if not xs or not ys:
         dim = 0
     else:
-        rows = [[_pair_value(ctx, eps, xr, yr) for xr in xs] for yr in ys]
-        dim = Matrix(ctx.field, rows, cols=len(xs)).rank()
+        # pair values are field values already: they start from field.one
+        rows = tuple(tuple(_pair_value(ctx, eps, xr, yr) for xr in xs) for yr in ys)
+        dim = Matrix._of_values(ctx.field, rows, len(xs)).rank()
     ctx._dims[eps] = dim
     return dim
 

@@ -104,6 +104,12 @@ class Unsupported(DefektError):
     code = "unsupported"
 
 
+class InvalidArgument(DefektError):
+    """A numeric argument is outside the range the operation accepts."""
+
+    code = "invalid_argument"
+
+
 class SchemaError(DefektError):
     """A JSON document does not match its schema.  ``path`` names the
     offending location, e.g. ``interval.letters.a[0][1]``."""

@@ -2,18 +2,29 @@
 
 Scalars are ``fractions.Fraction`` (rationals, kept in lowest terms with a
 positive denominator by the stdlib) or :class:`FpValue` (residues mod p,
-stored in ``[0, p)``).  Matrices are immutable dense row-major arrays and
-polynomials are immutable ascending coefficient tuples with no trailing
-zeros.  No floating point is used anywhere, and every algorithm is
-deterministic: row reduction always picks the leftmost nonzero column and
-the topmost available row, so results are identical across runs and do not
-depend on hash order.
+stored in ``[0, p)``).  Matrices are immutable dense row-major arrays of
+these scalars and polynomials are immutable ascending coefficient tuples
+with no trailing zeros.
+
+Elimination and F_p products do not run on the scalar objects.  Each field
+has one kernel on raw scalars: over F_p, rows of ints in ``[0, p)``
+reduced mod p with one modular inverse per pivot; over QQ, fraction-free
+(Bareiss) Gauss-Jordan on rows scaled to integers, divided by the last
+pivot at the end.  Each output entry is wrapped back into a scalar once,
+so callers see the same ``Fraction`` and ``FpValue`` entries either way.
+
+No floating point is used anywhere, and every algorithm is deterministic:
+row reduction always picks the leftmost nonzero column and the topmost
+available row, so results are identical across runs and do not depend on
+hash order.
 """
 from __future__ import annotations
 
 import re
 import reprlib
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -297,7 +308,92 @@ def field_from_json(doc, path: str = "field") -> Field:
     raise SchemaError(f"{path}.type", f"unknown field type {t!r}")
 
 
+# -- scalar kernels -----------------------------------------------------------
+#
+# One elimination kernel per field and one product kernel for F_p, on raw
+# scalars: ints in [0, p) for F_p, integer rows for QQ elimination.  Both
+# eliminations pivot on the leftmost nonzero column and the topmost
+# available row; the reduced row echelon form is unique, so their output is
+# the one Gauss-Jordan on the scalar objects would give.
+
+
+def _fp_wrap(F: "PrimeField", row) -> tuple:
+    """Residues in [0, p) as FpValues; zero and one share the field's."""
+    p, zero, one = F.p, F.zero, F.one
+    return tuple(zero if x == 0 else one if x == 1 else FpValue(x, p) for x in row)
+
+
+def _fp_rref(F: "PrimeField", data, ncols: int) -> tuple[tuple, tuple]:
+    p = F.p
+    work = [[x.v for x in row] for row in data]
+    nrows = len(work)
+    pivots: list[int] = []
+    pr = 0
+    for c in range(ncols):
+        sel = next((r for r in range(pr, nrows) if work[r][c]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        # columns left of c are zero in the pivot row, so only the tail moves
+        inv = pow(work[pr][c], -1, p)
+        tail = [inv * x % p for x in work[pr][c:]]
+        work[pr] = [0] * c + tail
+        for r in range(nrows):
+            row = work[r]
+            f = row[c]
+            if f and r != pr:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    return tuple(_fp_wrap(F, row) for row in work), tuple(pivots)
+
+
+def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
+    # Each row is scaled to integers by the lcm of its denominators.  After
+    # a pivot a, every other row becomes (a*row - f*pivot row) / prev, an
+    # exact division (each entry is a minor of the scaled matrix), so every
+    # pivot row ends with the last pivot d at its pivot: entry x is x/d.
+    work = []
+    for row in data:
+        d = lcm(*[x.denominator for x in row])
+        work.append([x.numerator * (d // x.denominator) for x in row])
+    nrows = len(work)
+    pivots: list[int] = []
+    pr = 0
+    prev = 1
+    for c in range(ncols):
+        sel = next((r for r in range(pr, nrows) if work[r][c]), None)
+        if sel is None:
+            continue
+        work[pr], work[sel] = work[sel], work[pr]
+        prow = work[pr]
+        a = prow[c]
+        for r in range(nrows):
+            if r == pr:
+                continue
+            row = work[r]
+            f = row[c]
+            if f:
+                work[r] = [(a * x - f * y) // prev for x, y in zip(row, prow)]
+            elif a != prev:
+                # rows with f == 0 are scaled too, keeping the common pivot
+                work[r] = [a * x // prev for x in row]
+        prev = a
+        pivots.append(c)
+        pr += 1
+        if pr == nrows:
+            break
+    zero = QQ.zero
+    return (tuple(tuple(Fraction(x, prev) if x else zero for x in row)
+                  for row in work),
+            tuple(pivots))
+
+
 def _dot(xs, ys, field: Field):
+    if field.char:
+        return FpValue(sum([x.v * y.v for x, y in zip(xs, ys)]), field.char)
     # A zero factor adds nothing, so skipping it is exact; the operands
     # here (block generators, unit matrices, echelon rows) are mostly zero.
     s = field.zero
@@ -313,7 +409,7 @@ class Echelon:
     ``add`` reduces a vector by the rows kept so far, in the order they
     were kept, and keeps the normalized remainder when it is nonzero.  Fed
     the columns of a matrix in order, it accepts exactly the pivot columns
-    of the matrix's rref.
+    of the matrix's rref.  Over F_p the rows are ints in [0, p).
     """
 
     __slots__ = ("field", "rows")
@@ -324,15 +420,28 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Keep the vector if it is independent of the span; True if kept."""
+        p = self.field.char
+        if p:
+            v = [x.v for x in vec]
+            for i, row in self.rows:
+                c = v[i]
+                if c:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+            for i, x in enumerate(v):
+                if x:
+                    inv = pow(x, -1, p)
+                    self.rows.append((i, [inv * y % p for y in v]))
+                    return True
+            return False
         v = list(vec)
-        for p, row in self.rows:
-            c = v[p]
+        for i, row in self.rows:
+            c = v[i]
             if c:
                 v = [x - c * y if y else x for x, y in zip(v, row)]
-        for p, x in enumerate(v):
+        for i, x in enumerate(v):
             if x:
                 inv = self.field.one / x
-                self.rows.append((p, [inv * y for y in v]))
+                self.rows.append((i, [inv * y for y in v]))
                 return True
         return False
 
@@ -363,6 +472,17 @@ class Matrix:
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def _of_values(cls, field: Field, data: tuple, cols: int) -> "Matrix":
+        """A matrix whose rows ``data``, a tuple of tuples of ``cols``
+        entries, already hold ``field`` values: no ``field.of``, no checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -487,12 +607,18 @@ class Matrix:
                 raise FieldMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
+            F = self.field
             cols = list(zip(*other.data)) if other.rows else [()] * other.cols
-            return Matrix(
-                self.field,
-                [[_dot(row, col, self.field) for col in cols] for row in self.data],
-                cols=other.cols,
-            )
+            if F.char:
+                p = F.char
+                cols = [[x.v for x in col] for col in cols]
+                data = tuple(
+                    _fp_wrap(F, [sum(map(mul, r, col)) % p for col in cols])
+                    for r in ([x.v for x in row] for row in self.data))
+            else:
+                data = tuple(tuple(_dot(row, col, F) for col in cols)
+                             for row in self.data)
+            return Matrix._of_values(F, data, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -523,30 +649,11 @@ class Matrix:
         available row, no magnitude-based choices.
         """
         F = self.field
-        work = [list(row) for row in self.data]
-        pivots: list[int] = []
-        pr = 0
-        for c in range(self.cols):
-            sel = None
-            for r in range(pr, self.rows):
-                if work[r][c]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            work[pr], work[sel] = work[sel], work[pr]
-            inv = F.one / work[pr][c]
-            prow = work[pr] = [inv * x for x in work[pr]]
-            for r in range(self.rows):
-                f = work[r][c]
-                if r != pr and f:
-                    # zero entries of the pivot row leave the entry as it is
-                    work[r] = [x - f * y if y else x for x, y in zip(work[r], prow)]
-            pivots.append(c)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Matrix(F, work, cols=self.cols), tuple(pivots)
+        if F.char:
+            data, pivots = _fp_rref(F, self.data, self.cols)
+        else:
+            data, pivots = _qq_rref(self.data, self.cols)
+        return Matrix._of_values(F, data, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidArgument
 from .exactla import Polynomial, poly_gcd_lcm
 from .series import CircularRepresentation, RationalFunction1, rational_to_rep
 from .universal import Theory, build_pair_algebra, project_word, trace_K
@@ -111,7 +112,10 @@ def cross_check(zi: RationalFunction1, zc: RationalFunction1,
                 depth: int) -> CrossCheckReport:
     """Build the same theory through the general construction and compare:
     the dimension triple, and trace_K(p*(a^n)) against the n-th Taylor
-    coefficient of Z_circ - Z^tr for n <= depth."""
+    coefficient of Z_circ - Z^tr for n <= depth.  A negative depth raises
+    InvalidArgument."""
+    if depth < 0:
+        raise InvalidArgument(f"cross-check depth {depth} is negative")
     a = analyze(zi, zc)
     t = Theory(zi.field, ("a",), rational_to_rep(zi),
                CircularRepresentation.from_rational(zc, 1))

@@ -282,7 +282,10 @@ class PairAlgebra:
         Fb = Matrix(F, [[Fmat.data[r][c] for c in pivots]
                         for r in range(Fmat.rows)], cols=len(pivots))
         _, row_piv = Fb.transpose().rref()
-        self._rows_sel = row_piv
+        # coords evaluates only the selected functionals: flat entries
+        # first, then closers (row_piv ascends)
+        self._sel_flat = [r for r in row_piv if r < k * k]
+        self._sel_closers = [self._closers[r - k * k] for r in row_piv if r >= k * k]
         if self.dim:
             Fsq = Matrix(F, [list(Fb.data[r]) for r in row_piv], cols=self.dim)
             self._solver = Fsq.inverse()
@@ -364,9 +367,12 @@ class PairAlgebra:
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
-        fv = self._fvals(triple)
-        sel = Matrix.col_vector(self.field, [fv[r] for r in self._rows_sel])
-        return self._solver * sel
+        phi, rho, y = triple
+        pf, yf = phi.flat(), y.flat()
+        v = self._closure_vec(rho, y)
+        sel = ([pf[r] + yf[r] for r in self._sel_flat]
+               + [_dot(v, c, self.field) for c in self._sel_closers])
+        return self._solver * Matrix.col_vector(self.field, sel)
 
     def triple_of(self, coords: Matrix) -> tuple:
         F = self.field

@@ -2,6 +2,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,8 @@ from defekt.diagrams import (
     FloatingInterval,
     HalfInterval,
     _context,
+    _pair_value,
+    _spanning_records,
     compose,
     diagram_from_json,
     evaluate_closed,
@@ -35,6 +38,7 @@ from defekt.exactla import QQ, Matrix
 from defekt.universal import build_pair_algebra, minimize, theory_from_json
 
 from factories import _rat, one_letter_theory, theory_corpus
+from oracles import elimination_rank
 
 CORPUS = theory_corpus()
 BY_NAME = dict(CORPUS)
@@ -281,6 +285,22 @@ def test_state_space_matches_pair_algebra(name, t):
     assert state_space_dim(t, "+") == pa.k
     assert state_space_dim(t, "-") == pa.k
     assert state_space_dim(t, "") == 1
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CORPUS])
+def test_state_space_dim_is_the_reference_rank_of_the_gram_matrix(name):
+    # a fresh theory, so no dimension is cached; every sign sequence up to
+    # length 4, except length 4 for the two-letter theories, whose 272 x
+    # 272 Gram matrices take the reference elimination tens of seconds
+    t = dict(theory_corpus())[name]
+    ctx = _context(t)
+    longest = 3 if name.startswith("two_letter") else 4
+    for eps in ("".join(e) for n in range(longest + 1)
+                for e in product("+-", repeat=n)):
+        xs = _spanning_records(ctx, eps)
+        ys = _spanning_records(ctx, mirror_signs(eps))
+        gram = [[_pair_value(ctx, eps, x, y) for x in xs] for y in ys]
+        assert state_space_dim(t, eps) == elimination_rank(gram), eps
 
 
 @pytest.mark.parametrize("circular", [

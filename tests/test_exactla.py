@@ -11,6 +11,7 @@ from defekt.errors import BothZero, FieldMismatch, NotSquare, SingularMatrix
 from defekt.exactla import (
     QQ,
     Echelon,
+    FpValue,
     Matrix,
     Polynomial,
     PrimeField,
@@ -25,6 +26,7 @@ from factories import entries
 from oracles import naive_rank
 
 F7 = PrimeField(7)
+FIELDS = [QQ, F7, PrimeField(1000003)]
 
 
 def test_rational_field_parse_and_format():
@@ -179,24 +181,30 @@ def test_hstack():
 
 
 @st.composite
-def matrices(draw, nmax=4, field=None, shape=None):
-    """A matrix over QQ or F_7 (or the given field), dense or sparse."""
+def matrices(draw, nmax=8, field=None, shape=None):
+    """A matrix over QQ, F_7 or F_1000003 (or the given field), dense or
+    sparse, with entries of denominators 1-6; in half the draws with two
+    or more rows, one row is a combination of the others."""
     if field is None:
-        field = draw(st.sampled_from([QQ, F7]))
+        field = draw(st.sampled_from(FIELDS))
     n, m = shape or (draw(st.integers(1, nmax)), draw(st.integers(1, nmax)))
+    scalars = st.builds(Fraction, entries(draw(st.booleans())), st.integers(1, 6))
     rows = draw(
-        st.lists(
-            st.lists(entries(draw(st.booleans())), min_size=m, max_size=m),
-            min_size=n, max_size=n,
-        )
+        st.lists(st.lists(scalars, min_size=m, max_size=m),
+                 min_size=n, max_size=n)
     )
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        cs = draw(st.lists(scalars, min_size=n, max_size=n))
+        rows[i] = [sum(c * row[j] for k, (c, row) in enumerate(zip(cs, rows)) if k != i)
+                   for j in range(m)]
     return Matrix(field, rows, cols=m)
 
 
 @st.composite
-def matrix_pairs(draw, nmax=5):
+def matrix_pairs(draw, nmax=8):
     """Two matrices over one field whose product is defined."""
-    field = draw(st.sampled_from([QQ, F7]))
+    field = draw(st.sampled_from(FIELDS))
     n, k, m = (draw(st.integers(0, nmax)) for _ in range(3))
     return (draw(matrices(field=field, shape=(n, k))),
             draw(matrices(field=field, shape=(k, m))))
@@ -249,7 +257,7 @@ def test_product_matches_triple_sum(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(nmax=5))
+@given(matrices())
 def test_rref_matches_reference_elimination(m):
     r, pivots = m.rref()
     ref, ref_pivots = reference_rref(m)
@@ -259,12 +267,57 @@ def test_rref_matches_reference_elimination(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(nmax=5))
+@given(matrices())
 def test_echelon_accepts_the_rref_pivot_columns(m):
     ech = Echelon(m.field)
     accepted = tuple(j for j in range(m.cols) if ech.add(m.column(j)))
     assert accepted == m.rref()[1]
     assert len(accepted) == m.rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solve_and_inverse_match_reference_elimination(data):
+    a = data.draw(matrices())
+    F = a.field
+    k = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        b = a * data.draw(matrices(field=F, shape=(a.cols, k)))  # consistent
+    else:
+        b = data.draw(matrices(field=F, shape=(a.rows, k)))
+    _, pivots = reference_rref(hstack([a, b]))
+    x = a.solve(b)
+    if all(p < a.cols for p in pivots):
+        assert x is not None and a * x == b
+    else:
+        assert x is None
+    sq = data.draw(matrices(field=F, shape=(a.rows, a.rows)))
+    one = Matrix.identity(F, sq.rows)
+    if len(reference_rref(sq)[1]) == sq.rows:
+        inv = sq.inverse()
+        assert sq * inv == one and inv * sq == one
+    else:
+        with pytest.raises(SingularMatrix):
+            sq.inverse()
+
+
+def test_fp_rref_wraps_each_output_entry_once(monkeypatch):
+    n = 12
+    F = PrimeField(1000003)
+    m = Matrix(F, [[(i * i + 3 * j * j + i * j + 1) % 11 for j in range(n)]
+                   for i in range(n)])
+    made = 0
+    init = FpValue.__init__
+
+    def counting(self, v, p):
+        nonlocal made
+        made += 1
+        init(self, v, p)
+
+    monkeypatch.setattr(FpValue, "__init__", counting)
+    r, pivots = m.rref()
+    assert made <= n * n
+    assert (r.data, pivots) == reference_rref(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,9 @@
 import random
 from fractions import Fraction as Fr
 
+import pytest
+
+from defekt.errors import DefektError
 from defekt.exactla import Polynomial, PrimeField, QQ
 from defekt.onevar import (
     analysis_to_json,
@@ -178,6 +181,13 @@ def test_cross_check_ex3():
     rep = cross_check(_rat(QQ, ["3", "1"], ["1"]), _rat(QQ, ["5"], ["1"]), 8)
     assert rep.passed
     assert rep.dims_onevar == (2, 2, 1)
+
+
+def test_cross_check_rejects_negative_depth():
+    zi = _rat(QQ, ["1"], ["1", "-2"])
+    with pytest.raises(DefektError, match="negative"):
+        cross_check(zi, _rat(QQ, ["1"], ["1"]), -3)
+    assert cross_check(zi, _rat(QQ, ["1"], ["1"]), 0).depth == 0
 
 
 def test_cross_check_random_small():
