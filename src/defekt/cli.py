@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .diagrams import diagram_from_json, evaluate_closed, state_space_dim
@@ -62,6 +63,9 @@ __all__ = ["main", "run"]
 # Largest accepted --gmax and --smax of ``oc circle-dim``, whose Gram
 # matrix has ((gmax+1)(smax+1))^2 entries to rank.
 CIRCLE_BOUND = 16
+# Largest accepted --depth of ``onevar crosscheck``, which compares the
+# words a^n for n <= depth at n matrix products each.
+DEPTH_BOUND = 64
 
 
 # -- input helpers -------------------------------------------------------------
@@ -82,7 +86,8 @@ def _parse_field_flag(text: str) -> Field:
         return QQ
     if text.startswith("prime:"):
         digits = text[len("prime:"):]
-        if not digits.isdigit():
+        # ASCII digits within Python's 4,300-digit limit for int()
+        if not re.fullmatch("[0-9]{1,4300}", digits):
             raise SchemaError("--field", f"expected a prime after 'prime:', got {digits!r}")
         return field_from_json({"type": "prime", "p": int(digits)}, "--field")
     raise SchemaError("--field", f"unknown field {text!r}; use 'rational' or 'prime:p'")
@@ -227,6 +232,8 @@ def _cmd_onevar_analyze(args) -> dict:
 def _cmd_onevar_crosscheck(args) -> dict:
     if args.depth < 0:
         raise SchemaError("--depth", "must be at least 0")
+    if args.depth > DEPTH_BOUND:
+        raise SchemaError("--depth", f"must be at most {DEPTH_BOUND}")
     field = _parse_field_flag(args.field) if args.field else QQ
     zi = _parse_series(field, args.zi, "--zi")
     zc = _parse_series(field, args.zc, "--zc")

@@ -92,12 +92,6 @@ class ClosedComponent(DefektError):
     code = "closed_component"
 
 
-class UnsupportedCharacteristic(DefektError):
-    """The operation is only implemented in characteristic zero."""
-
-    code = "unsupported_characteristic"
-
-
 class Unsupported(DefektError):
     """The input is valid but outside the implemented fragment."""
 

@@ -30,9 +30,11 @@ from typing import Iterable, Sequence
 from .errors import (
     BothZero,
     FieldMismatch,
+    InvalidArgument,
     NotSquare,
     SchemaError,
     SingularMatrix,
+    SizeBound,
 )
 
 __all__ = [
@@ -228,7 +230,11 @@ class RationalField(Field):
         raise FieldMismatch(f"cannot interpret {v!r} as a rational scalar")
 
     def format(self, x) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # a part over Python's 4,300-digit str limit
+            raise SizeBound("a result scalar has a part of more than 4300 "
+                            "digits, which cannot be written") from None
 
     def tag(self) -> dict:
         return {"type": "rational"}
@@ -627,6 +633,8 @@ class Matrix:
     def __pow__(self, n: int) -> "Matrix":
         if self.rows != self.cols:
             raise NotSquare("matrix power of a non-square matrix")
+        if n < 0:
+            raise InvalidArgument(f"matrix power {n} is negative")
         acc = Matrix.identity(self.field, self.rows)
         for _ in range(n):
             acc = acc * self
@@ -660,7 +668,9 @@ class Matrix:
 
     def kernel_basis(self) -> list["Matrix"]:
         """Basis of the right kernel as column vectors, one per free column
-        of the rref, in ascending column order."""
+        of the rref, in ascending column order.  Vector i is 1 at the i-th
+        free column and 0 at the other free columns and at every column
+        after the i-th free one."""
         R, pivots = self.rref()
         F = self.field
         pivset = set(pivots)

@@ -20,6 +20,7 @@ from .errors import (
     ClosedComponent,
     DegenerateTrace,
     FieldMismatch,
+    InvalidArgument,
     SchemaError,
     SingularMatrix,
 )
@@ -148,6 +149,8 @@ class FrobeniusAlgebra:
         return out
 
     def power(self, x: Matrix, n: int) -> Matrix:
+        if n < 0:
+            raise InvalidArgument(f"algebra power {n} is negative")
         out = self.unit_el()
         for _ in range(n):
             out = self.mul(out, x)
@@ -582,9 +585,15 @@ def element_from_json(b: FrobeniusAlgebra, doc, path: str) -> Matrix:
     return b.el(b.field.parse_vector(doc, b.dim, path))
 
 
+# Largest genus a surface document may give a component: evaluation takes
+# one product per handle, and a closed component one Taylor coefficient.
+GENUS_BOUND = 64
+
+
 def surface_from_json(b: FrobeniusAlgebra, doc, path: str = "$") -> SurfaceSpec:
     """Parse {"components":[{"genus":g,"boundaries":[[elem,...],...]},...]}
-    where each elem is a coordinate array over the algebra basis."""
+    where each elem is a coordinate array over the algebra basis and each
+    genus lies between 0 and GENUS_BOUND."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a surface object")
     comps = doc.get("components")
@@ -598,6 +607,8 @@ def surface_from_json(b: FrobeniusAlgebra, doc, path: str = "$") -> SurfaceSpec:
         g = c.get("genus", 0)
         if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise SchemaError(f"{cpath}.genus", "expected a nonnegative integer")
+        if g > GENUS_BOUND:
+            raise SchemaError(f"{cpath}.genus", f"must be at most {GENUS_BOUND}")
         bdoc = c.get("boundaries")
         if not isinstance(bdoc, list):
             raise SchemaError(f"{cpath}.boundaries", "expected an array")

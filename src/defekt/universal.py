@@ -24,7 +24,10 @@ word saturation.  The quotient carries:
 - the arc subalgebra U generated by decorated arcs,
 
 with dim U = dim (U intersect matrix part) + dim K, and K a symmetric
-Frobenius algebra under the circle-closure trace.
+Frobenius algebra under the circle-closure trace.  One row reduction of the
+closure functionals on the generators gives the basis, the class of every
+generator and these dimensions; K is the kernel of the A(+) action on that
+basis, and a class in K has its K coordinates at the kernel's free columns.
 """
 from __future__ import annotations
 
@@ -201,11 +204,10 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     V = hstack([col for _, (col,) in kept_cols])
     k = V.cols
     action = tuple(V.solve(restricted[a] * V) for a in range(nl))
-    cyclic = V.solve(gamma1)
-    # the initial covector is the first kept forward row, so its coordinates
-    # in the restricted presentation are e_0
-    e0 = Matrix(F, [[F.one if j == 0 else F.zero for j in range(f)]], cols=f)
-    cotrace = e0 * V
+    # the initial covector is the first kept forward row and gamma1 the
+    # first kept column, so their coordinates are e_0 on either side
+    cyclic = Matrix.col_vector(F, [F.one] + [F.zero] * (k - 1))
+    cotrace = Matrix(F, [[F.one] + [F.zero] * (f - 1)], cols=f) * V
 
     # covector-side word family: rows cotrace * action(w)
     cobasis = [w for w, _ in _saturate(F, (cotrace,), (action,))]
@@ -237,7 +239,9 @@ class PairAlgebra:
 
     Elements are coordinate column vectors over a deterministic basis of
     classes (pivot generators among decorated arcs followed by
-    half-interval pairs).  Exposed structure: the unit, the arc subalgebra
+    half-interval pairs).  One rref, of the closure functionals on the
+    generators, gives the basis, the class of every generator and the
+    dimensions.  Exposed structure: the unit, the arc subalgebra
     dimension, the matrix-part unit and its complement ``one_K``, the
     kernel ideal K with its closure trace, and the word projections into K.
     """
@@ -255,6 +259,7 @@ class PairAlgebra:
 
         words = theory.arc_words
         self.arc_words = words
+        W = len(words)
 
         # generators: decorated arcs, then half-interval pairs E_ij
         gens: list[tuple] = []
@@ -272,77 +277,51 @@ class PairAlgebra:
         self._gens = gens
 
         # closure functionals: action on A(+) entrywise, then circle
-        # closures against each saturation word
+        # closures against each saturation word.  Column c of the rref holds,
+        # in its first dim rows, the class of generator c in the basis of
+        # pivot generators.
         cols = [self._fvals(t) for t in gens]
         Fmat = Matrix(F, [list(col) for col in zip(*cols)], cols=len(cols))
-        _, pivots = Fmat.rref()
-        self.dim = len(pivots)
-        self._basis_idx = pivots
+        R, pivots = Fmat.rref()
+        dim = self.dim = len(pivots)
         self.basis_triples = [gens[i] for i in pivots]
-        Fb = Matrix(F, [[Fmat.data[r][c] for c in pivots]
-                        for r in range(Fmat.rows)], cols=len(pivots))
+
+        def gen_class(c):
+            return Matrix._of_values(F, tuple((R.data[r][c],) for r in range(dim)), 1)
+
+        # the empty arc word is generator 0 (with no generators, dim is 0
+        # and nothing is read)
+        self.unit = gen_class(0)
+        self.I_coords = [[gen_class(W + i * k + j) for j in range(k)]
+                         for i in range(k)]
+        self.one_prime = sum((self.I_coords[i][i] for i in range(k)),
+                             Matrix.zeros(F, dim, 1))
+        self.one_K = self.unit - self.one_prime
+
+        # the arcs span U, and together with the E_ij everything
+        self.U_dim = sum(1 for c in pivots if c < W)
+        self.U_prime_dim = self.U_dim + k * k - dim
+
+        Fb = Matrix._of_values(F, tuple(tuple(row[c] for c in pivots)
+                                        for row in Fmat.data), dim)
         _, row_piv = Fb.transpose().rref()
         # coords evaluates only the selected functionals: flat entries
         # first, then closers (row_piv ascends)
         self._sel_flat = [r for r in row_piv if r < k * k]
         self._sel_closers = [self._closers[r - k * k] for r in row_piv if r >= k * k]
-        if self.dim:
-            Fsq = Matrix(F, [list(Fb.data[r]) for r in row_piv], cols=self.dim)
-            self._solver = Fsq.inverse()
-        else:
-            self._solver = Matrix.zeros(F, 0, 0)
+        self._solver = Matrix._of_values(
+            F, tuple(Fb.data[r] for r in row_piv), dim).inverse()
 
-        self.unit = self.coords((Matrix.identity(F, k),
-                                 Matrix.identity(F, m),
-                                 Matrix.zeros(F, k, k)))
-        self.one_prime = self.coords((Matrix.zeros(F, k, k), zero_m,
-                                      Matrix.identity(F, k)))
-        self.one_K = self.unit - self.one_prime
-
-        # matrix ideal coordinates (classes of half-interval pairs)
-        self.I_coords = [
-            [self.coords(gens[len(words) + i * k + j]) for j in range(k)]
-            for i in range(k)
-        ]
-        self.I_dim = k * k
-
-        # kernel ideal: classes acting by zero on A(+)
-        if self.dim and k:
-            pmat = Matrix(
-                F,
-                [list(col) for col in zip(*[
-                    list((t[0] + t[2]).flat()) for t in self.basis_triples
-                ])],
-                cols=self.dim,
-            )
-            self.K_basis = pmat.kernel_basis()
-        elif self.dim:
-            self.K_basis = [_unit_col(F, self.dim, i) for i in range(self.dim)]
-        else:
-            self.K_basis = []
+        # kernel ideal: classes acting by zero on A(+), the kernel of the
+        # first k^2 functionals on the basis.  Basis vector i is 1 at the
+        # i-th free column and 0 at every later column, so its last nonzero
+        # entry names that column.
+        self.K_basis = Matrix._of_values(F, Fb.data[:k * k], dim).kernel_basis()
         self.K_dim = len(self.K_basis)
+        self._K_free = [max(r for r, (x,) in enumerate(b.data) if x)
+                        for b in self.K_basis]
         self._K_mat = (hstack(self.K_basis) if self.K_basis
-                       else Matrix.zeros(F, self.dim, 0))
-        _, self._K_rows = self._K_mat.transpose().rref()
-        self._K_solver = Matrix(
-            F, [self._K_mat.data[r] for r in self._K_rows], cols=self.K_dim
-        ).inverse()
-
-        # arc subalgebra and its matrix-part intersection
-        arc_coords = [self.coords(gens[i]) for i in range(len(words))]
-        self._arc_coords = {w: c for w, c in zip(words, arc_coords)}
-        if arc_coords:
-            U_mat = hstack(arc_coords)
-            self.U_dim = U_mat.rank()
-            flat_I = [self.I_coords[i][j] for i in range(k) for j in range(k)]
-            if flat_I:
-                both = hstack([U_mat] + flat_I)
-                self.U_prime_dim = self.U_dim + k * k - both.rank()
-            else:
-                self.U_prime_dim = 0
-        else:
-            self.U_dim = 0
-            self.U_prime_dim = 0
+                       else Matrix.zeros(F, dim, 0))
 
     # -- coordinates -------------------------------------------------------
 
@@ -417,13 +396,11 @@ class PairAlgebra:
     # -- kernel ideal ------------------------------------------------------
 
     def to_K_coords(self, coords: Matrix) -> Matrix:
-        # K_mat has independent columns, so a class in K has unique
-        # K-coordinates, read off the square block of independent rows
+        # a class in K has its K-coordinates at the free columns
         if coords.rows != self.dim:
             raise FieldMismatch("class coordinates have the wrong length")
-        sel = Matrix(self.field, [coords.data[r] for r in self._K_rows],
-                     cols=coords.cols)
-        z = self._K_solver * sel
+        z = Matrix(self.field, [coords.data[r] for r in self._K_free],
+                   cols=coords.cols)
         if self._K_mat * z != coords:
             raise DefektError("class does not lie in the kernel ideal")
         return z
@@ -518,11 +495,6 @@ def frobenius_of_K(pa: PairAlgebra):
     unit = tuple(pa.to_K_coords(pa.one_K).flat())
     trace = pa._K_trace
     return FrobeniusAlgebra(F, tuple(names), mult, unit, trace)
-
-
-def _unit_col(field: Field, n: int, i: int) -> Matrix:
-    return Matrix.col_vector(field, [field.one if j == i else field.zero
-                                     for j in range(n)])
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ from fractions import Fraction as Fr
 import pytest
 
 import defekt
-from defekt.cli import CIRCLE_BOUND, run
+from defekt.cli import CIRCLE_BOUND, DEPTH_BOUND, run
 from defekt.exactla import PrimeField, QQ
-from defekt.frobenius import frobenius_to_json
+from defekt.frobenius import GENUS_BOUND, frobenius_to_json
 
 from factories import knowledgeable_pair_cyclic, mat2_block, nilpotent_block
 
@@ -129,6 +129,24 @@ def test_eval_diagram(tmp_path, capsys):
     assert doc == {"value": "2"}
 
 
+def test_eval_diagram_refuses_to_write_a_scalar_over_4300_digits(tmp_path,
+                                                                capsys):
+    big = "1" + "0" * 4000
+    theory = write(tmp_path, "t.json", {
+        "alphabet": ["a"],
+        "interval": {"kind": "linrep", "dim": 1, "init": ["1"], "final": ["1"],
+                     "letters": {"a": [[big]]}},
+        "circular": {"kind": "rational1", "num": ["1"], "den": ["1"]},
+    })
+    for word, code in (("a", 0), ("aa", 1)):
+        diagram = write(tmp_path, "d.json", {
+            "components": [{"kind": "interval", "word": word}],
+        })
+        out = run_cli(capsys, "eval-diagram", theory, diagram)
+        assert out[0] == code
+    assert out[1]["error"]["code"] == "size_bound"
+
+
 def test_statespace(tmp_path, capsys):
     theory = write(tmp_path, "t.json", EX3)
     for eps, dim in (("+-", 5), ("+", 2), ("", 1)):
@@ -199,6 +217,16 @@ def test_onevar_crosscheck_rejects_negative_depth(capsys):
     assert doc["error"]["path"] == "--depth"
 
 
+def test_onevar_crosscheck_bounds_the_depth(capsys):
+    code, doc = run_cli(capsys, "onevar", "crosscheck", "--zi", "1:1,-2",
+                        "--zc", "1", "--depth", str(DEPTH_BOUND))
+    assert code == 0 and doc["pass"] is True and doc["depth"] == DEPTH_BOUND
+    code, doc = run_cli(capsys, "onevar", "crosscheck", "--zi", "1:1,-2",
+                        "--zc", "1", "--depth", str(DEPTH_BOUND + 1))
+    assert code == 2
+    assert doc["error"]["path"] == "--depth"
+
+
 def test_onevar_rejects_pole_at_zero(capsys):
     code, doc = run_cli(capsys, "onevar", "analyze",
                         "--zi", "1:0,1", "--zc", "1")
@@ -227,6 +255,15 @@ def test_field_flag_validation(capsys):
                         "--zi", "1", "--zc", "1", "--field", "complex")
     assert code == 2
     assert doc["error"]["path"] == "--field"
+
+
+def test_field_flag_refuses_digits_int_cannot_read(capsys):
+    # str.isdigit accepts both, int() raises on both
+    for digits in ("\u00b2", "7" * 4301):
+        code, doc = run_cli(capsys, "onevar", "analyze",
+                            "--zi", "1", "--zc", "1", "--field", "prime:" + digits)
+        assert code == 2
+        assert doc["error"]["path"] == "--field"
 
 
 # -- Frobenius subcommands ----------------------------------------------------------
@@ -283,6 +320,18 @@ def test_surface_eval_rejects_closed_components(tmp_path, capsys):
     assert doc["error"]["code"] == "closed_component"
 
 
+def test_surface_eval_bounds_the_genus(tmp_path, capsys):
+    algebra = write(tmp_path, "b.json", frobenius_to_json(mat2_block(QQ, Fr(1))))
+    for genus, code in ((GENUS_BOUND, 0), (GENUS_BOUND + 1, 2)):
+        surface = write(tmp_path, "s.json", {"components": [
+            {"genus": 0, "boundaries": [[]]},
+            {"genus": genus, "boundaries": [[["1", "0", "0", "2"]]]},
+        ]})
+        out = run_cli(capsys, "surface", "eval", algebra, surface)
+        assert out[0] == code
+    assert out[1]["error"]["path"] == "$.components[1].genus"
+
+
 # -- open/closed subcommands ---------------------------------------------------------
 
 
@@ -310,6 +359,20 @@ def test_oc_eval(tmp_path, capsys):
     code, doc = run_cli(capsys, "oc", "eval", theory, surface)
     assert code == 0
     assert doc == {"value": "6"}
+
+
+def test_oc_eval_bounds_the_genus_of_closed_components(tmp_path, capsys):
+    theory = write(tmp_path, "t.json", {
+        "open": frobenius_to_json(mat2_block(QQ, Fr(1))),
+        "closed_series": {"num": ["1"], "den": ["1", "-1"]},
+    })
+    for genus, code in ((GENUS_BOUND, 0), (GENUS_BOUND + 1, 2)):
+        surface = write(tmp_path, "s.json", {
+            "components": [{"genus": genus, "boundaries": []}],
+        })
+        out = run_cli(capsys, "oc", "eval", theory, surface)
+        assert out[0] == code
+    assert out[1]["error"]["path"] == "$.components[0].genus"
 
 
 def test_oc_circle_dim(tmp_path, capsys):

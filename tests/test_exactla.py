@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defekt.errors import BothZero, FieldMismatch, NotSquare, SingularMatrix
+from defekt.errors import (
+    BothZero,
+    FieldMismatch,
+    InvalidArgument,
+    NotSquare,
+    SingularMatrix,
+    SizeBound,
+)
 from defekt.exactla import (
     QQ,
     Echelon,
@@ -36,6 +43,12 @@ def test_rational_field_parse_and_format():
     assert QQ.format(Fraction(5)) == "5"
     with pytest.raises(FieldMismatch):
         QQ.parse(0.5)
+    # parts of up to 4,300 digits are written, longer ones refused
+    assert QQ.format(Fraction(10**4299, 3)) == "1" + "0" * 4299 + "/3"
+    with pytest.raises(SizeBound):
+        QQ.format(Fraction(10**4300))
+    with pytest.raises(SizeBound):
+        QQ.format(Fraction(1, 10**4300))
 
 
 def test_prime_field_arithmetic():
@@ -125,6 +138,14 @@ def test_solve_and_inverse():
     with pytest.raises(SingularMatrix):
         Matrix(QQ, [[1, 2], [2, 4]]).inverse()
     assert Matrix(QQ, [[1, 0], [0, 0]]).solve(Matrix.col_vector(QQ, [0, 1])) is None
+
+
+def test_matrix_power_refuses_negative_exponents():
+    m = Matrix(QQ, [[2, 0], [0, 3]])
+    assert m ** 0 == Matrix.identity(QQ, 2)
+    assert m ** 2 == Matrix(QQ, [[4, 0], [0, 9]])
+    with pytest.raises(InvalidArgument):
+        m ** -1
 
 
 def test_polynomial_arithmetic_and_divmod():
@@ -338,6 +359,21 @@ def test_scalars_and_matrices_read_back_what_format_writes(pair, q):
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
     assert m.rank() == m.transpose().rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_kernel_vector_i_is_the_unit_at_the_i_th_free_column(m):
+    _, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = m.kernel_basis()
+    assert len(basis) == len(free)
+    F = m.field
+    for i, (v, fc) in enumerate(zip(basis, free)):
+        assert v.cols == 1 and v.rows == m.cols
+        assert [v[c, 0] for c in free] == [F.one if j == i else F.zero
+                                           for j in range(len(free))]
+        assert all(v[c, 0] == F.zero for c in range(fc + 1, m.cols))
 
 
 @settings(max_examples=40, deadline=None)

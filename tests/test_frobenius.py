@@ -11,6 +11,7 @@ from defekt.errors import (
     ClosedComponent,
     DegenerateTrace,
     FieldMismatch,
+    InvalidArgument,
     SchemaError,
 )
 import defekt.frobenius as frobenius_module
@@ -561,6 +562,27 @@ def test_surface_json():
     with pytest.raises(SchemaError) as exc:
         surface_from_json(B, {"components": [{"genus": -1, "boundaries": []}]})
     assert exc.value.path == "$.components[0].genus"
+
+
+def test_surface_json_bounds_the_genus():
+    B = mat2_block(QQ, Fr(1))
+    top = frobenius_module.GENUS_BOUND
+    comps = [{"genus": top, "boundaries": [[["1", "0", "0", "1"]]]}]
+    s = surface_from_json(B, {"components": comps})
+    assert eval_surface(B, s) == B.trace_of(B.power(hole_element(B), top))
+    comps.append({"genus": top + 1, "boundaries": [[]]})
+    with pytest.raises(SchemaError) as exc:
+        surface_from_json(B, {"components": comps})
+    assert exc.value.path == "$.components[1].genus"
+
+
+def test_power_refuses_negative_exponents():
+    B = mat2_block(QQ, Fr(2))
+    x = B.el([Fr(1), Fr(0), Fr(0), Fr(3)])
+    assert B.power(x, 0) == B.unit_el()
+    assert B.power(x, 2) == B.mul(x, x)
+    with pytest.raises(InvalidArgument):
+        B.power(x, -1)
 
 
 def test_element_from_json_length_check():

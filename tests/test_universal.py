@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from defekt import universal
 from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, FieldMismatch, SchemaError
-from defekt.exactla import Matrix, PrimeField, QQ
+from defekt.exactla import Matrix, PrimeField, QQ, hstack
 from defekt.frobenius import verify
 from defekt.series import (
     CircularRepresentation,
@@ -475,6 +475,82 @@ def test_trace_K_matches_the_triple_route():
         with pytest.raises(FieldMismatch):
             trace_K(pa, Matrix.zeros(pa.field, pa.K_dim + 1, 1))
     assert fields == {QQ, PrimeField(7)}
+
+
+# -- classes read off the elimination -------------------------------------------
+
+
+def solved_route(pa):
+    """The unit, one_prime, E_ij classes and the dimensions of U and U' as
+    solved and ranked one by one from spanning triples."""
+    F, k, m, W = pa.field, pa.k, pa.m, len(pa.arc_words)
+    unit = pa.coords((Matrix.identity(F, k), Matrix.identity(F, m),
+                      Matrix.zeros(F, k, k)))
+    one_prime = pa.coords((Matrix.zeros(F, k, k), Matrix.zeros(F, m, m),
+                           Matrix.identity(F, k)))
+    I_coords = [[pa.coords(pa._gens[W + i * k + j]) for j in range(k)]
+                for i in range(k)]
+    arcs = [pa.coords(g) for g in pa._gens[:W]]
+    U_dim = hstack(arcs).rank() if arcs else 0
+    flat_I = [c for row in I_coords for c in row]
+    U_prime_dim = (U_dim + k * k - hstack(arcs + flat_I).rank()
+                   if arcs and flat_I else 0)
+    return unit, one_prime, I_coords, U_dim, U_prime_dim
+
+
+def test_pair_algebra_solves_nothing_per_generator(monkeypatch):
+    calls = {"coords": 0, "inverse": 0}
+    real_coords = universal.PairAlgebra.coords
+    real_inverse = Matrix.inverse
+
+    def counted_coords(self, triple):
+        calls["coords"] += 1
+        return real_coords(self, triple)
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(universal.PairAlgebra, "coords", counted_coords)
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    for name, t in theory_corpus():
+        # count only what building the pair algebra itself does
+        _ = t.statespace, t.arc_words
+        calls.update(coords=0, inverse=0)
+        universal.PairAlgebra(t)
+        assert calls == {"coords": 0, "inverse": 1}, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_classes_read_off_the_elimination_match_the_solved_route(case):
+    rep, circ = case
+    t = Theory(rep.field, tuple("ab"[:rep.num_letters]), rep, circ)
+    pa = build_pair_algebra(t)
+    unit, one_prime, I_coords, U_dim, U_prime_dim = solved_route(pa)
+    assert pa.unit == unit
+    assert pa.one_prime == one_prime
+    assert pa.I_coords == I_coords
+    assert (pa.U_dim, pa.U_prime_dim) == (U_dim, U_prime_dim)
+    # column c of the rref is the class of generator c
+    F = pa.field
+    fvals = [pa._fvals(g) for g in pa._gens]
+    R, pivots = Matrix(F, [list(r) for r in zip(*fvals)], cols=len(fvals)).rref()
+    assert len(pivots) == pa.dim
+    for c, g in enumerate(pa._gens):
+        col = Matrix.col_vector(F, [R[r, c] for r in range(pa.dim)])
+        assert pa.coords(g) == col
+    # K coordinates are the unique solution, and only K elements have them
+    elems = list(pa.K_basis) + [pa.unit, pa.one_K, pa.one_prime]
+    elems += [pa.coords(pa._triple_mul(g, h)) for g in pa._gens[:3] for h in pa._gens[:3]]
+    elems += [pa.mul(pa.one_K, pa.coords(g)) for g in pa._gens[:3]]
+    for x in elems:
+        want = pa._K_mat.solve(x)
+        if want is None:
+            with pytest.raises(DefektError):
+                pa.to_K_coords(x)
+        else:
+            assert pa.to_K_coords(x) == want
 
 
 # -- theory JSON ---------------------------------------------------------------
