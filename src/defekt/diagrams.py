@@ -16,13 +16,16 @@ diagram into a scalar.  ``state_space_dim`` and ``hom_dim`` never decide
 equality of open diagrams syntactically: they pair a spanning set of
 diagrams against the mirrored spanning set through closed evaluation and
 take the rank of the Gram matrix, so two diagrams are identified exactly
-when all their closures agree.
+when all their closures agree.  Each spanning element is kept as a map of
+what sits at each boundary point, and each Gram entry is one strand walk
+across the two maps, with the value gluing and evaluating would give.
 """
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb, factorial
 
 from .errors import (
     AlphabetMismatch,
@@ -58,6 +61,10 @@ __all__ = [
 # Longest boundary whose spanning set is enumerated: the matchings and
 # their decorations grow factorially with the number of points.
 SIZE_BOUND = 8
+
+# Most Gram entries a dimension is ranked from; the spanning set also grows
+# with the state space and the arc words, so a short boundary can exceed it.
+GRAM_BOUND = 2 ** 18
 
 
 def _check_size(n: int, what: str) -> None:
@@ -211,6 +218,16 @@ class Diagram:
             )
 
 
+def _moved(components: tuple, move) -> tuple:
+    """The components with every boundary endpoint sent through move."""
+    return tuple(
+        Arc(move(c.tail), move(c.head), c.word) if isinstance(c, Arc)
+        else HalfInterval(move(c.end), c.word, c.label)
+        if isinstance(c, HalfInterval) else c
+        for c in components
+    )
+
+
 def mirror(d: Diagram) -> Diagram:
     """Rotate a diagram by a half turn.
 
@@ -226,15 +243,8 @@ def mirror(d: Diagram) -> Diagram:
             return ("bottom", nt - 1 - i)
         return ("top", nb - 1 - i)
 
-    comps = []
-    for c in d.components:
-        if isinstance(c, Arc):
-            comps.append(Arc(flip(c.tail), flip(c.head), c.word))
-        elif isinstance(c, HalfInterval):
-            comps.append(HalfInterval(flip(c.end), c.word, c.label))
-        else:
-            comps.append(c)
-    return Diagram(mirror_signs(d.top), mirror_signs(d.bottom), tuple(comps))
+    return Diagram(mirror_signs(d.top), mirror_signs(d.bottom),
+                   _moved(d.components, flip))
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
@@ -245,15 +255,8 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
         side, i = ref
         return (side, i + (b_off if side == "bottom" else t_off))
 
-    comps = list(d1.components)
-    for c in d2.components:
-        if isinstance(c, Arc):
-            comps.append(Arc(shift(c.tail), shift(c.head), c.word))
-        elif isinstance(c, HalfInterval):
-            comps.append(HalfInterval(shift(c.end), c.word, c.label))
-        else:
-            comps.append(c)
-    return Diagram(d1.bottom + d2.bottom, d1.top + d2.top, tuple(comps))
+    return Diagram(d1.bottom + d2.bottom, d1.top + d2.top,
+                   d1.components + _moved(d2.components, shift))
 
 
 # -- gluing -------------------------------------------------------------------
@@ -398,18 +401,6 @@ class _Context:
             self._act[word] = m
         return m
 
-    def _basis_row(self, j: int) -> Matrix:
-        F = self.field
-        return Matrix.row_vector(
-            F, [F.one if i == j else F.zero for i in range(self.space.dim)]
-        )
-
-    def _basis_col(self, j: int) -> Matrix:
-        F = self.field
-        return Matrix.col_vector(
-            F, [F.one if i == j else F.zero for i in range(self.space.dim)]
-        )
-
     def interval_value(self, word: Word, head_label: int | None = None,
                        tail_label: int | None = None):
         key = (word, head_label, tail_label)
@@ -422,11 +413,13 @@ class _Context:
                         f"inner label {lbl} outside a state space of "
                         f"dimension {k}"
                     )
-            row = (self.space.cotrace if head_label is None
-                   else self._basis_row(head_label))
-            col = (self.space.cyclic if tail_label is None
-                   else self._basis_col(tail_label))
-            v = (row * self.act(word) * col)[0, 0]
+            # a labelled end reads one row or column of the action
+            m, head, tail = self.act(word), head_label or 0, tail_label or 0
+            if tail_label is None:
+                m = m * self.space.cyclic
+            if head_label is None:
+                m = self.space.cotrace * m
+            v = m[head, tail]
             self._ival[key] = v
         return v
 
@@ -475,51 +468,59 @@ def evaluate_closed(t: Theory, d: Diagram):
 
 @dataclass(frozen=True)
 class _Record:
-    """A spanning diagram of A(eps) in combinatorial form: arcs between
-    matched in/out points plus decorated half-intervals on the rest."""
+    """A spanning diagram of A(eps) in per-point form: what a walk against
+    the strand direction finds at each point.
 
-    arcs: tuple
-    arc_ws: tuple
-    kets: tuple
-    ket_ws: tuple
-    bras: tuple
-    bra_ws: tuple
+    ``ends[p]`` is ``(kind, word, other)``: for an arc head, where a walk
+    enters and goes on at ``other``, the arc's tail point; for an arc
+    tail, which no walk reaches, its head point; for a state vector, where
+    an interval ends, or a covector head, where one starts, None.
+    ``mirrored`` is the same map read from the mirrored side, point q at
+    n - 1 - q, for a record of A(mirror eps) on the far side of a closure.
+    """
+
+    ends: tuple
+    mirrored: tuple
+
+
+_HEAD, _TAIL, _KET, _BRA = "head", "tail", "ket", "bra"
 
 
 def _spanning_records(ctx: _Context, eps: str) -> list:
     recs = ctx._records.get(eps)
     if recs is not None:
         return recs
-    space = ctx.space
+    n = len(eps)
     ins = tuple(i for i, s in enumerate(eps) if s == "-")
     outs = tuple(i for i, s in enumerate(eps) if s == "+")
     recs = []
     for j in range(min(len(ins), len(outs)) + 1):
-        for ci in combinations(ins, j):
-            for co in combinations(outs, j):
-                rest_in = tuple(p for p in ins if p not in ci)
-                rest_out = tuple(p for p in outs if p not in co)
-                for matched in permutations(co):
-                    arcs = tuple(zip(ci, matched))
-                    for arc_ws in product(ctx.arc_words, repeat=j):
-                        for ket_ws in product(space.word_basis,
-                                              repeat=len(rest_out)):
-                            for bra_ws in product(space.cobasis_words,
-                                                  repeat=len(rest_in)):
-                                recs.append(_Record(arcs, arc_ws, rest_out,
-                                                    ket_ws, rest_in, bra_ws))
+        for ci, co in product(combinations(ins, j), combinations(outs, j)):
+            halves = ([(p, _KET, ctx.space.word_basis) for p in outs if p not in co]
+                      + [(p, _BRA, ctx.space.cobasis_words) for p in ins if p not in ci])
+            for matched in permutations(co):
+                for arc_ws in product(ctx.arc_words, repeat=j):
+                    for half_ws in product(*(words for _, _, words in halves)):
+                        ends = [None] * n
+                        for pin, pout, w in zip(ci, matched, arc_ws):
+                            ends[pin] = (_TAIL, w, pout)
+                            ends[pout] = (_HEAD, w, pin)
+                        for (p, kind, _), w in zip(halves, half_ws):
+                            ends[p] = (kind, w, None)
+                        recs.append(_Record(tuple(ends), tuple(
+                            (kind, w, None if q is None else n - 1 - q)
+                            for kind, w, q in reversed(ends))))
     ctx._records[eps] = recs
     return recs
 
 
 def _record_diagram(eps: str, rec: _Record) -> Diagram:
-    comps: list = []
-    for (pin, pout), w in zip(rec.arcs, rec.arc_ws):
-        comps.append(Arc(("top", pin), ("top", pout), w))
-    for p, w in zip(rec.kets, rec.ket_ws):
-        comps.append(HalfInterval(("top", p), w))
-    for p, w in zip(rec.bras, rec.bra_ws):
-        comps.append(HalfInterval(("top", p), w))
+    # arcs by tail point, then state vectors, then covectors
+    comps = [Arc(("top", p), ("top", q), w)
+             for p, (kind, w, q) in enumerate(rec.ends) if kind == _TAIL]
+    for want in (_KET, _BRA):
+        comps.extend(HalfInterval(("top", p), w)
+                     for p, (kind, w, _) in enumerate(rec.ends) if kind == want)
     return Diagram("", eps, tuple(comps))
 
 
@@ -535,94 +536,63 @@ def spanning_diagrams(t: Theory, eps: str) -> list:
 
 def _pair_value(ctx: _Context, eps: str, x: _Record, y: _Record):
     """Closed evaluation of a spanning element x of A(eps) against the
-    mirror of a spanning element y of A(mirror_signs(eps)).
+    mirror of a spanning element y of A(mirror_signs(eps)), as ``compose``
+    and ``evaluate_closed`` would give it.
 
-    Point p of eps joins x's strand end with y's strand end for the
-    mirrored point; chains are walked from each covector head so words
-    concatenate in evaluation order.  This matches gluing the two
-    diagrams with ``compose`` and evaluating, without building them.
-    """
-    n = len(eps)
-    x_end: list = [None] * n
-    y_end: list = [None] * n
-    for a_idx, (pin, pout) in enumerate(x.arcs):
-        x_end[pin] = ("a", a_idx, False)
-        x_end[pout] = ("a", a_idx, True)
-    for i, p in enumerate(x.kets):
-        x_end[p] = ("k", i)
-    for i, p in enumerate(x.bras):
-        x_end[p] = ("b", i)
-    for a_idx, (qin, qout) in enumerate(y.arcs):
-        y_end[n - 1 - qin] = ("a", a_idx, False)
-        y_end[n - 1 - qout] = ("a", a_idx, True)
-    for i, q in enumerate(y.kets):
-        y_end[n - 1 - q] = ("k", i)
-    for i, q in enumerate(y.bras):
-        y_end[n - 1 - q] = ("b", i)
+    Point p joins ``x.ends[p]`` with ``y.mirrored[p]``.  One walk runs
+    against the strand direction, switching sides at each point and
+    appending the words in evaluation order: from a covector head it ends
+    at a state vector (an interval), from an arc head of x it comes back
+    (a circle)."""
+    sides = (x.ends, y.mirrored)
+    heads_seen: set = set()
 
-    used_x = [False] * len(x.arcs)
-    used_y = [False] * len(y.arcs)
-
-    def chase(side: str, p: int, word: Word) -> Word:
-        # walk upstream from boundary point p, entering each strand at its
-        # head, until a state-vector end closes the interval
+    def walk(side: int, p: int, word: Word):
+        start = (side, p)
         while True:
-            end = x_end[p] if side == "x" else y_end[p]
-            if end[0] == "k":
-                return word + (x.ket_ws if side == "x" else y.ket_ws)[end[1]]
-            if end[0] != "a" or not end[2]:
-                raise OrientationClash(
-                    f"expected a strand head at point {p}"
-                )
-            a_idx = end[1]
-            if side == "x":
-                used_x[a_idx] = True
-                word = word + x.arc_ws[a_idx]
-                p = x.arcs[a_idx][0]
-                side = "y"
-            else:
-                used_y[a_idx] = True
-                word = word + y.arc_ws[a_idx]
-                p = n - 1 - y.arcs[a_idx][0]
-                side = "x"
+            kind, w, tail = sides[side][p]
+            word = word + w
+            if kind == _KET:
+                return ctx.interval_value(word)
+            if side == 0:
+                heads_seen.add(p)
+            side, p = 1 - side, tail
+            if (side, p) == start:
+                return ctx.circle_value(word)
 
     val = ctx.field.one
-    for i, p in enumerate(x.bras):
-        val = val * ctx.interval_value(chase("y", p, x.bra_ws[i]))
-    for i, q in enumerate(y.bras):
-        val = val * ctx.interval_value(chase("x", n - 1 - q, y.bra_ws[i]))
-    for a0 in range(len(x.arcs)):
-        if used_x[a0]:
-            continue
-        word: Word = ()
-        side, a_idx = "x", a0
-        while True:
-            if side == "x":
-                used_x[a_idx] = True
-                word = word + x.arc_ws[a_idx]
-                p = x.arcs[a_idx][0]
-                side = "y"
-            else:
-                used_y[a_idx] = True
-                word = word + y.arc_ws[a_idx]
-                p = n - 1 - y.arcs[a_idx][0]
-                side = "x"
-            end = x_end[p] if side == "x" else y_end[p]
-            if end[0] != "a" or not end[2]:
-                raise OrientationClash(
-                    f"expected a strand head at point {p}"
-                )
-            a_idx = end[1]
-            if side == "x" and a_idx == a0:
-                break
-        val = val * ctx.circle_value(word)
+    for p in range(len(eps)):
+        if x.ends[p][0] == _BRA:
+            val = val * walk(1, p, x.ends[p][1])
+        if y.mirrored[p][0] == _BRA:
+            val = val * walk(0, p, y.mirrored[p][1])
+    for kind, _, head in x.ends:
+        if kind == _TAIL and head not in heads_seen:
+            val = val * walk(0, head, ())
     return val
+
+
+def _spanning_count(ctx: _Context, eps: str) -> int:
+    """The number of spanning records of A(eps), without enumerating them:
+    j arcs match j of the m in-points with j of the p out-points, and the
+    other out-points carry a basis word and in-points a cobasis word."""
+    p, m = eps.count("+"), eps.count("-")
+    arcs, kets = len(ctx.arc_words), len(ctx.space.word_basis)
+    bras = len(ctx.space.cobasis_words)
+    return sum(comb(m, j) * comb(p, j) * factorial(j) * arcs ** j
+               * kets ** (p - j) * bras ** (m - j) for j in range(min(p, m) + 1))
 
 
 def _dim_of(ctx: _Context, eps: str) -> int:
     dim = ctx._dims.get(eps)
     if dim is not None:
         return dim
+    entries = _spanning_count(ctx, eps) * _spanning_count(ctx, mirror_signs(eps))
+    if entries > GRAM_BOUND:
+        raise SizeBound(
+            f"the Gram matrix of A({eps}) has {entries} entries, more than "
+            f"the bound {GRAM_BOUND}"
+        )
     xs = _spanning_records(ctx, eps)
     ys = _spanning_records(ctx, mirror_signs(eps))
     if not xs or not ys:

@@ -148,14 +148,32 @@ class FpValue:
         return f"{self.v}"
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound; a larger modulus is refused.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for 0 <= n < PRIME_BOUND."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -253,6 +271,11 @@ class PrimeField(Field):
     name = "prime"
 
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise InvalidArgument(
+                f"{p} is not below {PRIME_BOUND}, the bound of exact "
+                "primality testing"
+            )
         if not _is_prime(p):
             raise FieldMismatch(f"{p} is not prime")
         self.p = p
@@ -308,9 +331,10 @@ def field_from_json(doc, path: str = "field") -> Field:
         p = doc.get("p")
         if not isinstance(p, int) or isinstance(p, bool):
             raise SchemaError(f"{path}.p", "expected an integer prime")
-        if not _is_prime(p):
-            raise SchemaError(f"{path}.p", f"{p} is not prime")
-        return PrimeField(p)
+        try:
+            return PrimeField(p)
+        except (FieldMismatch, InvalidArgument) as e:
+            raise SchemaError(f"{path}.p", str(e)) from None
     raise SchemaError(f"{path}.type", f"unknown field type {t!r}")
 
 

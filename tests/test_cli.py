@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
 import defekt
 from defekt.cli import CIRCLE_BOUND, DEPTH_BOUND, run
-from defekt.exactla import PrimeField, QQ
+from defekt.exactla import PRIME_BOUND, PrimeField, QQ
 from defekt.frobenius import GENUS_BOUND, frobenius_to_json
 
 from factories import knowledgeable_pair_cyclic, mat2_block, nilpotent_block
@@ -155,6 +156,17 @@ def test_statespace(tmp_path, capsys):
         assert doc == {"eps": eps, "dim": dim}
 
 
+def test_statespace_refuses_a_gram_matrix_over_the_bound(tmp_path, capsys):
+    # 10,368 spanning diagrams on each side: the bound is checked from
+    # their count before any is enumerated
+    theory = write(tmp_path, "t.json", EX3)
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "statespace", theory, "--eps", "++++----")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert doc["error"]["code"] == "size_bound"
+
+
 def test_statespace_rejects_bad_signs(tmp_path, capsys):
     theory = write(tmp_path, "t.json", EX3)
     code, doc = run_cli(capsys, "statespace", theory, "--eps", "+x")
@@ -255,6 +267,18 @@ def test_field_flag_validation(capsys):
                         "--zi", "1", "--zc", "1", "--field", "complex")
     assert code == 2
     assert doc["error"]["path"] == "--field"
+
+
+def test_field_flag_takes_large_primes_up_to_the_bound(capsys):
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "onevar", "analyze", "--zi", "1", "--zc", "1",
+                        "--field", f"prime:{2**61 - 1}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    code, doc = run_cli(capsys, "onevar", "analyze", "--zi", "1", "--zc", "1",
+                        "--field", f"prime:{PRIME_BOUND}")
+    assert code == 2
+    assert doc["error"]["path"] == "--field.p"
 
 
 def test_field_flag_refuses_digits_int_cannot_read(capsys):

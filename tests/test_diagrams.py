@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from defekt.diagrams import (
+    GRAM_BOUND,
     Arc,
     Diagram,
     FloatingCircle,
@@ -14,6 +15,7 @@ from defekt.diagrams import (
     HalfInterval,
     _context,
     _pair_value,
+    _spanning_count,
     _spanning_records,
     compose,
     diagram_from_json,
@@ -362,12 +364,25 @@ def test_tensor_gives_state_space_lower_bound():
 
 
 def test_gram_matches_explicit_compose_route():
-    t = BY_NAME["ex3_mu3_lam5"]
-    for eps in ["+", "+-"]:
-        xs = spanning_diagrams(t, eps)
-        cls = closures(t, eps)
-        rows = [[evaluate_closed(t, compose(t, x, c)) for x in xs] for c in cls]
-        assert Matrix(t.field, rows, cols=len(xs)).rank() == state_space_dim(t, eps)
+    # every Gram entry of the strand walk is the closed evaluation of the
+    # glued diagrams; the two-letter theories tell word orders apart
+    for name, t in CORPUS:
+        ctx = _context(t)
+        for eps in ("".join(e) for n in range(4) for e in product("+-", repeat=n)):
+            xs = spanning_diagrams(t, eps)
+            cls = closures(t, eps)
+            rows = [[evaluate_closed(t, compose(t, x, c)) for x in xs] for c in cls]
+            walked = [[_pair_value(ctx, eps, x, y) for x in _spanning_records(ctx, eps)]
+                      for y in _spanning_records(ctx, mirror_signs(eps))]
+            assert walked == rows, (name, eps)
+            assert Matrix(t.field, rows, cols=len(xs)).rank() == state_space_dim(t, eps)
+
+
+def test_spanning_count_matches_the_enumeration():
+    for name, t in CORPUS:
+        ctx = _context(t)
+        for eps in ("".join(e) for n in range(5) for e in product("+-", repeat=n)):
+            assert _spanning_count(ctx, eps) == len(_spanning_records(ctx, eps)), (name, eps)
 
 
 def test_arc_relation_holds_under_all_closures():
@@ -391,6 +406,17 @@ def test_size_bound_enforced():
         hom_dim(t, "+" * 5, "-" * 4)
     with pytest.raises(SizeBound):
         spanning_diagrams(t, "+" * 9)
+
+
+def test_gram_bound_enforced():
+    # "+++---" has 688 spanning elements on each side: 473,344 Gram entries
+    t = BY_NAME["ex3_mu3_lam5"]
+    assert _spanning_count(_context(t), "+++---") ** 2 > GRAM_BOUND
+    with pytest.raises(SizeBound):
+        state_space_dim(t, "+++---")
+    with pytest.raises(SizeBound):
+        hom_dim(t, "---", "---")
+    assert state_space_dim(t, "++--") == hom_dim(t, "--", "--")
 
 
 # -- JSON ---------------------------------------------------------------------

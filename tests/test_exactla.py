@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from defekt.errors import (
     FieldMismatch,
     InvalidArgument,
     NotSquare,
+    SchemaError,
     SingularMatrix,
     SizeBound,
 )
 from defekt.exactla import (
+    PRIME_BOUND,
     QQ,
     Echelon,
     FpValue,
@@ -28,6 +31,7 @@ from defekt.exactla import (
     poly_gcd_lcm,
     rref,
 )
+from defekt.exactla import _is_prime
 
 from factories import entries
 from oracles import naive_rank
@@ -76,6 +80,40 @@ def test_field_from_json():
     assert field_from_json({"type": "rational"}) == QQ
     assert field_from_json({"type": "prime", "p": 7}) == F7
     assert field_from_json(None) == QQ
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(10**4) if _is_prime(n)] == [
+        n for n in range(10**4) if trial(n)
+    ]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # each passes Miller-Rabin for a prefix of the witness primes; the last
+    # is 399165290221 * 798330580441, a strong pseudoprime to every prime
+    # base up to 37
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n), n
+    assert not _is_prime(2**67 - 1)  # 193707721 * 761838257287
+    assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+
+
+def test_prime_field_bound():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    # the bound itself is the first strong pseudoprime to all the witnesses
+    with pytest.raises(InvalidArgument):
+        PrimeField(PRIME_BOUND)
+    with pytest.raises(SchemaError) as exc:
+        field_from_json({"type": "prime", "p": PRIME_BOUND})
+    assert exc.value.path == "field.p"
+    with pytest.raises(SchemaError) as exc:
+        field_from_json({"type": "prime", "p": 9}, "open.field")
+    assert exc.value.path == "open.field.p"
 
 
 def test_matrix_basics():
