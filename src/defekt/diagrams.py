@@ -328,11 +328,11 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
                     )
                 store[ep[1]] = idx
 
-    new_comps: list = []
     visited = [False] * len(segs)
-    for start, s in enumerate(segs):
-        if visited[start] or s["head"][0] == "junction":
-            continue
+
+    def chain(start: int):
+        """The word from segs[start] on along tails through glued points,
+        and the outer or inner end reached, or None back at start."""
         word: Word = ()
         cur = start
         while True:
@@ -340,15 +340,24 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
             word = word + segs[cur]["word"]
             tail = segs[cur]["tail"]
             if tail[0] != "junction":
-                break
-            nxt = head_at.get(tail[1])
-            if nxt is None:
-                raise OrientationClash(
-                    f"no strand head at glued point {tail[1]}"
-                )
-            cur = nxt
-        head = s["head"]
-        if head[0] == "outer" and tail[0] == "outer":
+                return word, tail
+            cur = head_at.get(tail[1])
+            if cur is None:
+                raise OrientationClash(f"no strand head at glued point {tail[1]}")
+            if cur == start:
+                return word, None
+
+    # open chains and floating intervals from their heads, then circles
+    new_comps: list = []
+    heads = [i for i, s in enumerate(segs) if s["head"][0] != "junction"]
+    for start in heads + list(range(len(segs))):
+        if visited[start]:
+            continue
+        word, tail = chain(start)
+        head = segs[start]["head"]
+        if tail is None:
+            new_comps.append(FloatingCircle(word))
+        elif head[0] == "outer" and tail[0] == "outer":
             new_comps.append(Arc((tail[1], tail[2]), (head[1], head[2]), word))
         elif head[0] == "outer":
             new_comps.append(HalfInterval((head[1], head[2]), word, tail[1]))
@@ -356,21 +365,6 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
             new_comps.append(HalfInterval((tail[1], tail[2]), word, head[1]))
         else:
             new_comps.append(FloatingInterval(word, head[1], tail[1]))
-    for start in range(len(segs)):
-        if visited[start]:
-            continue
-        word = ()
-        cur = start
-        while True:
-            visited[cur] = True
-            word = word + segs[cur]["word"]
-            nxt = head_at.get(segs[cur]["tail"][1])
-            if nxt is None:
-                raise OrientationClash("broken loop through the glued boundary")
-            cur = nxt
-            if cur == start:
-                break
-        new_comps.append(FloatingCircle(word))
 
     return Diagram(d1.bottom, d2.top, tuple(floats) + tuple(new_comps))
 
@@ -466,7 +460,7 @@ def evaluate_closed(t: Theory, d: Diagram):
 # -- state spaces -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Record:
     """A spanning diagram of A(eps) in per-point form: what a walk against
     the strand direction finds at each point.
@@ -494,6 +488,12 @@ def _spanning_records(ctx: _Context, eps: str) -> list:
     ins = tuple(i for i, s in enumerate(eps) if s == "-")
     outs = tuple(i for i, s in enumerate(eps) if s == "+")
     recs = []
+    # one tuple per distinct (kind, word, other) triple of the records
+    cells: dict = {}
+
+    def cell(*triple) -> tuple:
+        return cells.setdefault(triple, triple)
+
     for j in range(min(len(ins), len(outs)) + 1):
         for ci, co in product(combinations(ins, j), combinations(outs, j)):
             halves = ([(p, _KET, ctx.space.word_basis) for p in outs if p not in co]
@@ -503,12 +503,12 @@ def _spanning_records(ctx: _Context, eps: str) -> list:
                     for half_ws in product(*(words for _, _, words in halves)):
                         ends = [None] * n
                         for pin, pout, w in zip(ci, matched, arc_ws):
-                            ends[pin] = (_TAIL, w, pout)
-                            ends[pout] = (_HEAD, w, pin)
+                            ends[pin] = cell(_TAIL, w, pout)
+                            ends[pout] = cell(_HEAD, w, pin)
                         for (p, kind, _), w in zip(halves, half_ws):
-                            ends[p] = (kind, w, None)
+                            ends[p] = cell(kind, w, None)
                         recs.append(_Record(tuple(ends), tuple(
-                            (kind, w, None if q is None else n - 1 - q)
+                            cell(kind, w, None if q is None else n - 1 - q)
                             for kind, w, q in reversed(ends))))
     ctx._records[eps] = recs
     return recs

@@ -31,6 +31,7 @@ basis, and a class in K has its K coordinates at the kernel's free columns.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -532,6 +533,11 @@ def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
 
 # -- theory ingestion --------------------------------------------------------
 
+# Most theories theory_from_json keeps, keyed by their parsed content; the
+# least recently returned one is dropped first.
+THEORY_CACHE = 64
+_theories: "OrderedDict[tuple, Theory]" = OrderedDict()
+
 
 def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     """Build a Theory from its JSON document.
@@ -540,6 +546,13 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     circular.  Interval kinds: linrep, rational1 (alphabet size <= 1).
     Circular kinds: tracerep, rational1 (alphabet size <= 1),
     trace_of_interval.
+
+    The document is always read and validated in full.  One whose parsed
+    content (field compared by ``==``, letter names, interval matrices,
+    circle matrices or the trace marker) equals that of one of the last
+    ``THEORY_CACHE`` theories returned gets that same Theory back, with
+    all it has built; beyond the bound the least recently returned theory
+    is dropped.  The command line parses one theory per process.
     """
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")
@@ -580,7 +593,6 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     if not isinstance(cdoc, dict):
         raise SchemaError("circular", "expected an object with a 'kind' key")
     ckind = cdoc.get("kind")
-    space = None
     if ckind == "tracerep":
         circular = circrep_from_json(field, alphabet, cdoc, "circular")
     elif ckind == "rational1":
@@ -590,15 +602,25 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
             )
         z = rational1_from_json(field, cdoc, "circular")
         circular = CircularRepresentation.from_rational(z, len(alphabet))
-    elif ckind == "trace_of_interval":
+    elif ckind != "trace_of_interval":
+        raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
+    is_trace = ckind == "trace_of_interval"
+
+    key = (field, alphabet, interval.init, interval.letters, interval.final,
+           "trace" if is_trace else (circular.letters, circular.weight))
+    t = _theories.get(key)
+    if t is not None:
+        _theories.move_to_end(key)
+        return t
+    if is_trace:
         space = minimize(interval)
         circular = interval_trace_series(space)
-    else:
-        raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
-
-    t = Theory(field, alphabet, interval, circular, space is not None)
-    if space is not None:
+    t = Theory(field, alphabet, interval, circular, is_trace)
+    if is_trace:
         # the circle data was built from the state space: hand it to the
         # theory (cached_property reads the instance dict first)
         vars(t)["statespace"] = space
+    _theories[key] = t
+    if len(_theories) > THEORY_CACHE:
+        _theories.popitem(last=False)
     return t

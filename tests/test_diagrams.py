@@ -37,7 +37,13 @@ from defekt.errors import (
     SizeBound,
 )
 from defekt.exactla import QQ, Matrix
-from defekt.universal import build_pair_algebra, minimize, theory_from_json
+from defekt.universal import (
+    THEORY_CACHE,
+    Theory,
+    build_pair_algebra,
+    minimize,
+    theory_from_json,
+)
 
 from factories import _rat, one_letter_theory, theory_corpus
 from oracles import elimination_rank
@@ -315,7 +321,10 @@ def test_context_lives_as_long_as_its_theory(circular):
         "interval": {"kind": "rational1", "num": ["3", "1"], "den": ["1"]},
         "circular": circular,
     }
-    t = theory_from_json(doc)
+    parsed = theory_from_json(doc)
+    # a theory built directly is kept by nothing but its names
+    t = Theory(parsed.field, parsed.alphabet, parsed.interval,
+               parsed.circular, parsed.circular_is_trace)
     assert _context(t) is _context(t)
     # with the cycle collector off, only a reference cycle could keep the
     # theory alive once the last name for it goes
@@ -325,6 +334,16 @@ def test_context_lives_as_long_as_its_theory(circular):
         ref = weakref.ref(t)
         del t
         assert ref() is None
+        # a parsed theory is kept by the theory cache until THEORY_CACHE
+        # other documents have pushed it out
+        assert state_space_dim(parsed, "+-") == build_pair_algebra(parsed).dim
+        ref, ctx_ref = weakref.ref(parsed), weakref.ref(_context(parsed))
+        del parsed
+        for i in range(THEORY_CACHE):
+            theory_from_json(dict(doc, circular={
+                "kind": "rational1", "num": [str(6 + i)], "den": ["1"]}))
+            assert (ref() is None) == (i == THEORY_CACHE - 1)
+        assert ctx_ref() is None
     finally:
         gc.enable()
 

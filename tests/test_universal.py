@@ -656,3 +656,173 @@ def test_theory_from_json_rational1_needs_small_alphabet():
     doc["alphabet"] = ["a", "b"]
     with pytest.raises(SchemaError):
         theory_from_json(doc)
+
+
+# -- theory cache --------------------------------------------------------------
+
+
+FIELD_DOCS = [{"type": "rational"}, {"type": "prime", "p": 7}]
+FIELD_IDS = ["QQ", "F7"]
+
+
+def linrep_doc(field_doc, entry="2"):
+    return {
+        "field": field_doc,
+        "alphabet": ["a", "b"],
+        "interval": {
+            "kind": "linrep", "dim": 2, "init": ["1", "0"],
+            "letters": {"a": [[entry, "1"], ["0", "1"]],
+                        "b": [["1", "0"], ["1", "3"]]},
+            "final": ["0", "1"],
+        },
+        "circular": {
+            "kind": "tracerep", "dim": 1,
+            "letters": {"a": [["2"]], "b": [["3"]]}, "weight": [["1"]],
+        },
+    }
+
+
+def _reordered(doc):
+    """The same document with the keys of every object in reverse order."""
+    if isinstance(doc, dict):
+        return {k: _reordered(doc[k]) for k in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reordered(x) for x in doc]
+    return doc
+
+
+@st.composite
+def respelled_documents(draw):
+    """A linrep theory document over QQ or F_7 and a copy with its keys
+    reordered and every scalar spelled differently (n/d as kn/kd, and mod
+    7 shifted by a multiple of 7)."""
+    field_doc = draw(st.sampled_from(FIELD_DOCS))
+    p = field_doc.get("p", 0)
+    alphabet = ["a", "b"][:draw(st.integers(0, 2))]
+    dim, cdim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def scalar():
+        x = Fr(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+        k, m = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        return (str(x),
+                f"{k * (x.numerator + p * m * x.denominator)}/{k * x.denominator}")
+
+    def matrix(rows, cols):
+        return [[scalar() for _ in range(cols)] for _ in range(rows)]
+
+    c = scalar()
+    doc = {
+        "field": field_doc,
+        "alphabet": alphabet,
+        "interval": {"kind": "linrep", "dim": dim,
+                     "init": [scalar() for _ in range(dim)],
+                     "letters": {a: matrix(dim, dim) for a in alphabet},
+                     "final": [scalar() for _ in range(dim)]},
+        # a scalar weight commutes with every letter
+        "circular": ({"kind": "trace_of_interval"} if draw(st.booleans()) else
+                     {"kind": "tracerep", "dim": cdim,
+                      "letters": {a: matrix(cdim, cdim) for a in alphabet},
+                      "weight": [[c if i == j else ("0", "0/5")
+                                  for j in range(cdim)] for i in range(cdim)]}),
+    }
+
+    def spelled(x, which):
+        if isinstance(x, tuple):
+            return x[which]
+        if isinstance(x, dict):
+            return {k: spelled(v, which) for k, v in x.items()}
+        if isinstance(x, list):
+            return [spelled(v, which) for v in x]
+        return x
+
+    return spelled(doc, 0), _reordered(spelled(doc, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(respelled_documents())
+def test_equal_content_returns_the_same_theory(docs):
+    doc, respelled = docs
+    t = theory_from_json(doc)
+    assert theory_from_json(respelled) is t
+    assert theory_from_json(doc) is t
+    assert len(universal._theories) <= universal.THEORY_CACHE
+
+
+def test_different_content_gives_a_different_theory():
+    base = theory_from_json(theory_doc())
+    assert theory_from_json(theory_doc()) is base
+    other_field = dict(theory_doc(), field={"type": "prime", "p": 7})
+    other_letter = dict(theory_doc(), alphabet=["b"])
+    other_circle = dict(theory_doc(), circular={"kind": "rational1",
+                                                "num": ["6"], "den": ["1"]})
+    for doc in (other_field, other_letter, other_circle):
+        assert theory_from_json(doc) is not base
+    # the trace of the interval and the same circle matrices given
+    # explicitly are different kinds, so different theories
+    trace = theory_from_json(dict(theory_doc(),
+                                  circular={"kind": "trace_of_interval"}))
+    circ = trace.circular
+    explicit = dict(theory_doc(), circular={
+        "kind": "tracerep", "dim": circ.dim,
+        "letters": {"a": [[QQ.format(x) for x in row]
+                          for row in circ.letters[0].data]},
+        "weight": [[QQ.format(x) for x in row] for row in circ.weight.data],
+    })
+    t = theory_from_json(explicit)
+    assert t is not trace and t is not base
+    assert trace.circular_is_trace and not t.circular_is_trace
+    assert t.circular.value((0, 0)) == trace.circular.value((0, 0))
+
+
+def test_field_override_is_part_of_the_content():
+    F7 = PrimeField(7)
+    t = theory_from_json(theory_doc(), field_override=F7)
+    assert t is not theory_from_json(theory_doc())
+    assert theory_from_json(theory_doc(), field_override=PrimeField(7)) is t
+
+
+def test_trace_mode_hit_does_not_minimize(monkeypatch):
+    calls = []
+    real_minimize = universal.minimize
+    monkeypatch.setattr(universal, "minimize",
+                        lambda rep: calls.append(rep) or real_minimize(rep))
+    doc = dict(theory_doc(), circular={"kind": "trace_of_interval"})
+    t = theory_from_json(doc)
+    assert len(calls) == 1
+    assert theory_from_json(doc) is t
+    assert theory_from_json(_reordered(doc)) is t
+    assert len(calls) == 1
+
+
+def _schema_path(doc):
+    with pytest.raises(SchemaError) as exc:
+        theory_from_json(doc)
+    return exc.value.path
+
+
+@pytest.mark.parametrize("field_doc", FIELD_DOCS, ids=FIELD_IDS)
+def test_a_hit_never_skips_validation(field_doc):
+    bad_entry = linrep_doc(field_doc, entry="1e3")
+    bad_letters = dict(linrep_doc(field_doc), alphabet=["a", "a"])
+    cold = [_schema_path(bad_entry), _schema_path(bad_letters)]
+    assert cold == ["interval.letters.a[0][0]", "alphabet"]
+    assert not universal._theories
+    t = theory_from_json(linrep_doc(field_doc))
+    assert [_schema_path(bad_entry), _schema_path(bad_letters)] == cold
+    assert theory_from_json(linrep_doc(field_doc)) is t
+
+
+@pytest.mark.parametrize("field_doc", FIELD_DOCS, ids=FIELD_IDS)
+def test_theory_cache_is_bounded(field_doc):
+    def doc(i):
+        return dict(theory_doc(), field=field_doc, alphabet=[f"x{i}"])
+
+    first = theory_from_json(doc(0))
+    for i in range(1, 2 * universal.THEORY_CACHE):
+        theory_from_json(doc(i))
+        assert len(universal._theories) <= universal.THEORY_CACHE
+        if i == 1:
+            # a hit makes the first theory the most recently used
+            assert theory_from_json(doc(0)) is first
+    assert len(universal._theories) == universal.THEORY_CACHE
+    assert theory_from_json(doc(0)) is not first
