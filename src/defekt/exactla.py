@@ -6,12 +6,14 @@ stored in ``[0, p)``).  Matrices are immutable dense row-major arrays of
 these scalars and polynomials are immutable ascending coefficient tuples
 with no trailing zeros.
 
-Elimination and F_p products do not run on the scalar objects.  Each field
-has one kernel on raw scalars: over F_p, rows of ints in ``[0, p)``
-reduced mod p with one modular inverse per pivot; over QQ, fraction-free
-(Bareiss) Gauss-Jordan on rows scaled to integers, divided by the last
-pivot at the end.  Each output entry is wrapped back into a scalar once,
-so callers see the same ``Fraction`` and ``FpValue`` entries either way.
+Elimination and matrix products do not run on the scalar objects.  Each
+field has one elimination kernel and one product kernel on raw integers:
+over F_p, rows of ints in ``[0, p)`` reduced mod p, with one modular
+inverse per pivot; over QQ, rows and columns scaled to integers by the lcm
+of their denominators, with fraction-free (Bareiss) Gauss-Jordan divided
+by the last pivot at the end.  Each output entry is wrapped back into a
+scalar once, so callers see the same ``Fraction`` and ``FpValue`` entries
+either way.
 
 No floating point is used anywhere, and every algorithm is deterministic:
 row reduction always picks the leftmost nonzero column and the topmost
@@ -23,8 +25,9 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -340,9 +343,9 @@ def field_from_json(doc, path: str = "field") -> Field:
 
 # -- scalar kernels -----------------------------------------------------------
 #
-# One elimination kernel per field and one product kernel for F_p, on raw
-# scalars: ints in [0, p) for F_p, integer rows for QQ elimination.  Both
-# eliminations pivot on the leftmost nonzero column and the topmost
+# One elimination kernel and one product kernel per field, on raw integers:
+# residues in [0, p) for F_p, numerators over a common denominator for QQ.
+# Both eliminations pivot on the leftmost nonzero column and the topmost
 # available row; the reduced row echelon form is unique, so their output is
 # the one Gauss-Jordan on the scalar objects would give.
 
@@ -351,6 +354,25 @@ def _fp_wrap(F: "PrimeField", row) -> tuple:
     """Residues in [0, p) as FpValues; zero and one share the field's."""
     p, zero, one = F.p, F.zero, F.one
     return tuple(zero if x == 0 else one if x == 1 else FpValue(x, p) for x in row)
+
+
+def _ints(F: Field, xs) -> tuple[list, int]:
+    """Field values as integers over one common denominator d, the lcm of
+    their denominators: (ints, d).  Over F_p the residues, with d = 1."""
+    if F.char:
+        return [x.v for x in xs], 1
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _wrap(F: Field, ints, d: int) -> tuple:
+    """The field values v / d of integers v, each wrapped once; over F_p,
+    d is 1 and v any int."""
+    if F.char:
+        p = F.char
+        return _fp_wrap(F, [v % p for v in ints])
+    zero = F.zero
+    return tuple(Fraction(v, d) if v else zero for v in ints)
 
 
 def _fp_rref(F: "PrimeField", data, ncols: int) -> tuple[tuple, tuple]:
@@ -385,10 +407,7 @@ def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
     # a pivot a, every other row becomes (a*row - f*pivot row) / prev, an
     # exact division (each entry is a minor of the scaled matrix), so every
     # pivot row ends with the last pivot d at its pivot: entry x is x/d.
-    work = []
-    for row in data:
-        d = lcm(*[x.denominator for x in row])
-        work.append([x.numerator * (d // x.denominator) for x in row])
+    work = [_ints(QQ, row)[0] for row in data]
     nrows = len(work)
     pivots: list[int] = []
     pr = 0
@@ -424,8 +443,7 @@ def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
 def _dot(xs, ys, field: Field):
     if field.char:
         return FpValue(sum([x.v * y.v for x, y in zip(xs, ys)]), field.char)
-    # A zero factor adds nothing, so skipping it is exact; the operands
-    # here (block generators, unit matrices, echelon rows) are mostly zero.
+    # A zero factor adds nothing, so skipping it is exact.
     s = field.zero
     for x, y in zip(xs, ys):
         if x and y:
@@ -521,15 +539,13 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix(field, [[field.zero] * c for _ in range(r)], cols=c)
+        return Matrix._of_values(field, ((field.zero,) * c,) * r, c)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        return Matrix(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        z, o = field.zero, field.one
+        return Matrix._of_values(
+            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def row_vector(field: Field, entries: Sequence) -> "Matrix":
@@ -546,8 +562,9 @@ class Matrix:
         (see :meth:`Field.parse_vector` for the paths of errors)."""
         if not isinstance(lists, list) or len(lists) != rows:
             raise SchemaError(path, f"expected {rows} rows")
-        return Matrix(field, [field.parse_vector(row, cols, f"{path}[{i}]")
-                              for i, row in enumerate(lists)], cols=cols)
+        return Matrix._of_values(field, tuple(
+            field.parse_vector(row, cols, f"{path}[{i}]") for i, row in enumerate(lists)),
+            cols)
 
     def to_lists(self) -> list:
         return [[self.field.format(x) for x in row] for row in self.data]
@@ -561,7 +578,7 @@ class Matrix:
         return self.data[idx]
 
     def flat(self) -> tuple:
-        return tuple(x for row in self.data for x in row)
+        return tuple(chain.from_iterable(self.data))
 
     def row(self, i: int) -> tuple:
         return self.data[i]
@@ -569,12 +586,11 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
+    def _columns(self) -> tuple:
+        return tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return Matrix._of_values(self.field, self._columns(), self.rows)
 
     def is_zero(self) -> bool:
         z = self.field.zero
@@ -611,24 +627,23 @@ class Matrix:
         self._check_field(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise FieldMismatch("matrix shapes differ in addition")
-        return Matrix(
+        return Matrix._of_values(
             self.field,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            cols=self.cols,
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)),
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-x for x in row] for row in self.data], cols=self.cols)
+        return Matrix._of_values(
+            self.field, tuple(tuple(map(neg, row)) for row in self.data), self.cols)
 
     def scale(self, s) -> "Matrix":
         s = self.field.of(s)
-        return Matrix(self.field, [[s * x for x in row] for row in self.data], cols=self.cols)
+        return Matrix._of_values(
+            self.field, tuple(tuple(s * x for x in row) for row in self.data), self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -638,16 +653,16 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
             F = self.field
-            cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+            cols = [_ints(F, col) for col in other._columns()]
+            rows = [_ints(F, row) for row in self.data]
             if F.char:
-                p = F.char
-                cols = [[x.v for x in col] for col in cols]
-                data = tuple(
-                    _fp_wrap(F, [sum(map(mul, r, col)) % p for col in cols])
-                    for r in ([x.v for x in row] for row in self.data))
+                data = tuple(_wrap(F, [sum(map(mul, r, c)) for c, _ in cols], 1)
+                             for r, _ in rows)
             else:
-                data = tuple(tuple(_dot(row, col, F) for col in cols)
-                             for row in self.data)
+                zero = F.zero
+                data = tuple(tuple(Fraction(v, dr * dc) if (v := sum(map(mul, r, c)))
+                                   else zero for c, dc in cols)
+                             for r, dr in rows)
             return Matrix._of_values(F, data, other.cols)
         return self.scale(other)
 
@@ -667,10 +682,8 @@ class Matrix:
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare("trace of a non-square matrix")
-        s = self.field.zero
-        for i in range(self.rows):
-            s = s + self.data[i][i]
-        return s
+        ints, d = _ints(self.field, [row[i] for i, row in enumerate(self.data)])
+        return _wrap(self.field, [sum(ints)], d)[0]
 
     # -- elimination -------------------------------------------------------
 
@@ -706,7 +719,7 @@ class Matrix:
             v[fc] = F.one
             for r, pc in enumerate(pivots):
                 v[pc] = -R.data[r][fc]
-            basis.append(Matrix.col_vector(F, v))
+            basis.append(Matrix._of_values(F, tuple(zip(v)), 1))
         return basis
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
@@ -725,7 +738,7 @@ class Matrix:
         for r, pc in enumerate(pivots):
             for j in range(rhs.cols):
                 out[pc][j] = R.data[r][self.cols + j]
-        return Matrix(F, out, cols=rhs.cols)
+        return Matrix._of_values(F, tuple(map(tuple, out)), rhs.cols)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -746,8 +759,8 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
             raise FieldMismatch("hstack over different fields")
         if m.rows != r:
             raise FieldMismatch("hstack with differing row counts")
-    rows = [sum((list(m.data[i]) for m in mats), []) for i in range(r)]
-    return Matrix(F, rows, cols=sum(m.cols for m in mats))
+    rows = tuple(tuple(chain.from_iterable(m.data[i] for m in mats)) for i in range(r))
+    return Matrix._of_values(F, rows, sum(m.cols for m in mats))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -760,8 +773,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
             raise FieldMismatch("vstack over different fields")
         if m.cols != c:
             raise FieldMismatch("vstack with differing column counts")
-    rows = [list(row) for m in mats for row in m.data]
-    return Matrix(F, rows, cols=c)
+    return Matrix._of_values(F, tuple(row for m in mats for row in m.data), c)
 
 
 class Polynomial:

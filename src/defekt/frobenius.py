@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import mul
 
 from .errors import (
     ClosedComponent,
@@ -24,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularMatrix,
 )
-from .exactla import Echelon, Field, Matrix
+from .exactla import Echelon, Field, Matrix, _ints, _wrap
 
 __all__ = [
     "BetaReport",
@@ -53,9 +55,13 @@ class FrobeniusAlgebra:
     ``mult[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j; ``unit`` and ``trace`` are coordinate
     tuples.  Construction checks shapes only; the algebra axioms are the
-    business of :func:`verify`.  The basis columns, the dual bases and the
-    hole element are built on first use and held for the life of the
-    algebra.
+    business of :func:`verify`.  The basis columns, the dual bases, the
+    hole element and the integer cube are built on first use and held for
+    the life of the algebra.  The integer cube is the structure constants
+    read through ``field.of`` as ints: residues in [0, p) over F_p, and
+    numerators over one common denominator over QQ.  Products, the Gram
+    matrix, left multiplication and the trace contract these ints and wrap
+    each output entry once.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
@@ -107,40 +113,63 @@ class FrobeniusAlgebra:
     def zero_el(self) -> Matrix:
         return Matrix.zeros(self.field, self.dim, 1)
 
-    def left_mult_matrix(self, x: Matrix) -> Matrix:
-        """Matrix of y |-> x*y."""
+    @cached_property
+    def _cube(self) -> tuple:
+        """(cube, D): cube[i][j] holds the pairs (k, m) with m != 0, where
+        m / D is mult[i][j][k] and D is the lcm of the constants'
+        denominators (D = 1 and m a residue over F_p)."""
+        F, n = self.field, self.dim
+        flat, D = _ints(F, [F.of(m) for plane in self.mult
+                            for row in plane for m in row])
+        it = iter(flat)
+        return tuple(tuple(tuple((k, m) for k, m in enumerate(islice(it, n)) if m)
+                           for _ in range(n)) for _ in range(n)), D
+
+    @cached_property
+    def _trace_ints(self) -> tuple:
+        """The trace covector as (ints, d), read through ``field.of``."""
         F = self.field
-        n = self.dim
-        rows = []
-        for k in range(n):
-            rows.append([
-                sum((x[i, 0] * self.mult[i][j][k] for i in range(n)), F.zero)
-                for j in range(n)
-            ])
-        return Matrix(F, rows, cols=n)
+        return _ints(F, [F.of(t) for t in self.trace])
+
+    def left_mult_matrix(self, x: Matrix) -> Matrix:
+        """Matrix of y |-> x*y: entry (k, j) is sum_i x_i mult[i][j][k]."""
+        F, n = self.field, self.dim
+        cube, D = self._cube
+        xs, dx = _ints(F, x.flat())
+        cols = [[0] * n for _ in range(n)]
+        for xi, plane in zip(xs, cube):
+            if xi:
+                for col, pairs in zip(cols, plane):
+                    for k, m in pairs:
+                        col[k] += xi * m
+        return Matrix._of_values(
+            F, tuple(zip(*[_wrap(F, col, dx * D) for col in cols])), n)
 
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
-        """x*y, contracted from the structure constants:
-        out_k = sum_{i,j} x_i y_j mult[i][j][k].  Zero coordinates and zero
-        constants add nothing, so skipping them is exact; a product of
-        basis elements costs n steps, a dense element times a basis
-        element n^2."""
-        n = self.dim
+        """x*y, contracted from the integer cube:
+        out_k = sum_{i,j} x_i y_j mult[i][j][k], with x and y scaled to
+        integers by the lcm of their own denominators and each out_k
+        wrapped once.  Zero coordinates and zero constants add nothing, so
+        skipping them is exact; a product of basis elements costs n steps,
+        a dense element times a basis element n^2."""
+        F, n = self.field, self.dim
         for v in (x, y):
-            if (not isinstance(v, Matrix) or v.field != self.field
+            if (not isinstance(v, Matrix) or v.field != F
                     or v.rows != n or v.cols != 1):
                 raise FieldMismatch(
-                    f"algebra elements must be {n}x1 columns over {self.field!r}")
-        out = [self.field.zero] * n
-        ys = [(j, yj) for j, (yj,) in enumerate(y.data) if yj]
-        for (xi,), plane in zip(x.data, self.mult):
+                    f"algebra elements must be {n}x1 columns over {F!r}")
+        cube, D = self._cube
+        xs, dx = _ints(F, x.flat())
+        ys, dy = _ints(F, y.flat())
+        ys = [(j, yj) for j, yj in enumerate(ys) if yj]
+        out = [0] * n
+        for xi, plane in zip(xs, cube):
             if xi:
                 for j, yj in ys:
                     c = xi * yj
-                    for k, m in enumerate(plane[j]):
-                        if m:
-                            out[k] = out[k] + c * m
-        return Matrix.col_vector(self.field, out)
+                    for k, m in plane[j]:
+                        out[k] += c * m
+        return Matrix._of_values(F, tuple(zip(_wrap(F, out, dx * dy * D))), 1)
 
     def product(self, elements) -> Matrix:
         out = self.unit_el()
@@ -157,25 +186,18 @@ class FrobeniusAlgebra:
         return out
 
     def trace_of(self, x: Matrix):
-        F = self.field
-        return sum((self.trace[i] * x[i, 0] for i in range(self.dim)), F.zero)
+        tr, dt = self._trace_ints
+        xs, dx = _ints(self.field, x.flat())
+        return _wrap(self.field, [sum(map(mul, tr, xs))], dt * dx)[0]
 
     def gram(self) -> Matrix:
         """G[i][j] = trace(e_i * e_j)."""
         F = self.field
-        n = self.dim
-        return Matrix(
-            F,
-            [
-                [
-                    sum((self.mult[i][j][k] * self.trace[k] for k in range(n)),
-                        F.zero)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-            cols=n,
-        )
+        cube, D = self._cube
+        tr, dt = self._trace_ints
+        return Matrix._of_values(F, tuple(
+            _wrap(F, [sum(m * tr[k] for k, m in pairs) for pairs in plane], D * dt)
+            for plane in cube), self.dim)
 
     def is_commutative(self) -> bool:
         return all(
@@ -285,8 +307,8 @@ def dual_bases(b: FrobeniusAlgebra) -> tuple[tuple, tuple]:
         ginv = b.gram().inverse()
     except SingularMatrix:
         raise DegenerateTrace("trace pairing is singular") from None
-    ys = tuple(Matrix.col_vector(b.field, list(ginv.column(j)))
-               for j in range(b.dim))
+    ys = tuple(Matrix._of_values(b.field, tuple(zip(col)), 1)
+               for col in ginv._columns())
     return b.basis_columns, ys
 
 

@@ -161,6 +161,17 @@ def entries(sparse):
     return ints
 
 
+# The fields the property tests draw from.
+FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
+
+
+def fractions(sparse):
+    """``entries`` over denominators 1-6 (a hypothesis strategy), so scaling
+    to a common denominator has work to do; every denominator is prime to
+    each p in FIELDS."""
+    return st.builds(Fraction, entries(sparse), st.integers(1, 6))
+
+
 # -- open/closed pairs ---------------------------------------------------------
 
 

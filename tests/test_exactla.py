@@ -33,11 +33,10 @@ from defekt.exactla import (
 )
 from defekt.exactla import _is_prime
 
-from factories import entries
+from factories import FIELDS, fractions
 from oracles import naive_rank
 
 F7 = PrimeField(7)
-FIELDS = [QQ, F7, PrimeField(1000003)]
 
 
 def test_rational_field_parse_and_format():
@@ -247,7 +246,7 @@ def matrices(draw, nmax=8, field=None, shape=None):
     if field is None:
         field = draw(st.sampled_from(FIELDS))
     n, m = shape or (draw(st.integers(1, nmax)), draw(st.integers(1, nmax)))
-    scalars = st.builds(Fraction, entries(draw(st.booleans())), st.integers(1, 6))
+    scalars = fractions(draw(st.booleans()))
     rows = draw(
         st.lists(st.lists(scalars, min_size=m, max_size=m),
                  min_size=n, max_size=n)
@@ -313,6 +312,10 @@ def test_product_matches_triple_sum(pair):
                 s += raw(a[i, k]) * raw(b[k, j])
             assert prod[i, j] == F.of(s)
             assert type(prod[i, j]) is type(F.zero)
+    # trace(a a^T) is the sum of the squared entries of a
+    tr = (a * a.transpose()).trace()
+    assert tr == F.of(sum(raw(x) ** 2 for x in a.flat()))
+    assert type(tr) is type(F.zero)
 
 
 @settings(max_examples=60, deadline=None)

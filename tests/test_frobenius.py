@@ -39,8 +39,9 @@ from defekt.frobenius import (
 from defekt.openclosed import check_knowledgeable
 
 from factories import (
+    FIELDS,
     direct_sum,
-    entries,
+    fractions,
     group_algebra_cyclic,
     jordan3_block,
     knowledgeable_pair_cyclic,
@@ -58,45 +59,63 @@ F7 = PrimeField(7)
 # -- products -------------------------------------------------------------------
 
 
-def reference_mul(b, x, y):
-    """x*y as the left-multiplication matrix of x, built entry by entry from
-    the structure constants, times y."""
+def reference_left(b, x):
+    """Rows of the left-multiplication matrix of x, entry by entry from the
+    scalar structure constants."""
     F, n = b.field, b.dim
-    left = Matrix(F, [
-        [sum((x[i, 0] * b.mult[i][j][k] for i in range(n)), F.zero)
-         for j in range(n)]
-        for k in range(n)
-    ], cols=n)
-    return left * y
+    return [[sum((x[i, 0] * b.mult[i][j][k] for i in range(n)), F.zero)
+             for j in range(n)]
+            for k in range(n)]
+
+
+def reference_mul(b, x, y):
+    """x*y as the left-multiplication matrix of x times y, in scalar sums."""
+    F, n = b.field, b.dim
+    left = reference_left(b, x)
+    return b.el([sum((left[k][j] * y[j, 0] for j in range(n)), F.zero)
+                 for k in range(n)])
 
 
 @st.composite
 def cubes(draw, nmax=5):
-    """An algebra over QQ or F_7 with arbitrary (mostly non-associative)
-    structure constants, dense or three-quarters zero."""
-    field = draw(st.sampled_from([QQ, F7]))
+    """An algebra over QQ, F_7 or F_1000003 with arbitrary (mostly
+    non-associative) structure constants and trace of denominators 1-6,
+    dense or three-quarters zero."""
+    field = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(0, nmax))
-    sparse = draw(st.booleans())
-    mult = [[[field.of(draw(entries(sparse))) for _ in range(n)]
+    consts = fractions(draw(st.booleans()))
+    mult = [[[field.of(draw(consts)) for _ in range(n)]
              for _ in range(n)] for _ in range(n)]
-    zeros = [field.zero] * n
+    trace = [field.of(draw(consts)) for _ in range(n)]
     return FrobeniusAlgebra(field, [f"e{i}" for i in range(n)], mult,
-                            zeros, zeros)
+                            [field.zero] * n, trace)
 
 
 @st.composite
 def elements(draw, b):
-    return b.el([draw(entries(draw(st.booleans()))) for _ in range(b.dim)])
+    return b.el([draw(fractions(draw(st.booleans()))) for _ in range(b.dim)])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_mul_matches_left_multiplication_matrix(data):
     b = data.draw(cubes())
+    F, n = b.field, b.dim
     x, y = data.draw(elements(b)), data.draw(elements(b))
     prod = b.mul(x, y)
     assert prod == reference_mul(b, x, y)
-    assert all(type(c) is type(b.field.zero) for c in prod.flat())
+    left = b.left_mult_matrix(x)
+    assert left.data == tuple(map(tuple, reference_left(b, x)))
+    gram = b.gram()
+    assert gram.data == tuple(
+        tuple(sum((b.mult[i][j][k] * b.trace[k] for k in range(n)), F.zero)
+              for j in range(n))
+        for i in range(n))
+    tr = b.trace_of(x)
+    assert tr == sum((b.trace[i] * x[i, 0] for i in range(n)), F.zero)
+    scalar = type(F.zero)
+    assert type(tr) is scalar
+    assert all(type(c) is scalar for m in (prod, left, gram) for c in m.flat())
 
 
 def test_mul_rejects_malformed_elements():
@@ -108,6 +127,34 @@ def test_mul_rejects_malformed_elements():
     for a, c in ((long_x, x), (short, x), (foreign, x), (x, short)):
         with pytest.raises(FieldMismatch):
             B.mul(a, c)
+
+
+def _recast(b, scalar):
+    """b with every constant, unit and trace entry passed through scalar."""
+    mult = [[[scalar(c) for c in row] for row in plane] for plane in b.mult]
+    return FrobeniusAlgebra(b.field, b.names, mult, [scalar(c) for c in b.unit],
+                            [scalar(c) for c in b.trace])
+
+
+def test_int_and_field_value_cubes_agree():
+    # constants are read through field.of: plain ints, and over F_p
+    # Fractions of a denominator prime to p, give the same algebra
+    rng = random.Random(47)
+    o = QQ.one
+    cases = [(b, [int]) for b in (mat2_block(QQ, Fr(3)), group_algebra_cyclic(QQ, 3),
+                                  direct_sum(nilpotent_block(QQ, o, o),
+                                             jordan3_block(QQ, o, o, o)))]
+    cases += [(b, [lambda c: c.v, lambda c: Fr(2 * c.v % 7, 2)])
+              for b in (mat2_block(F7, F7.of(3)), group_algebra_cyclic(F7, 3),
+                        random_symmetric_frobenius(rng, F7))]
+    for b, scalars in cases:
+        x, y = random_element(rng, b), random_element(rng, b)
+        for scalar in scalars:
+            c = _recast(b, scalar)
+            assert type(c.mult[0][0][0]) is not type(b.field.zero)
+            assert c.mul(x, y) == b.mul(x, y)
+            assert verify(c) == verify(b)
+            assert c.hole == b.hole
 
 
 def first_nonassociative(b):
