@@ -52,6 +52,7 @@ __all__ = [
     "field_from_json",
     "hstack",
     "kernel_basis",
+    "poly_gcd",
     "poly_gcd_lcm",
     "rref",
     "vstack",
@@ -438,17 +439,6 @@ def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
     return (tuple(tuple(Fraction(x, prev) if x else zero for x in row)
                   for row in work),
             tuple(pivots))
-
-
-def _dot(xs, ys, field: Field):
-    if field.char:
-        return FpValue(sum([x.v * y.v for x, y in zip(xs, ys)]), field.char)
-    # A zero factor adds nothing, so skipping it is exact.
-    s = field.zero
-    for x, y in zip(xs, ys):
-        if x and y:
-            s = s + x * y
-    return s
 
 
 class Echelon:
@@ -974,14 +964,18 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     return m.kernel_basis()
 
 
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid's algorithm; gcd(0, 0) = 0."""
+    a._check_field(b)
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def poly_gcd_lcm(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Monic gcd and monic lcm.  gcd(0, 0) = 0; lcm(a, 0) = 0 for a != 0;
     lcm(0, 0) raises BothZero."""
-    a._check_field(b)
-    g, h = a, b
-    while not h.is_zero():
-        g, h = h, g % h
-    g = g.monic()
+    g = poly_gcd(a, b)
     if a.is_zero() and b.is_zero():
         raise BothZero("lcm of two zero polynomials is undefined")
     if a.is_zero() or b.is_zero():

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetMismatch, FieldMismatch, PoleAtZero, SchemaError
-from .exactla import Field, Matrix, Polynomial
+from .exactla import Field, Matrix, Polynomial, poly_gcd
 
 __all__ = [
     "CircularRepresentation",
@@ -229,11 +229,12 @@ class RationalFunction1:
         if num.is_zero():
             den = Polynomial.one(field)
         else:
-            g, h = num, den
-            while not h.is_zero():
-                g, h = h, g % h
-            num = num // g
-            den = den // g
+            # g is monic, so a constant g is 1; the scalar the plain Euclid
+            # remainder would carry is absorbed by the normalization below
+            g = poly_gcd(num, den)
+            if g.deg > 0:
+                num = num // g
+                den = den // g
         c0 = den.coeff(0)
         if c0 != field.one:
             inv = field.one / c0

@@ -24,10 +24,12 @@ word saturation.  The quotient carries:
 - the arc subalgebra U generated by decorated arcs,
 
 with dim U = dim (U intersect matrix part) + dim K, and K a symmetric
-Frobenius algebra under the circle-closure trace.  One row reduction of the
-closure functionals on the generators gives the basis, the class of every
-generator and these dimensions; K is the kernel of the A(+) action on that
-basis, and a class in K has its K coordinates at the kernel's free columns.
+Frobenius algebra under the circle-closure trace.  Triples are flat vectors
+and the quotient is three fixed matrices on them (``PairAlgebra``): one row
+reduction of the functionals on the generators, Fmat = L * G, gives the
+basis, the class of every generator and these dimensions; K is the kernel of
+the A(+) action on that basis, and a class in K has its K coordinates at the
+kernel's free columns.  The classes of many triples are one product with M.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .errors import (
     FieldMismatch,
     SchemaError,
 )
-from .exactla import Echelon, Field, Matrix, _dot, field_from_json, hstack, vstack
+from .exactla import Echelon, Field, Matrix, field_from_json, hstack, vstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -240,11 +242,17 @@ class PairAlgebra:
 
     Elements are coordinate column vectors over a deterministic basis of
     classes (pivot generators among decorated arcs followed by
-    half-interval pairs).  One rref, of the closure functionals on the
-    generators, gives the basis, the class of every generator and the
-    dimensions.  Exposed structure: the unit, the arc subalgebra
-    dimension, the matrix-part unit and its complement ``one_K``, the
-    kernel ideal K with its closure trace, and the word projections into K.
+    half-interval pairs).  A triple is one vector of V = flat(phi) ++
+    flat(rho) ++ flat(y), and three fixed matrices on V hold the quotient:
+    ``L``, the functionals (k^2 rows picking out phi + y, then the closure
+    covector of each arc word), whose one rref on the generators G,
+    ``Fmat = L * G``, gives the basis, the generator classes and the
+    dimensions; ``B``, whose columns are the flat ``basis_triples``, so
+    ``B * x`` is the triple of the class x; and ``M``, so that ``M * v``
+    is the class of the triple v.  Exposed structure: the unit, the arc
+    subalgebra dimension, the matrix-part unit and its complement
+    ``one_K``, the kernel ideal K with its closure trace, and the word
+    projections into K.
     """
 
     def __init__(self, theory: "Theory"):
@@ -264,11 +272,11 @@ class PairAlgebra:
 
         # generators: decorated arcs, then half-interval pairs E_ij
         gens: list[tuple] = []
-        self._closers = []
+        closers = []
         for w in words:
             phi_w, rho_w = ss.act(w), circ.act(w)
             gens.append((phi_w, rho_w, Matrix.zeros(F, k, k)))
-            self._closers.append(self._closer(phi_w, rho_w))
+            closers.append(self._closer(phi_w, rho_w))
         zero_m = Matrix.zeros(F, m, m)
         for i in range(k):
             for j in range(k):
@@ -277,15 +285,20 @@ class PairAlgebra:
                 gens.append((Matrix.zeros(F, k, k), zero_m, Matrix(F, e, cols=k)))
         self._gens = gens
 
-        # closure functionals: action on A(+) entrywise, then circle
-        # closures against each saturation word.  Column c of the rref holds,
-        # in its first dim rows, the class of generator c in the basis of
-        # pivot generators.
-        cols = [self._fvals(t) for t in gens]
-        Fmat = Matrix(F, [list(col) for col in zip(*cols)], cols=len(cols))
+        # functionals: action on A(+) entrywise (phi + y), then circle
+        # closures against each saturation word.  Column c of the rref
+        # holds, in its first dim rows, the class of generator c in the
+        # basis of pivot generators.
+        n = 2 * k * k + m * m
+        z, o = F.zero, F.one
+        picks = [tuple(o if c in (r, k * k + m * m + r) else z for c in range(n))
+                 for r in range(k * k)]
+        self.L = Matrix._of_values(F, tuple(picks + closers), n)
+        Fmat = self.L * _flat_columns(F, gens, n)
         R, pivots = Fmat.rref()
         dim = self.dim = len(pivots)
         self.basis_triples = [gens[i] for i in pivots]
+        self.B = _flat_columns(F, self.basis_triples, n)
 
         def gen_class(c):
             return Matrix._of_values(F, tuple((R.data[r][c],) for r in range(dim)), 1)
@@ -303,15 +316,14 @@ class PairAlgebra:
         self.U_dim = sum(1 for c in pivots if c < W)
         self.U_prime_dim = self.U_dim + k * k - dim
 
+        # L * B restricted to independent rows is invertible, and its
+        # inverse carries those functionals of a triple to its class
         Fb = Matrix._of_values(F, tuple(tuple(row[c] for c in pivots)
                                         for row in Fmat.data), dim)
         _, row_piv = Fb.transpose().rref()
-        # coords evaluates only the selected functionals: flat entries
-        # first, then closers (row_piv ascends)
-        self._sel_flat = [r for r in row_piv if r < k * k]
-        self._sel_closers = [self._closers[r - k * k] for r in row_piv if r >= k * k]
-        self._solver = Matrix._of_values(
-            F, tuple(Fb.data[r] for r in row_piv), dim).inverse()
+        solver = Matrix._of_values(F, tuple(Fb.data[r] for r in row_piv), dim).inverse()
+        self.M = solver * Matrix._of_values(
+            F, tuple(self.L.data[r] for r in row_piv), n)
 
         # kernel ideal: classes acting by zero on A(+), the kernel of the
         # first k^2 functionals on the basis.  Basis vector i is 1 at the
@@ -328,46 +340,45 @@ class PairAlgebra:
 
     # The closure of (phi, rho, y) against the arc carrying w is
     # trace(D*rho*rho_w) + trace(phi_w*y).  With trace(AB) = sum A_ij B_ji
-    # it is one dot product of flat(D*rho) + flat(y) with the flattened
-    # transposes of rho_w and phi_w.
+    # it is the covector 0 on phi, flat((rho_w*D)^T) on rho and flat(phi_w^T)
+    # on y.
 
-    @staticmethod
-    def _closer(phi_w, rho_w) -> tuple:
-        return rho_w.transpose().flat() + phi_w.transpose().flat()
+    def _closer(self, phi_w, rho_w) -> tuple:
+        return ((self.field.zero,) * (self.k * self.k)
+                + (rho_w * self.circ.weight).transpose().flat()
+                + phi_w.transpose().flat())
 
-    def _closure_vec(self, rho, y) -> tuple:
-        return (self.circ.weight * rho).flat() + y.flat()
+    def _closer_row(self, word) -> Matrix:
+        c = self._closer(self.statespace.act(word), self.circ.act(word))
+        return Matrix._of_values(self.field, (c,), len(c))
 
-    def _fvals(self, triple) -> list:
-        phi, rho, y = triple
-        out = list((phi + y).flat())
-        v = self._closure_vec(rho, y)
-        out.extend(_dot(v, c, self.field) for c in self._closers)
-        return out
+    def _fvals(self, triple) -> tuple:
+        return (self.L * _flat_columns(self.field, [triple], self.L.cols)).flat()
+
+    def _classes(self, triples) -> Matrix:
+        """The classes of the triples, as the columns of one product."""
+        return self.M * _flat_columns(self.field, triples, self.M.cols)
+
+    def _triples(self, x: Matrix) -> list:
+        """The triples of the classes in the columns of x."""
+        F, k, m = self.field, self.k, self.m
+        blocks = ((0, k), (k * k, m), (k * k + m * m, k))  # (offset, side)
+        return [tuple(Matrix._of_values(F, tuple(v[o + i * d:o + (i + 1) * d]
+                                                 for i in range(d)), d)
+                      for o, d in blocks)
+                for v in (self.B * x)._columns()]
+
+    def _products(self, x: Matrix) -> Matrix:
+        """Column i * n + j is the class of x_i * x_j, for the n columns of x."""
+        ts = self._triples(x)
+        return self._classes([self._triple_mul(s, t) for s in ts for t in ts])
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
-        phi, rho, y = triple
-        pf, yf = phi.flat(), y.flat()
-        v = self._closure_vec(rho, y)
-        sel = ([pf[r] + yf[r] for r in self._sel_flat]
-               + [_dot(v, c, self.field) for c in self._sel_closers])
-        return self._solver * Matrix.col_vector(self.field, sel)
+        return self._classes([triple])
 
     def triple_of(self, coords: Matrix) -> tuple:
-        F = self.field
-        phi = Matrix.zeros(F, self.k, self.k)
-        rho = Matrix.zeros(F, self.m, self.m)
-        y = Matrix.zeros(F, self.k, self.k)
-        for i in range(self.dim):
-            c = coords[i, 0]
-            if c == F.zero:
-                continue
-            t = self.basis_triples[i]
-            phi = phi + t[0].scale(c)
-            rho = rho + t[1].scale(c)
-            y = y + t[2].scale(c)
-        return phi, rho, y
+        return self._triples(coords)[0]
 
     @staticmethod
     def _triple_mul(t1, t2) -> tuple:
@@ -383,25 +394,22 @@ class PairAlgebra:
 
     def arc_class(self, word) -> Matrix:
         """Class of the arc decorated by the given word."""
-        phi = self.statespace.act(word)
-        rho = self.circ.act(word)
-        return self.coords((phi, rho, Matrix.zeros(self.field, self.k, self.k)))
+        return self.coords((self.statespace.act(word), self.circ.act(word),
+                            Matrix.zeros(self.field, self.k, self.k)))
 
     def closure_value(self, x: Matrix, word=()) -> object:
         """Circle closure of a class against a word: the scalar obtained by
         closing the pair off with an arc carrying the word."""
-        _, rho, y = self.triple_of(x)
-        closer = self._closer(self.statespace.act(word), self.circ.act(word))
-        return _dot(self._closure_vec(rho, y), closer, self.field)
+        return (self._closer_row(word) * (self.B * x))[0, 0]
 
     # -- kernel ideal ------------------------------------------------------
 
     def to_K_coords(self, coords: Matrix) -> Matrix:
         # a class in K has its K-coordinates at the free columns
-        if coords.rows != self.dim:
-            raise FieldMismatch("class coordinates have the wrong length")
-        z = Matrix(self.field, [coords.data[r] for r in self._K_free],
-                   cols=coords.cols)
+        if coords.field != self.field or coords.rows != self.dim:
+            raise FieldMismatch("class coordinates have the wrong field or length")
+        z = Matrix._of_values(self.field, tuple(coords.data[r] for r in self._K_free),
+                              coords.cols)
         if self._K_mat * z != coords:
             raise DefektError("class does not lie in the kernel ideal")
         return z
@@ -410,12 +418,17 @@ class PairAlgebra:
         return self._K_mat * z
 
     @cached_property
-    def _K_trace(self) -> tuple:
-        # the closure trace trace(D*rho) + trace(y) is linear, so it is
-        # read once per basis triple and carried to K's basis
-        tr = [(self.circ.weight * rho).trace() + y.trace()
-              for _, rho, y in self.basis_triples]
-        return tuple(_dot(b.flat(), tr, self.field) for b in self.K_basis)
+    def _K_trace(self) -> Matrix:
+        # the closure trace trace(D*rho) + trace(y) is the closure against
+        # the empty arc, a row on K's basis
+        return self._closer_row(()) * self.B * self._K_mat
+
+
+def _flat_columns(F: Field, triples, n: int) -> Matrix:
+    """The triples as the columns of an n-row matrix, each flattened to
+    flat(phi) ++ flat(rho) ++ flat(y)."""
+    return Matrix._of_values(F, tuple(phi.flat() + rho.flat() + y.flat()
+                                      for phi, rho, y in triples), n).transpose()
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,38 +477,32 @@ def project_word(pa: PairAlgebra, word) -> Matrix:
     """K-coordinates of the kernel projection of the arc class of a word:
     one_K * arc(word) (equal to arc(word) * one_K)."""
     phi = pa.statespace.act(word)
-    rho = pa.circ.act(word)
-    triple = (phi, rho, -phi)
-    return pa.to_K_coords(pa.coords(triple))
+    return pa.to_K_coords(pa.coords((phi, pa.circ.act(word), -phi)))
 
 
 def trace_K(pa: PairAlgebra, x: Matrix):
     """Closure trace on the kernel ideal (coordinates over K's basis)."""
     if x.field != pa.field or x.rows != pa.K_dim or x.cols != 1:
         raise FieldMismatch("kernel coordinates must be a K_dim x 1 column")
-    return _dot(x.flat(), pa._K_trace, pa.field)
+    return (pa._K_trace * x)[0, 0]
 
 
 def frobenius_of_K(pa: PairAlgebra):
     """The kernel ideal as a symmetric Frobenius algebra (unit one_K,
     closure trace).  Zero-dimensional K gives the zero algebra, flagged
-    empty."""
+    empty.  The n^2 products of basis triples are classed by one product
+    with ``pa.M``."""
     from .frobenius import FrobeniusAlgebra
 
     F = pa.field
     n = pa.K_dim
-    names = [f"k{i}" for i in range(n)]
     if n == 0:
         return FrobeniusAlgebra(F, (), (), (), ())
-    triples = [pa.triple_of(b) for b in pa.K_basis]
-    mult = tuple(
-        tuple(tuple(pa.to_K_coords(pa.coords(pa._triple_mul(s, t))).flat())
-              for t in triples)
-        for s in triples
-    )
+    cols = pa.to_K_coords(pa._products(pa._K_mat))._columns()
+    mult = tuple(cols[i * n:(i + 1) * n] for i in range(n))
     unit = tuple(pa.to_K_coords(pa.one_K).flat())
-    trace = pa._K_trace
-    return FrobeniusAlgebra(F, tuple(names), mult, unit, trace)
+    return FrobeniusAlgebra(F, tuple(f"k{i}" for i in range(n)), mult, unit,
+                            pa._K_trace.flat())
 
 
 @dataclass(frozen=True)
@@ -512,22 +519,16 @@ class IdempotentReport:
 
 def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
     els = [pa.one_K] + [pa.I_coords[i][i] for i in range(pa.k)]
-    triples = [pa.triple_of(e) for e in els]
-
-    def mul(i, j):
-        return pa.coords(pa._triple_mul(triples[i], triples[j]))
-
-    each = all(mul(i, i) == e for i, e in enumerate(els))
-    orth = all(mul(i, j).is_zero()
-               for i in range(len(els)) for j in range(len(els)) if i != j)
-    total = els[0]
-    for e in els[1:]:
-        total = total + e
+    n = len(els)
+    cols = pa._products(hstack(els))._columns()
+    each = all(cols[i * n + i] == e.flat() for i, e in enumerate(els))
+    orth = all(not any(cols[i * n + j])
+               for i in range(n) for j in range(n) if i != j)
     return IdempotentReport(
         idempotents=tuple(els),
         each_idempotent=each,
         orthogonal=orth,
-        sum_is_unit=(total == pa.unit),
+        sum_is_unit=(sum(els[1:], els[0]) == pa.unit),
     )
 
 

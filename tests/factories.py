@@ -4,7 +4,8 @@ Random symmetric Frobenius algebras are assembled from blocks that are
 Frobenius by construction (a point, k[x]/(x^2), k[x]/(x^3), 2x2 matrices)
 and then hidden behind a random change of basis, so tests exercise the
 engine on algebras with no visible block structure.  ``theory_corpus``
-returns the fixed list of theories the property suites sweep.
+returns the fixed list of theories the property suites sweep, and
+``presentations`` draws random ones.
 """
 from fractions import Fraction
 
@@ -288,3 +289,30 @@ def theory_corpus() -> list[tuple[str, Theory]]:
         ("tqft_fib", tqft_theory(QQ, _rat(QQ, ["1", "1"], ["1", "-1", "-1"]))),
     ]
     return out
+
+
+@st.composite
+def presentations(draw):
+    """An interval presentation and circle data over QQ or F_7, of
+    dimension at most 3 so that the arc oracle's word lists stay short.
+    The circle weight commutes with the letters: c * I for two letters, a
+    polynomial in the letter for one."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    nl = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    sparse = draw(st.booleans())
+
+    def mat(r, c):
+        rows = draw(st.lists(st.lists(entries(sparse), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        return Matrix(field, rows, cols=c)
+
+    rep = LinearRepresentation(field, nl, n, mat(1, n),
+                               [mat(n, n) for _ in range(nl)], mat(n, 1))
+    letters = [mat(m, m) for _ in range(nl)]
+    degree = 1 if nl == 2 else m
+    coeffs = draw(st.lists(entries(False), min_size=degree, max_size=degree))
+    weight = sum(((letters[0] ** i).scale(c) for i, c in enumerate(coeffs)),
+                 Matrix.zeros(field, m, m))
+    return rep, CircularRepresentation(field, nl, m, letters, weight)

@@ -4,13 +4,15 @@ Everything here is deliberately naive and separate from the package's own
 algorithms: determinants by Laplace expansion, ranks by enumerating square
 minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
-families by testing every word in turn.  Slow, but unarguable on small
-inputs.
+families by testing every word in turn, pair-algebra products classed one
+pair at a time.  Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from defekt.exactla import Matrix
 
 
 def naive_det(rows):
@@ -155,3 +157,50 @@ def companion_trace_powers(g_coeffs, n):
                 s -= c[d - i] * p[k - i]
         p.append(s)
     return p
+
+
+def triple_by_sum(pa, x):
+    """The spanning triple of a pair-algebra class: the basis triples
+    scaled by its coordinates and added one by one."""
+    F = pa.field
+    out = [Matrix.zeros(F, pa.k, pa.k), Matrix.zeros(F, pa.m, pa.m),
+           Matrix.zeros(F, pa.k, pa.k)]
+    for c, t in zip(x.flat(), pa.basis_triples):
+        if c:
+            out = [a + b.scale(c) for a, b in zip(out, t)]
+    return tuple(out)
+
+
+def products_by_pairs(pa, xs):
+    """prods[i][j] is the class of xs[i] * xs[j], one ``coords`` call for
+    each pair."""
+    ts = [triple_by_sum(pa, x) for x in xs]
+    return [[pa.coords(pa._triple_mul(s, t)) for t in ts] for s in ts]
+
+
+def kernel_algebra_by_pairs(pa):
+    """(mult, unit, trace) of the kernel ideal K: the product of each pair
+    of basis elements in K coordinates, the K coordinates of one_K, and the
+    closure trace trace(D*rho) + trace(y) of each basis triple."""
+    mult = tuple(tuple(tuple(pa.to_K_coords(p).flat()) for p in row)
+                 for row in products_by_pairs(pa, pa.K_basis))
+    unit = tuple(pa.to_K_coords(pa.one_K).flat())
+    trace = []
+    for b in pa.K_basis:
+        _, rho, y = triple_by_sum(pa, b)
+        trace.append((pa.circ.weight * rho).trace() + y.trace())
+    return mult, unit, tuple(trace)
+
+
+def idempotent_flags_by_pairs(pa):
+    """(each idempotent, orthogonal, sum is the unit) for one_K and the
+    diagonal matrix units."""
+    els = [pa.one_K] + [pa.I_coords[i][i] for i in range(pa.k)]
+    prods = products_by_pairs(pa, els)
+    n = len(els)
+    total = els[0]
+    for e in els[1:]:
+        total = total + e
+    return (all(prods[i][i] == els[i] for i in range(n)),
+            all(prods[i][j].is_zero() for i in range(n) for j in range(n) if i != j),
+            total == pa.unit)

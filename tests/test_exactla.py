@@ -28,6 +28,7 @@ from defekt.exactla import (
     field_from_json,
     hstack,
     kernel_basis,
+    poly_gcd,
     poly_gcd_lcm,
     rref,
 )
@@ -215,6 +216,15 @@ def test_poly_gcd_lcm():
     assert g0 == a.monic() and l0.is_zero()
     with pytest.raises(BothZero):
         poly_gcd_lcm(Polynomial.zero(QQ), Polynomial.zero(QQ))
+
+
+def test_poly_gcd_is_the_gcd_of_poly_gcd_lcm():
+    t = Polynomial(QQ, [0, 1])
+    a = (t * t).scale(3)
+    b = t * Polynomial(QQ, [-1, 1])
+    assert poly_gcd(a, b) == poly_gcd_lcm(a, b)[0] == t
+    assert poly_gcd(Polynomial.zero(QQ), b) == b.monic()
+    assert poly_gcd(Polynomial.zero(QQ), Polynomial.zero(QQ)).is_zero()
 
 
 def test_poly_gcd_is_monic_even_with_scalar_factors():

@@ -23,6 +23,7 @@ from defekt.series import (
     word_to_str,
 )
 
+from factories import FIELDS, fractions
 from oracles import min_rotation, rational_series
 
 F7 = PrimeField(7)
@@ -106,6 +107,41 @@ def test_rational_normalization_and_reduction():
     assert z.num == Polynomial(QQ, [Fraction(1, 2), Fraction(1, 2)])
     assert rat([0], [5, 1]).is_zero()
     assert rat([1], [1]) == rat([2], [2])
+
+
+def reduced_by_plain_euclid(field, num, den):
+    """num/den divided by the last nonzero Euclid remainder, which is not
+    made monic, then scaled to den(0) = 1."""
+    if num.is_zero():
+        return num, Polynomial.one(field)
+    g, h = num, den
+    while not h.is_zero():
+        g, h = h, g % h
+    num, den = num // g, den // g
+    inv = field.one / den.coeff(0)
+    return num.scale(inv), den.scale(inv)
+
+
+@st.composite
+def fractions_with_a_common_factor(draw):
+    """(field, a*c, b*c) with b(0) and c(0) nonzero, over QQ or F_p."""
+    field = draw(st.sampled_from(FIELDS))
+
+    def poly(max_deg, nonzero_at_0):
+        c0 = draw(fractions(False).filter(bool) if nonzero_at_0 else fractions(True))
+        rest = draw(st.lists(fractions(False), max_size=max_deg))
+        return Polynomial(field, [c0] + rest)
+
+    c = poly(2, True)
+    return field, poly(3, False) * c, poly(3, True) * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_with_a_common_factor())
+def test_reduction_by_the_monic_gcd_matches_plain_euclid(case):
+    field, num, den = case
+    z = RationalFunction1(field, num, den)
+    assert (z.num, z.den) == reduced_by_plain_euclid(field, num, den)
 
 
 def test_rational_arithmetic():

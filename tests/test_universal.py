@@ -34,13 +34,18 @@ from defekt.universal import (
 from factories import (
     empty_alphabet_theory,
     one_letter_theory,
+    presentations,
     theory_corpus,
     two_letter_theory,
     zero_interval_theory,
     _rat,
-    entries,
 )
-from oracles import greedy_words, words_upto
+from oracles import (
+    greedy_words,
+    idempotent_flags_by_pairs,
+    kernel_algebra_by_pairs,
+    words_upto,
+)
 
 
 def ex2_theory(field=QQ):
@@ -119,28 +124,6 @@ def test_minimize_dim_is_hankel_rank():
         assert ss.dim == hankel.rank()
         for w in words:
             assert ss.value(w) == rep.value(w)
-
-
-@st.composite
-def presentations(draw):
-    """An interval presentation and circle letters over QQ or F_7, of
-    dimension at most 3 so that the arc oracle's word lists stay short."""
-    field = draw(st.sampled_from([QQ, PrimeField(7)]))
-    nl = draw(st.integers(1, 2))
-    n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
-    sparse = draw(st.booleans())
-
-    def mat(r, c):
-        rows = draw(st.lists(st.lists(entries(sparse), min_size=c, max_size=c),
-                             min_size=r, max_size=r))
-        return Matrix(field, rows, cols=c)
-
-    rep = LinearRepresentation(field, nl, n, mat(1, n),
-                               [mat(n, n) for _ in range(nl)], mat(n, 1))
-    circ = CircularRepresentation(field, nl, m, [mat(m, m) for _ in range(nl)],
-                                  Matrix.identity(field, m))
-    return rep, circ
 
 
 def _units(*ones):
@@ -551,6 +534,50 @@ def test_classes_read_off_the_elimination_match_the_solved_route(case):
                 pa.to_K_coords(x)
         else:
             assert pa.to_K_coords(x) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_batched_classes_match_the_per_pair_route(case):
+    rep, circ = case
+    t = Theory(rep.field, tuple("ab"[:rep.num_letters]), rep, circ)
+    pa = build_pair_algebra(t)
+    K = frobenius_of_K(pa)
+    assert (K.mult, K.unit, K.trace) == kernel_algebra_by_pairs(pa)
+    idem = idempotent_report(pa)
+    assert ((idem.each_idempotent, idem.orthogonal, idem.sum_is_unit)
+            == idempotent_flags_by_pairs(pa))
+    for x in pa.K_basis:
+        assert trace_K(pa, pa.to_K_coords(x)) == pa.closure_value(x)
+
+
+def test_products_are_classed_by_one_product_with_M(monkeypatch):
+    real_coords = universal.PairAlgebra.coords
+    real_mul = Matrix.__mul__
+    calls = {"coords": 0, "M": 0}
+    pa = None
+
+    def counted_coords(self, triple):
+        calls["coords"] += 1
+        return real_coords(self, triple)
+
+    def counted_mul(self, other):
+        if pa is not None and self is pa.M:
+            calls["M"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(universal.PairAlgebra, "coords", counted_coords)
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    seen_K = False
+    for name, t in theory_corpus():
+        pa = build_pair_algebra(t)
+        for run, want in ((frobenius_of_K, int(pa.K_dim > 0)),
+                          (idempotent_report, 1)):
+            calls.update(coords=0, M=0)
+            run(pa)
+            assert calls == {"coords": 0, "M": want}, (name, run.__name__)
+        seen_K = seen_K or pa.K_dim > 0
+    assert seen_K
 
 
 # -- theory JSON ---------------------------------------------------------------
