@@ -28,7 +28,6 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import (
-    AlphabetMismatch,
     BoundaryMismatch,
     DefektError,
     NotClosed,
@@ -37,7 +36,7 @@ from .errors import (
     SizeBound,
 )
 from .exactla import Matrix
-from .series import Word, word_from_json
+from .series import Word, _check_word, word_from_json
 from .universal import Theory
 
 __all__ = [
@@ -262,14 +261,6 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 # -- gluing -------------------------------------------------------------------
 
 
-def _check_letters(num_letters: int, word) -> None:
-    for a in word:
-        if not isinstance(a, int) or a < 0 or a >= num_letters:
-            raise AlphabetMismatch(
-                f"letter index {a!r} outside alphabet of size {num_letters}"
-            )
-
-
 def _glued_end(d_idx: int, ref: tuple) -> tuple:
     side, i = ref
     if d_idx == 0:
@@ -291,7 +282,7 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
     nl = len(t.alphabet)
     for d in (d1, d2):
         for c in d.components:
-            _check_letters(nl, c.word)
+            _check_word(nl, c.word)
 
     floats: list = []
     segs: list[dict] = []

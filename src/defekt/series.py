@@ -9,8 +9,8 @@ Both are presented finitely:
   style, one matrix per letter);
 - :class:`CircularRepresentation` gives circle values as
   ``trace(weight * letters[w1] * ... * letters[wn])``, with the weight
-  commuting with every letter so the value only depends on the rotation
-  class;
+  commuting with every letter of a larger alphabet so the value only
+  depends on the rotation class;
 - :class:`RationalFunction1` covers the one-letter case by a rational
   generating function P/Q with Q(0) != 0, the n-th Taylor coefficient being
   the value on the word with n letters.
@@ -131,16 +131,16 @@ class CircularRepresentation:
     """Finite presentation of a circular evaluation:
     value(w) = trace(weight * letters[w1] * ... * letters[wn]).
 
-    The weight must commute with every letter matrix so the value is
-    rotation-invariant; this is validated at construction.  For alphabets
-    with at most one letter rotation invariance is automatic, and the
-    internal one-variable constructor uses that to skip the check.
+    For two or more letters the weight must commute with every letter
+    matrix so the value is rotation-invariant; this is validated at
+    construction.  With at most one letter every rotation of a word is the
+    word itself, so any weight will do.
     """
 
     __slots__ = ("field", "num_letters", "dim", "letters", "weight")
 
     def __init__(self, field: Field, num_letters: int, dim: int, letters,
-                 weight: Matrix, _check_central: bool = True):
+                 weight: Matrix):
         letters = tuple(letters)
         if len(letters) != num_letters:
             raise FieldMismatch("one matrix per alphabet letter is required")
@@ -153,7 +153,7 @@ class CircularRepresentation:
                 raise FieldMismatch(f"letter matrices must be {dim}x{dim}")
             if m.field != field:
                 raise FieldMismatch("letter matrix over the wrong field")
-        if _check_central or num_letters >= 2:
+        if num_letters >= 2:
             for i, m in enumerate(letters):
                 if weight * m != m * weight:
                     raise FieldMismatch(
@@ -196,10 +196,8 @@ class CircularRepresentation:
                 )
         r = rational_to_rep(z)
         weight = r.final * r.init
-        return CircularRepresentation(
-            z.field, num_letters, r.dim, r.letters[:num_letters] or (),
-            weight, _check_central=False,
-        )
+        return CircularRepresentation(z.field, num_letters, r.dim,
+                                      r.letters[:num_letters], weight)
 
 
 def eval_interval(rep: LinearRepresentation, word):

@@ -11,13 +11,15 @@ vectors are independent.
 
 ``build_pair_algebra`` constructs the state space of a +- boundary pair as
 a quotient of a concrete spanning model.  A spanning element is a triple
-(Phi, R, Y): Phi is the A(+) action of an arc joining the two boundary
+(Phi, R, A): Phi is the A(+) action of an arc joining the two boundary
 points, R is the circle-presentation matrix recording how that arc closes
-into circles, and Y is a pure endomorphism of A(+) coming from a pair of
-half-intervals.  Products follow (Phi1*Phi2, R1*R2, Phi1*Y2 + Y1*Phi2 +
-Y1*Y2), and an element is negligible exactly when it acts by zero on A(+)
-and every circle closure vanishes; both conditions are finite thanks to
-word saturation.  The quotient carries:
+into circles, and A is the action of the whole element on A(+): Phi for an
+arc, the matrix unit E_ij for a pair of half-intervals.  Products are
+componentwise, (Phi1*Phi2, R1*R2, A1*A2), and the quotient splits as
+Mat_k x K: the E_ij span the matrix part, acting on A(+), and K is
+everything acting by zero.  An element is negligible exactly when A
+vanishes and every circle closure vanishes; both conditions are finite
+thanks to word saturation.  The quotient carries:
 
 - the matrix ideal of half-interval pairs (dimension k^2),
 - the kernel ideal K of elements acting by zero on A(+),
@@ -33,12 +35,12 @@ kernel's free columns.  The classes of many triples are one product with M.
 """
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    AlphabetMismatch,
     DefektError,
     FieldMismatch,
     SchemaError,
@@ -48,6 +50,7 @@ from .series import (
     CircularRepresentation,
     LinearRepresentation,
     Word,
+    _check_word,
     circrep_from_json,
     linrep_from_json,
     rational1_from_json,
@@ -108,11 +111,7 @@ class StateSpace:
 
     def act(self, word) -> Matrix:
         m = Matrix.identity(self.field, self.dim)
-        for a in word:
-            if a < 0 or a >= self.num_letters:
-                raise AlphabetMismatch(
-                    f"letter index {a!r} outside alphabet of size {self.num_letters}"
-                )
+        for a in _check_word(self.num_letters, word):
             m = m * self.action[a]
         return m
 
@@ -242,10 +241,12 @@ class PairAlgebra:
 
     Elements are coordinate column vectors over a deterministic basis of
     classes (pivot generators among decorated arcs followed by
-    half-interval pairs).  A triple is one vector of V = flat(phi) ++
-    flat(rho) ++ flat(y), and three fixed matrices on V hold the quotient:
-    ``L``, the functionals (k^2 rows picking out phi + y, then the closure
-    covector of each arc word), whose one rref on the generators G,
+    half-interval pairs).  A triple (phi, rho, a) holds the arc action, the
+    circle matrix and the action a on A(+); triples multiply componentwise.
+    A triple is one vector of V = flat(phi) ++ flat(rho) ++ flat(a), and
+    three fixed matrices on V hold the quotient: ``L``, the functionals
+    (k^2 rows picking out the entries of a, then the closure covector of
+    each arc word), whose one rref on the generators G,
     ``Fmat = L * G``, gives the basis, the generator classes and the
     dimensions; ``B``, whose columns are the flat ``basis_triples``, so
     ``B * x`` is the triple of the class x; and ``M``, so that ``M * v``
@@ -270,12 +271,13 @@ class PairAlgebra:
         self.arc_words = words
         W = len(words)
 
-        # generators: decorated arcs, then half-interval pairs E_ij
+        # generators: decorated arcs, acting on A(+) by phi_w, then
+        # half-interval pairs E_ij, acting by E_ij
         gens: list[tuple] = []
         closers = []
         for w in words:
             phi_w, rho_w = ss.act(w), circ.act(w)
-            gens.append((phi_w, rho_w, Matrix.zeros(F, k, k)))
+            gens.append((phi_w, rho_w, phi_w))
             closers.append(self._closer(phi_w, rho_w))
         zero_m = Matrix.zeros(F, m, m)
         for i in range(k):
@@ -285,13 +287,13 @@ class PairAlgebra:
                 gens.append((Matrix.zeros(F, k, k), zero_m, Matrix(F, e, cols=k)))
         self._gens = gens
 
-        # functionals: action on A(+) entrywise (phi + y), then circle
+        # functionals: action on A(+) entrywise (the a block), then circle
         # closures against each saturation word.  Column c of the rref
         # holds, in its first dim rows, the class of generator c in the
         # basis of pivot generators.
         n = 2 * k * k + m * m
         z, o = F.zero, F.one
-        picks = [tuple(o if c in (r, k * k + m * m + r) else z for c in range(n))
+        picks = [tuple(o if c == k * k + m * m + r else z for c in range(n))
                  for r in range(k * k)]
         self.L = Matrix._of_values(F, tuple(picks + closers), n)
         Fmat = self.L * _flat_columns(F, gens, n)
@@ -338,22 +340,20 @@ class PairAlgebra:
 
     # -- coordinates -------------------------------------------------------
 
-    # The closure of (phi, rho, y) against the arc carrying w is
-    # trace(D*rho*rho_w) + trace(phi_w*y).  With trace(AB) = sum A_ij B_ji
-    # it is the covector 0 on phi, flat((rho_w*D)^T) on rho and flat(phi_w^T)
-    # on y.
+    # The closure of (phi, rho, a) against the arc carrying w is
+    # trace(D*rho*rho_w) + trace(phi_w*(a - phi)): the circle, plus the
+    # half-interval part a - phi closed up through phi_w.  With
+    # trace(AB) = sum A_ij B_ji it is the covector -flat(phi_w^T) on phi,
+    # flat((rho_w*D)^T) on rho and flat(phi_w^T) on a.
 
     def _closer(self, phi_w, rho_w) -> tuple:
-        return ((self.field.zero,) * (self.k * self.k)
+        return ((-phi_w).transpose().flat()
                 + (rho_w * self.circ.weight).transpose().flat()
                 + phi_w.transpose().flat())
 
     def _closer_row(self, word) -> Matrix:
         c = self._closer(self.statespace.act(word), self.circ.act(word))
         return Matrix._of_values(self.field, (c,), len(c))
-
-    def _fvals(self, triple) -> tuple:
-        return (self.L * _flat_columns(self.field, [triple], self.L.cols)).flat()
 
     def _classes(self, triples) -> Matrix:
         """The classes of the triples, as the columns of one product."""
@@ -371,7 +371,7 @@ class PairAlgebra:
     def _products(self, x: Matrix) -> Matrix:
         """Column i * n + j is the class of x_i * x_j, for the n columns of x."""
         ts = self._triples(x)
-        return self._classes([self._triple_mul(s, t) for s in ts for t in ts])
+        return self._classes([tuple(map(operator.mul, s, t)) for s in ts for t in ts])
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
@@ -380,22 +380,15 @@ class PairAlgebra:
     def triple_of(self, coords: Matrix) -> tuple:
         return self._triples(coords)[0]
 
-    @staticmethod
-    def _triple_mul(t1, t2) -> tuple:
-        return (
-            t1[0] * t2[0],
-            t1[1] * t2[1],
-            t1[0] * t2[2] + t1[2] * t2[0] + t1[2] * t2[2],
-        )
-
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
         """Product of two classes given in quotient coordinates."""
-        return self.coords(self._triple_mul(self.triple_of(x), self.triple_of(y)))
+        s, t = self.triple_of(x), self.triple_of(y)
+        return self.coords(tuple(map(operator.mul, s, t)))
 
     def arc_class(self, word) -> Matrix:
         """Class of the arc decorated by the given word."""
-        return self.coords((self.statespace.act(word), self.circ.act(word),
-                            Matrix.zeros(self.field, self.k, self.k)))
+        phi = self.statespace.act(word)
+        return self.coords((phi, self.circ.act(word), phi))
 
     def closure_value(self, x: Matrix, word=()) -> object:
         """Circle closure of a class against a word: the scalar obtained by
@@ -419,16 +412,16 @@ class PairAlgebra:
 
     @cached_property
     def _K_trace(self) -> Matrix:
-        # the closure trace trace(D*rho) + trace(y) is the closure against
-        # the empty arc, a row on K's basis
+        # the closure trace trace(D*rho) + trace(a - phi) is the closure
+        # against the empty arc, a row on K's basis
         return self._closer_row(()) * self.B * self._K_mat
 
 
 def _flat_columns(F: Field, triples, n: int) -> Matrix:
     """The triples as the columns of an n-row matrix, each flattened to
-    flat(phi) ++ flat(rho) ++ flat(y)."""
-    return Matrix._of_values(F, tuple(phi.flat() + rho.flat() + y.flat()
-                                      for phi, rho, y in triples), n).transpose()
+    flat(phi) ++ flat(rho) ++ flat(a)."""
+    return Matrix._of_values(F, tuple(phi.flat() + rho.flat() + a.flat()
+                                      for phi, rho, a in triples), n).transpose()
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,9 +468,10 @@ def invariant_triple(t: Theory) -> tuple[int, int, int]:
 
 def project_word(pa: PairAlgebra, word) -> Matrix:
     """K-coordinates of the kernel projection of the arc class of a word:
-    one_K * arc(word) (equal to arc(word) * one_K)."""
-    phi = pa.statespace.act(word)
-    return pa.to_K_coords(pa.coords((phi, pa.circ.act(word), -phi)))
+    one_K * arc(word) (equal to arc(word) * one_K): the arc with its action
+    on A(+) zeroed."""
+    return pa.to_K_coords(pa.coords((pa.statespace.act(word), pa.circ.act(word),
+                                     Matrix.zeros(pa.field, pa.k, pa.k))))
 
 
 def trace_K(pa: PairAlgebra, x: Matrix):

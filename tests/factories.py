@@ -295,8 +295,8 @@ def theory_corpus() -> list[tuple[str, Theory]]:
 def presentations(draw):
     """An interval presentation and circle data over QQ or F_7, of
     dimension at most 3 so that the arc oracle's word lists stay short.
-    The circle weight commutes with the letters: c * I for two letters, a
-    polynomial in the letter for one."""
+    Two letters get a circle weight c * I, which commutes with them; one
+    letter gets an arbitrary weight, as a word's rotations are the word."""
     field = draw(st.sampled_from([QQ, PrimeField(7)]))
     nl = draw(st.integers(1, 2))
     n = draw(st.integers(1, 3))
@@ -311,8 +311,8 @@ def presentations(draw):
     rep = LinearRepresentation(field, nl, n, mat(1, n),
                                [mat(n, n) for _ in range(nl)], mat(n, 1))
     letters = [mat(m, m) for _ in range(nl)]
-    degree = 1 if nl == 2 else m
-    coeffs = draw(st.lists(entries(False), min_size=degree, max_size=degree))
-    weight = sum(((letters[0] ** i).scale(c) for i, c in enumerate(coeffs)),
-                 Matrix.zeros(field, m, m))
+    if nl == 1:
+        weight = mat(m, m)
+    else:
+        weight = Matrix.identity(field, m).scale(draw(entries(False)))
     return rep, CircularRepresentation(field, nl, m, letters, weight)

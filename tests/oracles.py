@@ -171,24 +171,34 @@ def triple_by_sum(pa, x):
     return tuple(out)
 
 
+def mixed_product(s, t):
+    """The product of two (phi, rho, a) triples by the paper's mixed rule on
+    y = a - phi, the half-interval part: (phi1 phi2, rho1 rho2, phi1 y2 +
+    y1 phi2 + y1 y2), returned with a = phi + y."""
+    (phi1, rho1, a1), (phi2, rho2, a2) = s, t
+    y1, y2 = a1 - phi1, a2 - phi2
+    phi = phi1 * phi2
+    return (phi, rho1 * rho2, phi + (phi1 * y2 + y1 * phi2 + y1 * y2))
+
+
 def products_by_pairs(pa, xs):
     """prods[i][j] is the class of xs[i] * xs[j], one ``coords`` call for
     each pair."""
     ts = [triple_by_sum(pa, x) for x in xs]
-    return [[pa.coords(pa._triple_mul(s, t)) for t in ts] for s in ts]
+    return [[pa.coords(mixed_product(s, t)) for t in ts] for s in ts]
 
 
 def kernel_algebra_by_pairs(pa):
     """(mult, unit, trace) of the kernel ideal K: the product of each pair
     of basis elements in K coordinates, the K coordinates of one_K, and the
-    closure trace trace(D*rho) + trace(y) of each basis triple."""
+    closure trace trace(D*rho) + trace(a - phi) of each basis triple."""
     mult = tuple(tuple(tuple(pa.to_K_coords(p).flat()) for p in row)
                  for row in products_by_pairs(pa, pa.K_basis))
     unit = tuple(pa.to_K_coords(pa.one_K).flat())
     trace = []
     for b in pa.K_basis:
-        _, rho, y = triple_by_sum(pa, b)
-        trace.append((pa.circ.weight * rho).trace() + y.trace())
+        phi, rho, a = triple_by_sum(pa, b)
+        trace.append((pa.circ.weight * rho).trace() + (a - phi).trace())
     return mult, unit, tuple(trace)
 
 

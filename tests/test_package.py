@@ -17,17 +17,21 @@ def test_every_exported_name_resolves():
 
 
 def test_every_private_function_is_used():
-    # a module-level ``def _x`` must be referenced somewhere in the package
-    # outside its own body
+    # a module-level ``def _x``, or a method ``_x`` of a module-level class,
+    # must be referenced somewhere in the package outside its own body
     private, used = [], set()
     for path in Path(defekt.__path__[0]).glob("*.py"):
         for node in ast.parse(path.read_text()).body:
-            names = ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-                     | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
-            if isinstance(node, ast.FunctionDef):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    private.append(node.name)
-                names.discard(node.name)
-            used |= names
-    assert private
-    assert [name for name in private if name not in used] == []
+            owner, units = "", [node]
+            if isinstance(node, ast.ClassDef):
+                owner, units = f"{node.name}.", node.body + node.decorator_list + node.bases
+            for unit in units:
+                names = ({n.id for n in ast.walk(unit) if isinstance(n, ast.Name)}
+                         | {n.attr for n in ast.walk(unit) if isinstance(n, ast.Attribute)})
+                if isinstance(unit, ast.FunctionDef):
+                    if unit.name.startswith("_") and not unit.name.startswith("__"):
+                        private.append((owner + unit.name, unit.name))
+                    names.discard(unit.name)
+                used |= names
+    assert any("." in full for full, _ in private)
+    assert [full for full, name in private if name not in used] == []

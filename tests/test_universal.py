@@ -10,7 +10,7 @@ from defekt import universal
 from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, FieldMismatch, SchemaError
 from defekt.exactla import Matrix, PrimeField, QQ, hstack
-from defekt.frobenius import verify
+from defekt.frobenius import frobenius_to_json, verify
 from defekt.series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -44,6 +44,7 @@ from oracles import (
     greedy_words,
     idempotent_flags_by_pairs,
     kernel_algebra_by_pairs,
+    mixed_product,
     words_upto,
 )
 
@@ -333,8 +334,8 @@ def test_kernel_annihilates_state_space():
                 pa.field.one if j == i else pa.field.zero
                 for j in range(pa.K_dim)
             ])
-            phi, _, y = pa.triple_of(pa.from_K_coords(z))
-            assert (phi + y).is_zero(), name
+            _, _, a = pa.triple_of(pa.from_K_coords(z))
+            assert a.is_zero(), name
 
 
 def test_matrix_units_multiply():
@@ -404,7 +405,8 @@ def test_two_letter_closure_values():
 
 def test_closure_functional_matches_matrix_products():
     # the closure of a spanning triple against an arc word, read off its
-    # class, equals trace(D*rho*rho_w) + trace(phi_w*y) multiplied out
+    # class, equals trace(D*rho*rho_w) + trace(phi_w*(a - phi)) multiplied
+    # out
     fields = set()
     for name, t in theory_corpus():
         pa = build_pair_algebra(t)
@@ -412,9 +414,9 @@ def test_closure_functional_matches_matrix_products():
         D = pa.circ.weight
         for w in pa.arc_words:
             phi_w, rho_w = pa.statespace.act(w), pa.circ.act(w)
-            for phi, rho, y in pa._gens:
-                want = (D * rho * rho_w).trace() + (phi_w * y).trace()
-                got = pa.closure_value(pa.coords((phi, rho, y)), w)
+            for phi, rho, a in pa._gens:
+                want = (D * rho * rho_w).trace() + (phi_w * (a - phi)).trace()
+                got = pa.closure_value(pa.coords((phi, rho, a)), w)
                 assert got == want, (name, w)
     assert fields == {QQ, PrimeField(7)}
 
@@ -436,8 +438,8 @@ def test_to_K_coords_round_trip_and_refusal():
 
 def trace_K_by_triple(pa, x):
     """Closure trace of a K element read off its whole spanning triple."""
-    _, rho, y = pa.triple_of(pa.from_K_coords(x))
-    return (pa.circ.weight * rho).trace() + y.trace()
+    phi, rho, a = pa.triple_of(pa.from_K_coords(x))
+    return (pa.circ.weight * rho).trace() + (a - phi).trace()
 
 
 def test_trace_K_matches_the_triple_route():
@@ -468,7 +470,7 @@ def solved_route(pa):
     solved and ranked one by one from spanning triples."""
     F, k, m, W = pa.field, pa.k, pa.m, len(pa.arc_words)
     unit = pa.coords((Matrix.identity(F, k), Matrix.identity(F, m),
-                      Matrix.zeros(F, k, k)))
+                      Matrix.identity(F, k)))
     one_prime = pa.coords((Matrix.zeros(F, k, k), Matrix.zeros(F, m, m),
                            Matrix.identity(F, k)))
     I_coords = [[pa.coords(pa._gens[W + i * k + j]) for j in range(k)]
@@ -479,6 +481,11 @@ def solved_route(pa):
     U_prime_dim = (U_dim + k * k - hstack(arcs + flat_I).rank()
                    if arcs and flat_I else 0)
     return unit, one_prime, I_coords, U_dim, U_prime_dim
+
+
+def functionals(pa, triple):
+    """The functionals ``L`` evaluated on one spanning triple."""
+    return (pa.L * universal._flat_columns(pa.field, [triple], pa.L.cols)).flat()
 
 
 def test_pair_algebra_solves_nothing_per_generator(monkeypatch):
@@ -517,7 +524,7 @@ def test_classes_read_off_the_elimination_match_the_solved_route(case):
     assert (pa.U_dim, pa.U_prime_dim) == (U_dim, U_prime_dim)
     # column c of the rref is the class of generator c
     F = pa.field
-    fvals = [pa._fvals(g) for g in pa._gens]
+    fvals = [functionals(pa, g) for g in pa._gens]
     R, pivots = Matrix(F, [list(r) for r in zip(*fvals)], cols=len(fvals)).rref()
     assert len(pivots) == pa.dim
     for c, g in enumerate(pa._gens):
@@ -525,7 +532,7 @@ def test_classes_read_off_the_elimination_match_the_solved_route(case):
         assert pa.coords(g) == col
     # K coordinates are the unique solution, and only K elements have them
     elems = list(pa.K_basis) + [pa.unit, pa.one_K, pa.one_prime]
-    elems += [pa.coords(pa._triple_mul(g, h)) for g in pa._gens[:3] for h in pa._gens[:3]]
+    elems += [pa.coords(mixed_product(g, h)) for g in pa._gens[:3] for h in pa._gens[:3]]
     elems += [pa.mul(pa.one_K, pa.coords(g)) for g in pa._gens[:3]]
     for x in elems:
         want = pa._K_mat.solve(x)
@@ -658,6 +665,52 @@ def test_theory_from_json_linrep_and_tracerep():
     t = theory_from_json(doc)
     assert t.interval.value((0, 1)) == Fr(6)
     assert t.circular.value((1,)) == Fr(3)
+
+
+# The one-letter corpus theories ex2_t1_lam3 and ex2_f7 as rational1
+# documents: 1/(1-2T) on intervals, 2/(1-T) + 1/(1-2T) on circles, over QQ
+# and (with -2 = 5, -1 = 6) over F_7.
+ONE_LETTER_RATIONAL_DOCS = [
+    {"alphabet": ["a"],
+     "interval": {"kind": "rational1", "num": ["1"], "den": ["1", "-2"]},
+     "circular": {"kind": "rational1", "num": ["3", "-5"], "den": ["1", "-3", "2"]}},
+    {"field": {"type": "prime", "p": 7}, "alphabet": ["a"],
+     "interval": {"kind": "rational1", "num": ["1"], "den": ["1", "5"]},
+     "circular": {"kind": "rational1", "num": ["3", "2"], "den": ["1", "4", "2"]}},
+]
+
+
+def _matrix_json(m):
+    return [[m.field.format(x) for x in row] for row in m.data]
+
+
+@pytest.mark.parametrize("rational_doc", ONE_LETTER_RATIONAL_DOCS, ids=["QQ", "F7"])
+def test_one_letter_tracerep_takes_any_weight(rational_doc):
+    # the same theory written out as linrep and tracerep matrices: its
+    # weight does not commute with the letter, which one letter allows
+    r = theory_from_json(rational_doc)
+    iv, circ = r.interval, r.circular
+    assert circ.weight * circ.letters[0] != circ.letters[0] * circ.weight
+    doc = dict(rational_doc, interval={
+        "kind": "linrep", "dim": iv.dim, "init": _matrix_json(iv.init)[0],
+        "letters": {"a": _matrix_json(iv.letters[0])},
+        "final": [row[0] for row in _matrix_json(iv.final)],
+    }, circular={
+        "kind": "tracerep", "dim": circ.dim,
+        "letters": {"a": _matrix_json(circ.letters[0])},
+        "weight": _matrix_json(circ.weight),
+    })
+    want = (invariant_triple(r), frobenius_to_json(frobenius_of_K(r.pair_algebra)))
+    universal._theories.clear()  # equal content would return r itself
+    t = theory_from_json(doc)
+    assert t is not r
+    assert (invariant_triple(t), frobenius_to_json(frobenius_of_K(t.pair_algebra))) == want
+    # two letters still need a weight commuting with both
+    two = dict(doc, alphabet=["a", "b"])
+    for part in ("interval", "circular"):
+        two[part] = dict(doc[part], letters=dict(doc[part]["letters"],
+                                                 b=doc[part]["letters"]["a"]))
+    assert _schema_path(two) == "circular.weight"
 
 
 @pytest.mark.parametrize(
