@@ -13,7 +13,7 @@ The package works over the rationals or a prime field, always exactly:
 - ``onevar``: closed-form one-letter analysis via characteristic
   polynomials, with a cross-check against the generic pipeline.
 - ``diagrams``: decorated one-manifold diagrams, gluing, closed evaluation,
-  and state-space dimensions from spanning-set Gram ranks.
+  and state-space dimensions from the Brauer ranks of the kernel algebra.
 - ``frobenius``: symmetric Frobenius algebras, dual bases, window maps,
   surface evaluation (closed form and step-by-step surgery), the induced
   map from the cocenter to the center, and a semisimplicity obstruction.

@@ -12,13 +12,13 @@ interval value of w.
 ``compose`` glues two diagrams and chases strands through the shared
 boundary, concatenating words; strands that close up stay in the result
 as floating intervals or circles until ``evaluate_closed`` turns the
-diagram into a scalar.  ``state_space_dim`` and ``hom_dim`` never decide
-equality of open diagrams syntactically: they pair a spanning set of
-diagrams against the mirrored spanning set through closed evaluation and
-take the rank of the Gram matrix, so two diagrams are identified exactly
-when all their closures agree.  Each spanning element is kept as a map of
-what sits at each boundary point, and each Gram entry is one strand walk
-across the two maps, with the value gluing and evaluating would give.
+diagram into a scalar.  ``spanning_diagrams`` lists a spanning set of
+A(eps); two diagrams are identified exactly when all their closures agree.
+``state_space_dim`` and ``hom_dim`` take the paper's route instead of
+ranking the closures: the state spaces are the Frobenius-Brauer category
+of the kernel algebra K modulo negligible morphisms, so dim A(eps) depends
+only on the numbers of '+' and '-', dim A(+) and the ranks D_K(r) of K's
+pairing of r decorated strands.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exactla import Matrix
 from .series import Word, _check_word, word_from_json
-from .universal import Theory
+from .universal import Theory, frobenius_of_K
 
 __all__ = [
     "Arc",
@@ -57,12 +57,12 @@ __all__ = [
 ]
 
 
-# Longest boundary whose spanning set is enumerated: the matchings and
-# their decorations grow factorially with the number of points.
+# Longest boundary: the matchings and their decorations grow factorially
+# with the number of points.
 SIZE_BOUND = 8
 
-# Most Gram entries a dimension is ranked from; the spanning set also grows
-# with the state space and the arc words, so a short boundary can exceed it.
+# Most Gram entries a dimension is ranked from: D_K(r) pairs r! (dim K)^r
+# elements, so a short boundary can exceed it when K is large.
 GRAM_BOUND = 2 ** 18
 
 
@@ -365,8 +365,10 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
 
 class _Context:
     """Per-theory caches: the theory's minimal state space and arc word
-    family, and memoized interval, circle and Gram computations.  It holds
-    no reference to the theory, so the theory's lifetime bounds its own."""
+    family, memoized interval and circle values, spanning records, and the
+    kernel algebra K with its Brauer ranks D_K(r) once a dimension needs
+    them.  It holds no reference to the theory, so the theory's lifetime
+    bounds its own."""
 
     def __init__(self, t: Theory):
         self.field = t.field
@@ -378,6 +380,8 @@ class _Context:
         self._cval: dict = {}
         self._records: dict = {}
         self._dims: dict = {}
+        self.kernel = None
+        self._brauer: dict = {0: 1}
 
     def act(self, word: Word) -> Matrix:
         m = self._act.get(word)
@@ -451,23 +455,12 @@ def evaluate_closed(t: Theory, d: Diagram):
 # -- state spaces -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Record:
-    """A spanning diagram of A(eps) in per-point form: what a walk against
-    the strand direction finds at each point.
-
-    ``ends[p]`` is ``(kind, word, other)``: for an arc head, where a walk
-    enters and goes on at ``other``, the arc's tail point; for an arc
-    tail, which no walk reaches, its head point; for a state vector, where
-    an interval ends, or a covector head, where one starts, None.
-    ``mirrored`` is the same map read from the mirrored side, point q at
-    n - 1 - q, for a record of A(mirror eps) on the far side of a closure.
-    """
-
-    ends: tuple
-    mirrored: tuple
-
-
+# A spanning diagram of A(eps) is kept as a tuple of what a walk against
+# the strand direction finds at each point p, ``(kind, word, other)``: for
+# an arc head, where a walk enters and goes on at ``other``, the arc's tail
+# point; for an arc tail, which no walk reaches, its head point; for a
+# state vector, where an interval ends, or a covector head, where one
+# starts, None.
 _HEAD, _TAIL, _KET, _BRA = "head", "tail", "ket", "bra"
 
 
@@ -475,7 +468,6 @@ def _spanning_records(ctx: _Context, eps: str) -> list:
     recs = ctx._records.get(eps)
     if recs is not None:
         return recs
-    n = len(eps)
     ins = tuple(i for i, s in enumerate(eps) if s == "-")
     outs = tuple(i for i, s in enumerate(eps) if s == "+")
     recs = []
@@ -492,26 +484,24 @@ def _spanning_records(ctx: _Context, eps: str) -> list:
             for matched in permutations(co):
                 for arc_ws in product(ctx.arc_words, repeat=j):
                     for half_ws in product(*(words for _, _, words in halves)):
-                        ends = [None] * n
+                        ends = [None] * len(eps)
                         for pin, pout, w in zip(ci, matched, arc_ws):
                             ends[pin] = cell(_TAIL, w, pout)
                             ends[pout] = cell(_HEAD, w, pin)
                         for (p, kind, _), w in zip(halves, half_ws):
                             ends[p] = cell(kind, w, None)
-                        recs.append(_Record(tuple(ends), tuple(
-                            cell(kind, w, None if q is None else n - 1 - q)
-                            for kind, w, q in reversed(ends))))
+                        recs.append(tuple(ends))
     ctx._records[eps] = recs
     return recs
 
 
-def _record_diagram(eps: str, rec: _Record) -> Diagram:
+def _record_diagram(eps: str, ends: tuple) -> Diagram:
     # arcs by tail point, then state vectors, then covectors
     comps = [Arc(("top", p), ("top", q), w)
-             for p, (kind, w, q) in enumerate(rec.ends) if kind == _TAIL]
+             for p, (kind, w, q) in enumerate(ends) if kind == _TAIL]
     for want in (_KET, _BRA):
         comps.extend(HalfInterval(("top", p), w)
-                     for p, (kind, w, _) in enumerate(rec.ends) if kind == want)
+                     for p, (kind, w, _) in enumerate(ends) if kind == want)
     return Diagram("", eps, tuple(comps))
 
 
@@ -525,83 +515,78 @@ def spanning_diagrams(t: Theory, eps: str) -> list:
     return [_record_diagram(eps, r) for r in _spanning_records(ctx, eps)]
 
 
-def _pair_value(ctx: _Context, eps: str, x: _Record, y: _Record):
-    """Closed evaluation of a spanning element x of A(eps) against the
-    mirror of a spanning element y of A(mirror_signs(eps)), as ``compose``
-    and ``evaluate_closed`` would give it.
+def _brauer_rank(K, r: int) -> int:
+    """D_K(r): the rank of the pairing of the r! n^r elements (sigma, a), a
+    permutation of r strands with a basis element of K (dimension n) on
+    each.  (sigma, a) against (tau, b) is the product, over the cycles of
+    pi = tau^-1 sigma, of tr_K(k_a(i) k_b(pi i) k_a(pi i) k_b(pi^2 i) ...):
+    the closed loops of the two matchings glued, each read around once."""
+    perms = list(permutations(range(r)))
+    decos = list(product(range(K.dim), repeat=r))
+    loops = {}  # each permutation's cycles, as their steps (i, pi i)
+    for pi in perms:
+        seen, loops[pi] = set(), []
+        for i in range(r):
+            steps = []
+            while i not in seen:
+                seen.add(i)
+                steps.append((i, pi[i]))
+                i = pi[i]
+            if steps:
+                loops[pi].append(steps)
+    traces: dict = {}
+    rows = []
+    for tau in perms:
+        glued = [loops[tuple(tau.index(j) for j in sigma)] for sigma in perms]
+        for b in decos:
+            row = []
+            for cycles in glued:
+                for a in decos:
+                    v = K.field.one
+                    for steps in cycles:
+                        w = tuple(x for i, j in steps for x in (a[i], b[j]))
+                        if w not in traces:
+                            traces[w] = K.trace_of(K.product(K.basis_columns[c] for c in w))
+                        v = v * traces[w]
+                    row.append(v)
+            rows.append(tuple(row))
+    return Matrix._of_values(K.field, tuple(rows), len(rows)).rank()
 
-    Point p joins ``x.ends[p]`` with ``y.mirrored[p]``.  One walk runs
-    against the strand direction, switching sides at each point and
-    appending the words in evaluation order: from a covector head it ends
-    at a state vector (an interval), from an arc head of x it comes back
-    (a circle)."""
-    sides = (x.ends, y.mirrored)
-    heads_seen: set = set()
 
-    def walk(side: int, p: int, word: Word):
-        start = (side, p)
-        while True:
-            kind, w, tail = sides[side][p]
-            word = word + w
-            if kind == _KET:
-                return ctx.interval_value(word)
-            if side == 0:
-                heads_seen.add(p)
-            side, p = 1 - side, tail
-            if (side, p) == start:
-                return ctx.circle_value(word)
-
-    val = ctx.field.one
-    for p in range(len(eps)):
-        if x.ends[p][0] == _BRA:
-            val = val * walk(1, p, x.ends[p][1])
-        if y.mirrored[p][0] == _BRA:
-            val = val * walk(0, p, y.mirrored[p][1])
-    for kind, _, head in x.ends:
-        if kind == _TAIL and head not in heads_seen:
-            val = val * walk(0, head, ())
-    return val
-
-
-def _spanning_count(ctx: _Context, eps: str) -> int:
-    """The number of spanning records of A(eps), without enumerating them:
-    j arcs match j of the m in-points with j of the p out-points, and the
-    other out-points carry a basis word and in-points a cobasis word."""
+def _dim_of(t: Theory, eps: str) -> int:
+    """dim A(eps) = sum over r of C(p, r) C(m, r) k^(p+m-2r) D_K(r), with p
+    and m the numbers of '+' and '-' in eps and k = dim A(+): each point
+    splits into k copies of the unit and a part in K, the K-parts of r
+    out-points pair off with those of r in-points, and D_K(0) = 1."""
+    ctx = _context(t)
     p, m = eps.count("+"), eps.count("-")
-    arcs, kets = len(ctx.arc_words), len(ctx.space.word_basis)
-    bras = len(ctx.space.cobasis_words)
-    return sum(comb(m, j) * comb(p, j) * factorial(j) * arcs ** j
-               * kets ** (p - j) * bras ** (m - j) for j in range(min(p, m) + 1))
-
-
-def _dim_of(ctx: _Context, eps: str) -> int:
-    dim = ctx._dims.get(eps)
-    if dim is not None:
-        return dim
-    entries = _spanning_count(ctx, eps) * _spanning_count(ctx, mirror_signs(eps))
-    if entries > GRAM_BOUND:
-        raise SizeBound(
-            f"the Gram matrix of A({eps}) has {entries} entries, more than "
-            f"the bound {GRAM_BOUND}"
-        )
-    xs = _spanning_records(ctx, eps)
-    ys = _spanning_records(ctx, mirror_signs(eps))
-    if not xs or not ys:
-        dim = 0
-    else:
-        # pair values are field values already: they start from field.one
-        rows = tuple(tuple(_pair_value(ctx, eps, xr, yr) for xr in xs) for yr in ys)
-        dim = Matrix._of_values(ctx.field, rows, len(xs)).rank()
-    ctx._dims[eps] = dim
+    if (p, m) in ctx._dims:
+        return ctx._dims[p, m]
+    k = ctx.space.dim
+    terms = [(r, c) for r in range(min(p, m) + 1)
+             if (c := comb(p, r) * comb(m, r) * k ** (p + m - 2 * r))]
+    top = terms[-1][0] if terms else 0
+    if top:
+        entries = (factorial(top) * t.pair_algebra.K_dim ** top) ** 2
+        if entries > GRAM_BOUND:
+            raise SizeBound(f"the Gram matrix of D_K({top}) for A({eps}) has "
+                            f"{entries} entries, more than the bound {GRAM_BOUND}")
+        if ctx.kernel is None:
+            ctx.kernel = frobenius_of_K(t.pair_algebra)
+    for r, _ in terms:
+        if r not in ctx._brauer:
+            ctx._brauer[r] = _brauer_rank(ctx.kernel, r)
+    dim = ctx._dims[p, m] = sum(c * ctx._brauer[r] for r, c in terms)
     return dim
 
 
 def state_space_dim(t: Theory, eps: str) -> int:
-    """Dimension of the state space A(eps): the rank of the Gram matrix of
-    the spanning set against the mirrored spanning set."""
+    """Dimension of the state space A(eps), by the paper's theorem: it
+    depends only on the numbers of '+' and '-', dim A(+) and the Brauer
+    ranks D_K(r) of the kernel algebra K (see ``_dim_of``)."""
     eps = _check_signs(eps, "eps")
     _check_size(len(eps), "sign sequence of length")
-    return _dim_of(_context(t), eps)
+    return _dim_of(t, eps)
 
 
 def hom_dim(t: Theory, eps: str, eps2: str) -> int:
@@ -610,7 +595,7 @@ def hom_dim(t: Theory, eps: str, eps2: str) -> int:
     eps = _check_signs(eps, "eps")
     eps2 = _check_signs(eps2, "eps2")
     _check_size(len(eps) + len(eps2), "total boundary length")
-    return _dim_of(_context(t), mirror_signs(eps) + eps2)
+    return _dim_of(t, mirror_signs(eps) + eps2)
 
 
 # -- JSON ingestion -----------------------------------------------------------

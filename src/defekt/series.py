@@ -80,6 +80,15 @@ def _check_word(num_letters: int, word) -> Word:
     return w
 
 
+def _word_action(field: Field, dim: int, letters: tuple, word) -> Matrix:
+    """The product of the letter matrices along a word, left to right, from
+    the dim x dim identity; the word is checked against the letters."""
+    m = Matrix.identity(field, dim)
+    for a in _check_word(len(letters), word):
+        m = m * letters[a]
+    return m
+
+
 class LinearRepresentation:
     """Finite presentation of an interval evaluation:
     value(w) = init * letters[w1] * ... * letters[wn] * final."""
@@ -113,11 +122,7 @@ class LinearRepresentation:
         raise AttributeError("LinearRepresentation is immutable")
 
     def act(self, word) -> Matrix:
-        w = _check_word(self.num_letters, word)
-        m = Matrix.identity(self.field, self.dim)
-        for a in w:
-            m = m * self.letters[a]
-        return m
+        return _word_action(self.field, self.dim, self.letters, word)
 
     def value(self, word):
         w = _check_word(self.num_letters, word)
@@ -170,11 +175,7 @@ class CircularRepresentation:
         raise AttributeError("CircularRepresentation is immutable")
 
     def act(self, word) -> Matrix:
-        w = _check_word(self.num_letters, word)
-        m = Matrix.identity(self.field, self.dim)
-        for a in w:
-            m = m * self.letters[a]
-        return m
+        return _word_action(self.field, self.dim, self.letters, word)
 
     def value(self, word):
         return (self.weight * self.act(word)).trace()

@@ -50,7 +50,7 @@ from .series import (
     CircularRepresentation,
     LinearRepresentation,
     Word,
-    _check_word,
+    _word_action,
     circrep_from_json,
     linrep_from_json,
     rational1_from_json,
@@ -110,10 +110,7 @@ class StateSpace:
         raise AttributeError("StateSpace is immutable")
 
     def act(self, word) -> Matrix:
-        m = Matrix.identity(self.field, self.dim)
-        for a in _check_word(self.num_letters, word):
-            m = m * self.action[a]
-        return m
+        return _word_action(self.field, self.dim, self.action, word)
 
     def value(self, word):
         return (self.cotrace * self.act(word) * self.cyclic)[0, 0]

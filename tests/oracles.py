@@ -5,13 +5,15 @@ algorithms: determinants by Laplace expansion, ranks by enumerating square
 minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
 families by testing every word in turn, pair-algebra products classed one
-pair at a time.  Slow, but unarguable on small inputs.
+pair at a time, state-space dimensions as the rank of the Gram matrix of
+spanning diagrams.  Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
+from defekt.diagrams import _context, _spanning_records, mirror_signs
 from defekt.exactla import Matrix
 
 
@@ -214,3 +216,58 @@ def idempotent_flags_by_pairs(pa):
     return (all(prods[i][i] == els[i] for i in range(n)),
             all(prods[i][j].is_zero() for i in range(n) for j in range(n) if i != j),
             total == pa.unit)
+
+
+def pair_value(ctx, x, y):
+    """Closed evaluation of a spanning record x of A(eps) against the mirror
+    of a spanning record y of A(mirror_signs(eps)), as ``compose`` and
+    ``evaluate_closed`` would give it.
+
+    Point p joins x[p] with the entry of y read from the mirrored side, at
+    n - 1 - p with its other point q moved to n - 1 - q.  One walk runs
+    against the strand direction, switching sides at each point and
+    appending the words in evaluation order: from a covector head it ends
+    at a state vector (an interval), from an arc head of x it comes back
+    (a circle)."""
+    n = len(x)
+    sides = (x, tuple((kind, w, None if q is None else n - 1 - q)
+                      for kind, w, q in reversed(y)))
+    heads_seen = set()
+
+    def walk(side, p, word):
+        start = (side, p)
+        while True:
+            kind, w, tail = sides[side][p]
+            word = word + w
+            if kind == "ket":
+                return ctx.interval_value(word)
+            if side == 0:
+                heads_seen.add(p)
+            side, p = 1 - side, tail
+            if (side, p) == start:
+                return ctx.circle_value(word)
+
+    val = ctx.field.one
+    for p in range(n):
+        if sides[0][p][0] == "bra":
+            val = val * walk(1, p, sides[0][p][1])
+        if sides[1][p][0] == "bra":
+            val = val * walk(0, p, sides[1][p][1])
+    for kind, _, head in x:
+        if kind == "tail" and head not in heads_seen:
+            val = val * walk(0, head, ())
+    return val
+
+
+def gram_rows(t, eps):
+    """The Gram matrix of A(eps): the spanning records of A(mirror eps), one
+    per row, paired with those of A(eps), one per column."""
+    ctx = _context(t)
+    xs = _spanning_records(ctx, eps)
+    return [[pair_value(ctx, x, y) for x in xs]
+            for y in _spanning_records(ctx, mirror_signs(eps))]
+
+
+def gram_dim(t, eps):
+    """dim A(eps) as the rank of its Gram matrix."""
+    return elimination_rank(gram_rows(t, eps))

@@ -10,8 +10,10 @@ import pytest
 
 import defekt
 from defekt.cli import CIRCLE_BOUND, DEPTH_BOUND, run
+from defekt.diagrams import hom_dim
 from defekt.exactla import PRIME_BOUND, PrimeField, QQ
 from defekt.frobenius import GENUS_BOUND, frobenius_to_json
+from defekt.universal import theory_from_json
 
 from factories import knowledgeable_pair_cyclic, mat2_block, nilpotent_block
 
@@ -24,6 +26,18 @@ EX3 = {
     "alphabet": ["a"],
     "interval": {"kind": "rational1", "num": ["3", "1"], "den": ["1"]},
     "circular": {"kind": "rational1", "num": ["5"], "den": ["1"]},
+}
+# factories.two_letter_theory over QQ at scale 2: dim A(+) = 2, dim K = 8
+TWO_LETTER = {
+    "alphabet": ["a", "b"],
+    "interval": {"kind": "linrep", "dim": 2, "init": ["1", "0"],
+                 "letters": {"a": [["0", "1"], ["0", "0"]],
+                             "b": [["1", "0"], ["1", "1"]]},
+                 "final": ["1", "1"]},
+    "circular": {"kind": "tracerep", "dim": 2,
+                 "letters": {"a": [["0", "1"], ["1", "0"]],
+                             "b": [["1", "1"], ["0", "1"]]},
+                 "weight": [["2", "0"], ["0", "2"]]},
 }
 GEOM2 = {
     "alphabet": ["a"],
@@ -157,14 +171,23 @@ def test_statespace(tmp_path, capsys):
 
 
 def test_statespace_refuses_a_gram_matrix_over_the_bound(tmp_path, capsys):
-    # 10,368 spanning diagrams on each side: the bound is checked from
-    # their count before any is enumerated
-    theory = write(tmp_path, "t.json", EX3)
+    # D_K(3) at dim K = 8 has 3,072 elements: the bound is checked from
+    # their count before any is built
+    theory = write(tmp_path, "t.json", TWO_LETTER)
     start = time.perf_counter()
-    code, doc = run_cli(capsys, "statespace", theory, "--eps", "++++----")
+    code, doc = run_cli(capsys, "statespace", theory, "--eps", "+++---")
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert doc["error"]["code"] == "size_bound"
+
+
+def test_statespace_answers_past_the_spanning_gram_bound(tmp_path, capsys):
+    # D_K(4) has 24 elements at dim K = 1, where 10,368 spanning diagrams
+    # on each side were over the bound; bending gives the same dimension
+    theory = write(tmp_path, "t.json", EX3)
+    code, doc = run_cli(capsys, "statespace", theory, "--eps", "++++----")
+    assert (code, doc) == (0, {"eps": "++++----", "dim": 2839})
+    assert hom_dim(theory_from_json(EX3), "----", "----") == 2839
 
 
 def test_statespace_rejects_bad_signs(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Tests for oriented decorated diagrams: gluing, evaluation, state spaces."""
 import gc
+import time
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defekt.diagrams import (
     GRAM_BOUND,
@@ -14,9 +17,6 @@ from defekt.diagrams import (
     FloatingInterval,
     HalfInterval,
     _context,
-    _pair_value,
-    _spanning_count,
-    _spanning_records,
     compose,
     diagram_from_json,
     evaluate_closed,
@@ -41,12 +41,13 @@ from defekt.universal import (
     THEORY_CACHE,
     Theory,
     build_pair_algebra,
+    frobenius_of_K,
     minimize,
     theory_from_json,
 )
 
-from factories import _rat, one_letter_theory, theory_corpus
-from oracles import elimination_rank
+from factories import _rat, one_letter_theory, presentations, theory_corpus
+from oracles import elimination_rank, gram_dim, gram_rows
 
 CORPUS = theory_corpus()
 BY_NAME = dict(CORPUS)
@@ -301,14 +302,48 @@ def test_state_space_dim_is_the_reference_rank_of_the_gram_matrix(name):
     # length 4, except length 4 for the two-letter theories, whose 272 x
     # 272 Gram matrices take the reference elimination tens of seconds
     t = dict(theory_corpus())[name]
-    ctx = _context(t)
     longest = 3 if name.startswith("two_letter") else 4
     for eps in ("".join(e) for n in range(longest + 1)
                 for e in product("+-", repeat=n)):
-        xs = _spanning_records(ctx, eps)
-        ys = _spanning_records(ctx, mirror_signs(eps))
-        gram = [[_pair_value(ctx, eps, x, y) for x in xs] for y in ys]
-        assert state_space_dim(t, eps) == elimination_rank(gram), eps
+        assert state_space_dim(t, eps) == gram_dim(t, eps), eps
+
+
+def drawn_theory(case):
+    rep, circ = case
+    return Theory(rep.field, tuple("ab"[:rep.num_letters]), rep, circ)
+
+
+@settings(max_examples=20, deadline=None)
+@given(presentations())
+def test_state_space_dim_is_the_gram_rank_on_random_theories(case):
+    # one sign sequence per (p, m) with p + m <= 3; the next test covers
+    # the other orders
+    t = drawn_theory(case)
+    for p in range(4):
+        for m in range(4 - p):
+            eps = "+" * p + "-" * m
+            assert state_space_dim(t, eps) == gram_dim(t, eps), eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(presentations())
+def test_pair_state_space_is_k_squared_plus_dim_K(case):
+    t = drawn_theory(case)
+    pa = build_pair_algebra(t)
+    k = state_space_dim(t, "+")
+    assert state_space_dim(t, "+-") == k * k + frobenius_of_K(pa).dim == pa.dim
+
+
+@settings(max_examples=20, deadline=None)
+@given(presentations(), st.lists(st.sampled_from("+-"), max_size=3).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(s))))
+def test_permuted_sign_sequences_have_equal_dimensions(case, pair):
+    # the Gram ranks of a sign sequence and of a permutation of it agree,
+    # and equal the dimension of the sequence sorted '+' first
+    t = drawn_theory(case)
+    eps, shuffled = ("".join(s) for s in pair)
+    assert gram_dim(t, eps) == gram_dim(t, shuffled) == state_space_dim(
+        t, "".join(sorted(eps)))
 
 
 @pytest.mark.parametrize("circular", [
@@ -383,25 +418,15 @@ def test_tensor_gives_state_space_lower_bound():
 
 
 def test_gram_matches_explicit_compose_route():
-    # every Gram entry of the strand walk is the closed evaluation of the
-    # glued diagrams; the two-letter theories tell word orders apart
+    # every Gram entry of the reference strand walk is the closed evaluation
+    # of the glued diagrams; the two-letter theories tell word orders apart
     for name, t in CORPUS:
-        ctx = _context(t)
         for eps in ("".join(e) for n in range(4) for e in product("+-", repeat=n)):
             xs = spanning_diagrams(t, eps)
             cls = closures(t, eps)
             rows = [[evaluate_closed(t, compose(t, x, c)) for x in xs] for c in cls]
-            walked = [[_pair_value(ctx, eps, x, y) for x in _spanning_records(ctx, eps)]
-                      for y in _spanning_records(ctx, mirror_signs(eps))]
-            assert walked == rows, (name, eps)
+            assert gram_rows(t, eps) == rows, (name, eps)
             assert Matrix(t.field, rows, cols=len(xs)).rank() == state_space_dim(t, eps)
-
-
-def test_spanning_count_matches_the_enumeration():
-    for name, t in CORPUS:
-        ctx = _context(t)
-        for eps in ("".join(e) for n in range(5) for e in product("+-", repeat=n)):
-            assert _spanning_count(ctx, eps) == len(_spanning_records(ctx, eps)), (name, eps)
 
 
 def test_arc_relation_holds_under_all_closures():
@@ -428,14 +453,50 @@ def test_size_bound_enforced():
 
 
 def test_gram_bound_enforced():
-    # "+++---" has 688 spanning elements on each side: 473,344 Gram entries
-    t = BY_NAME["ex3_mu3_lam5"]
-    assert _spanning_count(_context(t), "+++---") ** 2 > GRAM_BOUND
+    # A(+++---) needs D_K(3); with dim K = 8 that is 3! * 8^3 = 3,072
+    # elements and 9,437,184 Gram entries, refused from the count before
+    # the kernel algebra or any Gram matrix is built
+    t = dict(theory_corpus())["two_letter_qq"]
+    assert (6 * build_pair_algebra(t).K_dim ** 3) ** 2 > GRAM_BOUND
+    start = time.perf_counter()
     with pytest.raises(SizeBound):
         state_space_dim(t, "+++---")
     with pytest.raises(SizeBound):
         hom_dim(t, "---", "---")
-    assert state_space_dim(t, "++--") == hom_dim(t, "--", "--")
+    assert time.perf_counter() - start < 1.0
+    ctx = _context(t)
+    assert ctx.kernel is None and ctx._brauer == {0: 1}
+    assert state_space_dim(t, "++-") == hom_dim(t, "-", "+-")
+
+
+def n_cycles(pi):
+    seen = set()
+    count = 0
+    for i in range(len(pi)):
+        count += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = pi[i]
+    return count
+
+
+def test_dims_past_the_spanning_gram_bound():
+    # k = 2 and K is one-dimensional with tr(1_K) = 3, so D_K(r) is the
+    # rank of the matrix 3^(cycles of tau^-1 sigma) over S_r: 6 at r = 3 and
+    # 23 at r = 4, where the sign representation dies.  The spanning-diagram
+    # Gram matrices of these sequences, 688 x 688 and 10,368 x 10,368, are
+    # over the bound; the 688 x 688 one has rank 286.
+    t = BY_NAME["ex3_mu3_lam5"]
+    for r, want in ((3, 6), (4, 23)):
+        perms = list(permutations(range(r)))
+        rows = [[Fraction(3) ** n_cycles([tau.index(j) for j in sigma])
+                 for sigma in perms] for tau in perms]
+        assert elimination_rank(rows) == want
+    assert state_space_dim(t, "+++---") == hom_dim(t, "---", "---") == 286
+    assert 286 == 64 + 9 * 16 * 1 + 9 * 4 * 2 + 6
+    assert state_space_dim(t, "-+-+-+") == 286
+    assert state_space_dim(t, "++++----") == hom_dim(t, "----", "----") == 2839
+    assert 2839 == 256 + 16 * 64 * 1 + 36 * 16 * 2 + 16 * 4 * 6 + 23
 
 
 # -- JSON ---------------------------------------------------------------------
