@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice, product
 from operator import mul
 
 from .errors import (
@@ -60,8 +60,9 @@ class FrobeniusAlgebra:
     the life of the algebra.  The integer cube is the structure constants
     read through ``field.of`` as ints: residues in [0, p) over F_p, and
     numerators over one common denominator over QQ.  Products, the Gram
-    matrix, left multiplication and the trace contract these ints and wrap
-    each output entry once.
+    matrix, left multiplication, the trace and the hole element contract
+    these ints and wrap each output entry once; :func:`verify` and
+    :func:`commutator_space` read them too, with no product of elements.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
@@ -216,11 +217,19 @@ class FrobeniusAlgebra:
 
     @cached_property
     def hole(self) -> Matrix:
-        """See :func:`hole_element`."""
-        out = self.zero_el()
-        for x, y in zip(*self.duals):
-            out = out + self.mul(x, y)
-        return out
+        """See :func:`hole_element`: E_k = sum_{i,j} (G^-1)_ji c_ij^k, with
+        y_i = column i of G^-1, contracted on the integer cube and wrapped
+        once."""
+        F, n = self.field, self.dim
+        cube, D = self._cube
+        g, dg = _ints(F, [c for y in self.duals[1] for c in y.flat()])
+        out = [0] * n
+        for i, plane in enumerate(cube):
+            for gij, pairs in zip(g[i * n:(i + 1) * n], plane):
+                if gij:
+                    for k, m in pairs:
+                        out[k] += gij * m
+        return Matrix._of_values(F, tuple(zip(_wrap(F, out, dg * D))), 1)
 
 
 # -- verification -------------------------------------------------------------
@@ -247,53 +256,64 @@ class VerifyReport:
 
 def verify(b: FrobeniusAlgebra) -> VerifyReport:
     """Check associativity, unit laws, trace symmetry, and nondegeneracy of
-    the trace pairing."""
-    n = b.dim
-    basis = b.basis_columns
-    # every e_j e_k once: the same table gives e_i e_j
-    prod = [[b.mul(x, y) for y in basis] for x in basis]
-    assoc, assoc_w = True, None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left = b.mul(prod[i][j], basis[k])
-                right = b.mul(basis[i], prod[j][k])
-                if left != right:
-                    assoc, assoc_w = False, (i, j, k)
-                    break
-            if not assoc:
-                break
-        if not assoc:
+    the trace pairing.
+
+    Associativity and the unit laws are compared on the integer cube, with
+    no field value per intermediate product.  (e_i e_j) e_k and
+    e_i (e_j e_k) are sum_l c_ij^l c_lk and sum_l c_jk^l c_il, both over
+    D^2; u e_i and e_i u are sum_l u_l c_li and sum_l u_l c_il over du D,
+    against du D e_i.  Over F_p the comparisons are mod p.  The witnesses
+    are the lexicographically first failing triple (i, j, k), the first
+    failing i of the unit laws, the first i < j with G[i, j] != G[j, i] in
+    the Gram matrix G, and the first vector of its radical."""
+    F, n = b.field, b.dim
+    p = F.char
+    cube, D = b._cube
+
+    def nonzero(v) -> bool:
+        return any(x % p for x in v) if p else any(v)
+
+    assoc_w = None
+    for i, j, k in product(range(n), repeat=3):
+        diff = [0] * n
+        for l, m in cube[i][j]:
+            for o, c in cube[l][k]:
+                diff[o] += m * c
+        for l, m in cube[j][k]:
+            for o, c in cube[i][l]:
+                diff[o] -= m * c
+        if nonzero(diff):
+            assoc_w = (i, j, k)
             break
 
-    unital, unital_w = True, None
-    u = b.unit_el()
-    for i, e in enumerate(basis):
-        if b.mul(u, e) != e or b.mul(e, u) != e:
-            unital, unital_w = False, i
+    us, du = _ints(F, [F.of(x) for x in b.unit])
+    us = [(l, u) for l, u in enumerate(us) if u]
+    unital_w = None
+    for i in range(n):
+        left, right = [0] * n, [0] * n
+        left[i] = right[i] = -du * D
+        for l, u in us:
+            for o, c in cube[l][i]:
+                left[o] += u * c
+            for o, c in cube[i][l]:
+                right[o] += u * c
+        if nonzero(left) or nonzero(right):
+            unital_w = i
             break
 
     G = b.gram()
-    sym, sym_w = True, None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if G[i, j] != G[j, i]:
-                sym, sym_w = False, (i, j)
-                break
-        if not sym:
-            break
-
+    sym_w = next(((i, j) for i, j in combinations(range(n), 2)
+                  if G[i, j] != G[j, i]), None)
     radical = G.kernel_basis()
-    nondeg = not radical
     return VerifyReport(
-        associative=assoc,
+        associative=assoc_w is None,
         associative_witness=assoc_w,
-        unital=unital,
+        unital=unital_w is None,
         unital_witness=unital_w,
-        symmetric=sym,
+        symmetric=sym_w is None,
         symmetric_witness=sym_w,
-        nondegenerate=nondeg,
-        radical_witness=None if nondeg else radical[0],
+        nondegenerate=not radical,
+        radical_witness=radical[0] if radical else None,
     )
 
 
@@ -331,15 +351,21 @@ def hole_element(b: FrobeniusAlgebra) -> Matrix:
 
 def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
     """Basis of [B,B] = span{e_i e_j - e_j e_i}, deterministic order: the
-    first commutators independent of those before them."""
-    ech = Echelon(b.field)
+    first commutators independent of those before them.  Each commutator
+    is read off the integer cube, c_ij - c_ji over D, and wrapped once."""
+    F, n = b.field, b.dim
+    cube, D = b._cube
+    ech = Echelon(F)
     kept = []
-    for i in range(b.dim):
-        for j in range(i + 1, b.dim):
-            ei, ej = b.basis_el(i), b.basis_el(j)
-            c = b.mul(ei, ej) - b.mul(ej, ei)
-            if ech.add(c.flat()):
-                kept.append(c)
+    for i, j in combinations(range(n), 2):
+        c = [0] * n
+        for k, m in cube[i][j]:
+            c[k] += m
+        for k, m in cube[j][i]:
+            c[k] -= m
+        c = _wrap(F, c, D)
+        if ech.add(c):
+            kept.append(Matrix._of_values(F, tuple(zip(c)), 1))
     return kept
 
 

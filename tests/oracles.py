@@ -6,15 +6,17 @@ minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
 families by testing every word in turn, pair-algebra products classed one
 pair at a time, state-space dimensions as the rank of the Gram matrix of
-spanning diagrams.  Slow, but unarguable on small inputs.
+spanning diagrams, the Frobenius axioms checked product by product.
+Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
-from defekt.exactla import Matrix
+from defekt.exactla import Echelon, Matrix
+from defekt.frobenius import VerifyReport
 
 
 def naive_det(rows):
@@ -159,6 +161,60 @@ def companion_trace_powers(g_coeffs, n):
                 s -= c[d - i] * p[k - i]
         p.append(s)
     return p
+
+
+def verify_by_products(b):
+    """The Frobenius axioms of b checked through ``b.mul``, with the same
+    witnesses as :func:`defekt.frobenius.verify`: the lexicographically
+    first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), the first i with
+    u e_i != e_i or e_i u != e_i, the first i < j with G[i, j] != G[j, i],
+    and the first radical vector of the Gram matrix G."""
+    n = b.dim
+    basis = b.basis_columns
+    prod = [[b.mul(x, y) for y in basis] for x in basis]
+    assoc_w = next(((i, j, k) for i, j, k in product(range(n), repeat=3)
+                    if b.mul(prod[i][j], basis[k]) != b.mul(basis[i], prod[j][k])),
+                   None)
+    u = b.unit_el()
+    unital_w = next((i for i, e in enumerate(basis)
+                     if b.mul(u, e) != e or b.mul(e, u) != e), None)
+    G = b.gram()
+    sym_w = next(((i, j) for i, j in combinations(range(n), 2)
+                  if G[i, j] != G[j, i]), None)
+    radical = G.kernel_basis()
+    return VerifyReport(
+        associative=assoc_w is None,
+        associative_witness=assoc_w,
+        unital=unital_w is None,
+        unital_witness=unital_w,
+        symmetric=sym_w is None,
+        symmetric_witness=sym_w,
+        nondegenerate=not radical,
+        radical_witness=radical[0] if radical else None,
+    )
+
+
+def commutators_by_products(b):
+    """The kept commutators of :func:`defekt.frobenius.commutator_space`:
+    e_i e_j - e_j e_i through ``b.mul`` for i < j in order, each kept when
+    independent of those kept before it."""
+    ech = Echelon(b.field)
+    kept = []
+    for i, j in combinations(range(b.dim), 2):
+        ei, ej = b.basis_el(i), b.basis_el(j)
+        c = b.mul(ei, ej) - b.mul(ej, ei)
+        if ech.add(c.flat()):
+            kept.append(c)
+    return kept
+
+
+def hole_by_products(b):
+    """The hole element sum_i x_i y_i over the dual bases, one ``b.mul``
+    and one addition of columns per term."""
+    out = b.zero_el()
+    for x, y in zip(*b.duals):
+        out = out + b.mul(x, y)
+    return out
 
 
 def triple_by_sum(pa, x):

@@ -1,5 +1,4 @@
 """Tests for the symmetric Frobenius algebra engine."""
-import itertools
 import random
 from fractions import Fraction as Fr
 
@@ -40,6 +39,7 @@ from defekt.openclosed import check_knowledgeable
 
 from factories import (
     FIELDS,
+    change_basis,
     direct_sum,
     fractions,
     group_algebra_cyclic,
@@ -50,8 +50,10 @@ from factories import (
     nilpotent_block,
     point_block,
     random_element,
+    random_invertible,
     random_symmetric_frobenius,
 )
+from oracles import commutators_by_products, hole_by_products, verify_by_products
 
 F7 = PrimeField(7)
 
@@ -157,22 +159,12 @@ def test_int_and_field_value_cubes_agree():
             assert c.hole == b.hole
 
 
-def first_nonassociative(b):
-    """The lexicographically first (i, j, k) with (e_i e_j) e_k !=
-    e_i (e_j e_k), by the reference product; None when there is none."""
-    e = [b.basis_el(i) for i in range(b.dim)]
-    m = reference_mul
-    for i, j, k in itertools.product(range(b.dim), repeat=3):
-        if m(b, m(b, e[i], e[j]), e[k]) != m(b, e[i], m(b, e[j], e[k])):
-            return (i, j, k)
-    return None
-
-
 @st.composite
 def perturbed_algebras(draw):
     """A symmetric Frobenius algebra over QQ or F_7, in a hidden basis
     (dense cube) or as blocks (mostly zero cube), with a few structure
-    constants shifted."""
+    constants, unit entries and trace entries shifted by fractions of
+    denominator 1-3."""
     field = draw(st.sampled_from([QQ, F7]))
     if draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 2 ** 16)))
@@ -185,36 +177,53 @@ def perturbed_algebras(draw):
             direct_sum(nilpotent_block(field, o, o), jordan3_block(field, o, o, o)),
         ]))
     n = b.dim
+    index = st.integers(0, n - 1)
+
+    def shift():
+        return field.of(Fr(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+
     mult = [[list(row) for row in plane] for plane in b.mult]
     for _ in range(draw(st.integers(0, 2))):
-        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
-        mult[i][j][k] = mult[i][j][k] + field.of(draw(st.integers(1, 4)))
-    return FrobeniusAlgebra(field, b.names, mult, b.unit, b.trace)
+        i, j, k = draw(index), draw(index), draw(index)
+        mult[i][j][k] += shift()
+    unit, trace = list(b.unit), list(b.trace)
+    for vec in (unit, trace):
+        if draw(st.integers(0, 3)) == 0:
+            vec[draw(index)] += shift()
+    return FrobeniusAlgebra(field, b.names, mult, unit, trace)
 
 
 @settings(max_examples=40, deadline=None)
 @given(perturbed_algebras())
 def test_verify_witness_is_first_failing_triple(b):
-    rep = verify(b)
-    want = first_nonassociative(b)
-    assert rep.associative_witness == want
-    assert rep.associative == (want is None)
+    # the whole report, every flag and witness, equals the product route's
+    assert verify(b) == verify_by_products(b)
 
 
-def test_verify_forms_each_basis_product_once(monkeypatch):
-    # e_j e_k once each (n^2), one product per side of every triple
-    # (2n^3) and two per unit law (2n): 749 for F_7[C_7]
-    b = group_algebra_cyclic(F7, 7)
-    calls = []
-    mul = FrobeniusAlgebra.mul
+def test_axioms_commutators_and_hole_form_no_products(monkeypatch):
+    # verify, the commutators and the hole contract the integer cube
+    # directly: no product of elements and no multiplication matrix
+    def algebras():
+        # F_7[C_7] and a dense, noncommutative hidden-basis F_7 algebra;
+        # built afresh on each call, so that no hole or dual basis is cached
+        o = F7.one
+        blocks = direct_sum(mat2_block(F7, o), jordan3_block(F7, o, o, o))
+        return [group_algebra_cyclic(F7, 7),
+                change_basis(blocks, random_invertible(random.Random(53), F7, 7))]
 
-    def counted(self, x, y):
-        calls.append(1)
-        return mul(self, x, y)
+    want = [(verify_by_products(b), commutators_by_products(b), hole_by_products(b))
+            for b in algebras()]
+    fresh = algebras()
 
-    monkeypatch.setattr(FrobeniusAlgebra, "mul", counted)
-    assert verify(b).passed
-    assert len(calls) == 2 * 7 ** 3 + 7 ** 2 + 2 * 7 == 749
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(FrobeniusAlgebra, "mul", refuse)
+    monkeypatch.setattr(FrobeniusAlgebra, "left_mult_matrix", refuse)
+    for b, (rep, comms, hole) in zip(fresh, want):
+        assert verify(b) == rep and rep.passed
+        assert commutator_space(b) == comms
+        assert b.hole == hole
 
 
 def test_products_build_no_multiplication_matrix(monkeypatch):
