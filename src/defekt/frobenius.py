@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, repeat
 from operator import mul
 
 from .errors import (
@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularMatrix,
 )
-from .exactla import Echelon, Field, Matrix, _ints, _wrap
+from .exactla import Echelon, Field, Matrix, _ints, _wrap, hstack
 
 __all__ = [
     "BetaReport",
@@ -54,23 +54,26 @@ class FrobeniusAlgebra:
 
     ``mult[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j; ``unit`` and ``trace`` are coordinate
-    tuples.  Construction checks shapes only; the algebra axioms are the
-    business of :func:`verify`.  The basis columns, the dual bases, the
+    tuples.  Construction reads every entry through ``field.of``, so ints
+    and Fractions are accepted, and checks shapes; the algebra axioms are
+    the business of :func:`verify`.  The basis columns, the dual bases, the
     hole element and the integer cube are built on first use and held for
     the life of the algebra.  The integer cube is the structure constants
-    read through ``field.of`` as ints: residues in [0, p) over F_p, and
-    numerators over one common denominator over QQ.  Products, the Gram
-    matrix, left multiplication, the trace and the hole element contract
-    these ints and wrap each output entry once; :func:`verify` and
-    :func:`commutator_space` read them too, with no product of elements.
+    as ints: residues in [0, p) over F_p, and numerators over one common
+    denominator over QQ.  It is the algebra's one product path: products,
+    the Gram matrix, the trace, the hole element, the window map, the
+    center, commutativity, the regular trace form, :func:`verify` and
+    :func:`commutator_space` contract these ints and wrap each output
+    entry once.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
         n = len(names)
+        of = field.of
         names = tuple(str(x) for x in names)
-        mult = tuple(tuple(tuple(row) for row in plane) for plane in mult)
-        unit = tuple(unit)
-        trace = tuple(trace)
+        mult = tuple(tuple(tuple(of(c) for c in row) for row in plane) for plane in mult)
+        unit = tuple(of(c) for c in unit)
+        trace = tuple(of(c) for c in trace)
         if len(mult) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in mult
@@ -119,32 +122,37 @@ class FrobeniusAlgebra:
         """(cube, D): cube[i][j] holds the pairs (k, m) with m != 0, where
         m / D is mult[i][j][k] and D is the lcm of the constants'
         denominators (D = 1 and m a residue over F_p)."""
-        F, n = self.field, self.dim
-        flat, D = _ints(F, [F.of(m) for plane in self.mult
-                            for row in plane for m in row])
+        n = self.dim
+        flat, D = _ints(self.field, [m for p in self.mult for row in p for m in row])
         it = iter(flat)
         return tuple(tuple(tuple((k, m) for k, m in enumerate(islice(it, n)) if m)
                            for _ in range(n)) for _ in range(n)), D
 
     @cached_property
     def _trace_ints(self) -> tuple:
-        """The trace covector as (ints, d), read through ``field.of``."""
-        F = self.field
-        return _ints(F, [F.of(t) for t in self.trace])
+        """The trace covector as (ints, d)."""
+        return _ints(self.field, self.trace)
 
-    def left_mult_matrix(self, x: Matrix) -> Matrix:
-        """Matrix of y |-> x*y: entry (k, j) is sum_i x_i mult[i][j][k]."""
+    def _coords(self, x: Matrix) -> tuple:
+        """(ints, d) of an element, which must be a dim x 1 column over the
+        algebra's field."""
         F, n = self.field, self.dim
+        if not isinstance(x, Matrix) or x.field != F or x.rows != n or x.cols != 1:
+            raise FieldMismatch(f"algebra elements must be {n}x1 columns over {F!r}")
+        return _ints(F, x.flat())
+
+    def _contract(self, h, d: int) -> Matrix:
+        """sum_{i,j} h[i][j] e_i e_j for ints h over d: out_k =
+        sum_{i,j} h_ij c_ij^k, wrapped once over d D."""
+        F = self.field
         cube, D = self._cube
-        xs, dx = _ints(F, x.flat())
-        cols = [[0] * n for _ in range(n)]
-        for xi, plane in zip(xs, cube):
-            if xi:
-                for col, pairs in zip(cols, plane):
+        out = [0] * self.dim
+        for hrow, plane in zip(h, cube):
+            for hij, pairs in zip(hrow, plane):
+                if hij:
                     for k, m in pairs:
-                        col[k] += xi * m
-        return Matrix._of_values(
-            F, tuple(zip(*[_wrap(F, col, dx * D) for col in cols])), n)
+                        out[k] += hij * m
+        return Matrix._of_values(F, tuple(zip(_wrap(F, out, d * D))), 1)
 
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
         """x*y, contracted from the integer cube:
@@ -154,14 +162,8 @@ class FrobeniusAlgebra:
         skipping them is exact; a product of basis elements costs n steps,
         a dense element times a basis element n^2."""
         F, n = self.field, self.dim
-        for v in (x, y):
-            if (not isinstance(v, Matrix) or v.field != F
-                    or v.rows != n or v.cols != 1):
-                raise FieldMismatch(
-                    f"algebra elements must be {n}x1 columns over {F!r}")
+        (xs, dx), (ys, dy) = self._coords(x), self._coords(y)
         cube, D = self._cube
-        xs, dx = _ints(F, x.flat())
-        ys, dy = _ints(F, y.flat())
         ys = [(j, yj) for j, yj in enumerate(ys) if yj]
         out = [0] * n
         for xi, plane in zip(xs, cube):
@@ -181,14 +183,11 @@ class FrobeniusAlgebra:
     def power(self, x: Matrix, n: int) -> Matrix:
         if n < 0:
             raise InvalidArgument(f"algebra power {n} is negative")
-        out = self.unit_el()
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
+        return self.product(repeat(x, n))
 
     def trace_of(self, x: Matrix):
         tr, dt = self._trace_ints
-        xs, dx = _ints(self.field, x.flat())
+        xs, dx = self._coords(x)
         return _wrap(self.field, [sum(map(mul, tr, xs))], dt * dx)[0]
 
     def gram(self) -> Matrix:
@@ -201,11 +200,8 @@ class FrobeniusAlgebra:
             for plane in cube), self.dim)
 
     def is_commutative(self) -> bool:
-        return all(
-            self.mult[i][j] == self.mult[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        cube = self._cube[0]
+        return all(cube[i][j] == cube[j][i] for i, j in combinations(range(self.dim), 2))
 
     # A degenerate trace raises inside the property, so nothing is stored
     # and every access raises DegenerateTrace again.
@@ -216,20 +212,16 @@ class FrobeniusAlgebra:
         return dual_bases(self)
 
     @cached_property
+    def _dual_ints(self) -> tuple:
+        """(g, d): g[i] the coordinates of the dual y_i, as ints over d."""
+        n = self.dim
+        flat, d = _ints(self.field, [c for y in self.duals[1] for c in y.flat()])
+        return [flat[i * n:(i + 1) * n] for i in range(n)], d
+
+    @cached_property
     def hole(self) -> Matrix:
-        """See :func:`hole_element`: E_k = sum_{i,j} (G^-1)_ji c_ij^k, with
-        y_i = column i of G^-1, contracted on the integer cube and wrapped
-        once."""
-        F, n = self.field, self.dim
-        cube, D = self._cube
-        g, dg = _ints(F, [c for y in self.duals[1] for c in y.flat()])
-        out = [0] * n
-        for i, plane in enumerate(cube):
-            for gij, pairs in zip(g[i * n:(i + 1) * n], plane):
-                if gij:
-                    for k, m in pairs:
-                        out[k] += gij * m
-        return Matrix._of_values(F, tuple(zip(_wrap(F, out, dg * D))), 1)
+        """See :func:`hole_element`: sum_i e_i y_i, one contraction."""
+        return self._contract(*self._dual_ints)
 
 
 # -- verification -------------------------------------------------------------
@@ -286,7 +278,7 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
             assoc_w = (i, j, k)
             break
 
-    us, du = _ints(F, [F.of(x) for x in b.unit])
+    us, du = _ints(F, b.unit)
     us = [(l, u) for l, u in enumerate(us) if u]
     unital_w = None
     for i in range(n):
@@ -333,11 +325,21 @@ def dual_bases(b: FrobeniusAlgebra) -> tuple[tuple, tuple]:
 
 
 def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
-    """sum_i y_i * elem * x_i; central, basis-choice independent."""
-    out = b.zero_el()
-    for x, y in zip(*b.duals):
-        out = out + b.mul(b.mul(y, elem), x)
-    return out
+    """sum_i y_i * elem * x_i; central, basis-choice independent.  With
+    x_i = e_i and g[i] the coordinates of y_i it is sum_{l,i} h_li e_l e_i,
+    h_li = sum_j g_ij (e_j elem)_l: contracted on the integer cube and
+    wrapped once, with no product of elements."""
+    cube, D = b._cube
+    g, dg = b._dual_ints
+    xs, dx = b._coords(elem)
+    right = [[0] * b.dim for _ in cube]  # right[j][l] = (e_j elem)_l
+    for rj, plane in zip(right, cube):
+        for xm, pairs in zip(xs, plane):
+            if xm:
+                for l, m in pairs:
+                    rj[l] += xm * m
+    return b._contract([[sum(map(mul, gi, col)) for gi in g] for col in zip(*right)],
+                       dg * dx * D)
 
 
 def hole_element(b: FrobeniusAlgebra) -> Matrix:
@@ -371,16 +373,17 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
 
 def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
     """Basis of Z(B), the solutions of x*e_j = e_j*x for all j.  Row k of
-    block j reads coordinate k of x*e_j - e_j*x off the structure
-    constants: mult[i][j][k] - mult[j][i][k] in column i."""
-    n = b.dim
-    if n == 0:
-        return []
-    m = b.mult
-    return Matrix(b.field, [
-        [m[i][j][k] - m[j][i][k] for i in range(n)]
-        for j in range(n) for k in range(n)
-    ], cols=n).kernel_basis()
+    block j reads coordinate k of x*e_j - e_j*x off the integer cube:
+    c_ij^k - c_ji^k over D in column i."""
+    F, n = b.field, b.dim
+    cube, D = b._cube
+    rows = [[[0] * n for _ in range(n)] for _ in range(n)]  # rows[j][k][i]
+    for i, j in product(range(n), repeat=2):
+        for k, m in cube[i][j]:
+            rows[j][k][i] += m
+            rows[i][k][j] -= m
+    return Matrix._of_values(
+        F, tuple(_wrap(F, row, D) for block in rows for row in block), n).kernel_basis()
 
 
 @dataclass(frozen=True)
@@ -406,8 +409,7 @@ class BetaReport:
 def beta_map(b: FrobeniusAlgebra) -> BetaReport:
     """Compute [B,B] and Z(B), check that the window map kills commutators
     and lands in the center, and return the induced quotient map."""
-    F = b.field
-    n = b.dim
+    F, n = b.field, b.dim
     comms = commutator_space(b)
     cent = center_basis(b)
     kills = all(window(b, c).is_zero() for c in comms)
@@ -418,9 +420,7 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
         ech.add(c.flat())
     reps = [i for i in range(n) if ech.add(b.basis_el(i).flat())]
 
-    cent_mat = (Matrix(F, [list(col) for col in
-                           zip(*[list(c.flat()) for c in cent])], cols=len(cent))
-                if cent else Matrix.zeros(F, n, 0))
+    cent_mat = hstack(cent) if cent else Matrix.zeros(F, n, 0)
     lands = True
     cols = []
     for i in reps:
@@ -430,9 +430,7 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
             lands = False
             sol = Matrix.zeros(F, len(cent), 1)
         cols.append(sol)
-    mat = (Matrix(F, [list(row) for row in
-                      zip(*[list(c.flat()) for c in cols])], cols=len(cols))
-           if cols and cent else Matrix.zeros(F, len(cent), len(reps)))
+    mat = hstack(cols) if cols and cent else Matrix.zeros(F, len(cent), len(reps))
     return BetaReport(
         commutators=tuple(comms),
         center=tuple(cent),
@@ -555,13 +553,12 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
                   f"valid in characteristic 0 (field has characteristic "
                   f"{F.char})"),
         )
-    n = b.dim
-    lefts = [b.left_mult_matrix(b.basis_el(i)) for i in range(n)]
-    T = Matrix(
-        F,
-        [[(lefts[i] * lefts[j]).trace() for j in range(n)] for i in range(n)],
-        cols=n,
-    )
+    # T_ij = trace(L_i L_j), L_i left multiplication by e_i: sum_{k,l} c_ik^l c_jl^k
+    cube, D = b._cube
+    dense = [[dict(pairs) for pairs in plane] for plane in cube]
+    T = Matrix._of_values(F, tuple(_wrap(F, [
+        sum(m * dj[l].get(k, 0) for k, pairs in enumerate(ci) for l, m in pairs)
+        for dj in dense], D * D) for ci in cube), b.dim)
     rad = T.kernel_basis()
     if not rad:
         return ObstructionReport(
@@ -574,7 +571,7 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
         )
     w = rad[0]
     order, p = None, w
-    for step in range(1, n + 2):
+    for step in range(1, b.dim + 2):
         if p.is_zero():
             order = step
             break

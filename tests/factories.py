@@ -5,7 +5,7 @@ Frobenius by construction (a point, k[x]/(x^2), k[x]/(x^3), 2x2 matrices)
 and then hidden behind a random change of basis, so tests exercise the
 engine on algebras with no visible block structure.  ``theory_corpus``
 returns the fixed list of theories the property suites sweep, and
-``presentations`` draws random ones.
+``presentations`` and ``theories`` draw random ones.
 """
 from fractions import Fraction
 
@@ -292,13 +292,14 @@ def theory_corpus() -> list[tuple[str, Theory]]:
 
 
 @st.composite
-def presentations(draw):
+def presentations(draw, num_letters=st.integers(1, 2)):
     """An interval presentation and circle data over QQ or F_7, of
-    dimension at most 3 so that the arc oracle's word lists stay short.
-    Two letters get a circle weight c * I, which commutes with them; one
-    letter gets an arbitrary weight, as a word's rotations are the word."""
+    dimension at most 3 so that the arc oracle's word lists stay short,
+    with a number of letters drawn from ``num_letters``.  Two letters get a
+    circle weight c * I, which commutes with them; fewer letters get an
+    arbitrary weight, as a word's rotations are the word."""
     field = draw(st.sampled_from([QQ, PrimeField(7)]))
-    nl = draw(st.integers(1, 2))
+    nl = draw(num_letters)
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 2))
     sparse = draw(st.booleans())
@@ -311,8 +312,21 @@ def presentations(draw):
     rep = LinearRepresentation(field, nl, n, mat(1, n),
                                [mat(n, n) for _ in range(nl)], mat(n, 1))
     letters = [mat(m, m) for _ in range(nl)]
-    if nl == 1:
+    if nl <= 1:
         weight = mat(m, m)
     else:
         weight = Matrix.identity(field, m).scale(draw(entries(False)))
     return rep, CircularRepresentation(field, nl, m, letters, weight)
+
+
+@st.composite
+def theories(draw):
+    """A theory on a presentation of 0-2 letters, with the drawn circle
+    data or with the trace of the interval action as its circle data (the
+    ``trace_of_interval`` kind)."""
+    rep, circ = draw(presentations(st.integers(0, 2)))
+    alphabet = tuple("ab"[:rep.num_letters])
+    if draw(st.booleans()):
+        return Theory(rep.field, alphabet, rep,
+                      interval_trace_series(minimize(rep)), circular_is_trace=True)
+    return Theory(rep.field, alphabet, rep, circ)

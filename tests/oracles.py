@@ -6,7 +6,8 @@ minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
 families by testing every word in turn, pair-algebra products classed one
 pair at a time, state-space dimensions as the rank of the Gram matrix of
-spanning diagrams, the Frobenius axioms checked product by product.
+spanning diagrams, the Frobenius axioms, the window, the center and the
+regular trace form checked product by product.
 Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
-from defekt.exactla import Echelon, Matrix
+from defekt.exactla import Echelon, Matrix, hstack
 from defekt.frobenius import VerifyReport
 
 
@@ -215,6 +216,32 @@ def hole_by_products(b):
     for x, y in zip(*b.duals):
         out = out + b.mul(x, y)
     return out
+
+
+def window_by_products(b, elem):
+    """The window sum_i y_i elem x_i over the dual bases, two ``b.mul`` and
+    one addition of columns per term."""
+    out = b.zero_el()
+    for x, y in zip(*b.duals):
+        out = out + b.mul(b.mul(y, elem), x)
+    return out
+
+
+def center_by_products(b):
+    """The kernel basis of x |-> (x e_j - e_j x)_j: column i holds the
+    commutators e_i e_j - e_j e_i through ``b.mul``, for j in order."""
+    basis = b.basis_columns
+    cols = [[c for ej in basis for c in (b.mul(ei, ej) - b.mul(ej, ei)).flat()]
+            for ei in basis]
+    return Matrix(b.field, [list(r) for r in zip(*cols)], cols=b.dim).kernel_basis()
+
+
+def regular_trace_form_by_products(b):
+    """T[i][j] = trace(L_i L_j), with L_i the matrix of y |-> e_i y whose
+    column j is ``b.mul(e_i, e_j)``, multiplied as matrices."""
+    basis = b.basis_columns
+    lefts = [hstack([b.mul(x, y) for y in basis]) for x in basis]
+    return Matrix(b.field, [[(a * c).trace() for c in lefts] for a in lefts], cols=b.dim)
 
 
 def triple_by_sum(pa, x):

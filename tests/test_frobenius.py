@@ -53,7 +53,14 @@ from factories import (
     random_invertible,
     random_symmetric_frobenius,
 )
-from oracles import commutators_by_products, hole_by_products, verify_by_products
+from oracles import (
+    center_by_products,
+    commutators_by_products,
+    hole_by_products,
+    regular_trace_form_by_products,
+    verify_by_products,
+    window_by_products,
+)
 
 F7 = PrimeField(7)
 
@@ -106,8 +113,6 @@ def test_mul_matches_left_multiplication_matrix(data):
     x, y = data.draw(elements(b)), data.draw(elements(b))
     prod = b.mul(x, y)
     assert prod == reference_mul(b, x, y)
-    left = b.left_mult_matrix(x)
-    assert left.data == tuple(map(tuple, reference_left(b, x)))
     gram = b.gram()
     assert gram.data == tuple(
         tuple(sum((b.mult[i][j][k] * b.trace[k] for k in range(n)), F.zero)
@@ -117,7 +122,7 @@ def test_mul_matches_left_multiplication_matrix(data):
     assert tr == sum((b.trace[i] * x[i, 0] for i in range(n)), F.zero)
     scalar = type(F.zero)
     assert type(tr) is scalar
-    assert all(type(c) is scalar for m in (prod, left, gram) for c in m.flat())
+    assert all(type(c) is scalar for m in (prod, gram) for c in m.flat())
 
 
 def test_mul_rejects_malformed_elements():
@@ -129,6 +134,12 @@ def test_mul_rejects_malformed_elements():
     for a, c in ((long_x, x), (short, x), (foreign, x), (x, short)):
         with pytest.raises(FieldMismatch):
             B.mul(a, c)
+    # the window and the trace read their argument the same way
+    for a in (long_x, short, foreign):
+        with pytest.raises(FieldMismatch):
+            window(B, a)
+        with pytest.raises(FieldMismatch):
+            B.trace_of(a)
 
 
 def _recast(b, scalar):
@@ -139,8 +150,8 @@ def _recast(b, scalar):
 
 
 def test_int_and_field_value_cubes_agree():
-    # constants are read through field.of: plain ints, and over F_p
-    # Fractions of a denominator prime to p, give the same algebra
+    # constants are read through field.of at construction: plain ints, and
+    # over F_p Fractions of a denominator prime to p, give the same algebra
     rng = random.Random(47)
     o = QQ.one
     cases = [(b, [int]) for b in (mat2_block(QQ, Fr(3)), group_algebra_cyclic(QQ, 3),
@@ -153,10 +164,23 @@ def test_int_and_field_value_cubes_agree():
         x, y = random_element(rng, b), random_element(rng, b)
         for scalar in scalars:
             c = _recast(b, scalar)
-            assert type(c.mult[0][0][0]) is not type(b.field.zero)
+            assert c.mult == b.mult
             assert c.mul(x, y) == b.mul(x, y)
             assert verify(c) == verify(b)
             assert c.hole == b.hole
+
+
+def test_raw_constants_are_read_once_at_construction():
+    # 8 is 1 in F_7, so x * 1 = 1 * x and the algebra is commutative;
+    # the field-valued copy answers the same, and both write the same JSON
+    raw = FrobeniusAlgebra(F7, ["1", "x"], [[[1, 0], [0, 8]], [[0, 1], [0, 0]]],
+                           [1, 0], [0, 1])
+    valued = _recast(raw, F7.of)
+    assert raw.mult == valued.mult and raw.unit == valued.unit
+    assert verify(raw).passed and len(center_basis(raw)) == 2
+    assert raw.is_commutative() and valued.is_commutative()
+    assert frobenius_to_json(raw) == frobenius_to_json(valued)
+    assert frobenius_to_json(raw)["mult"][0][1] == ["0", "1"]
 
 
 @st.composite
@@ -201,34 +225,82 @@ def test_verify_witness_is_first_failing_triple(b):
 
 
 def test_axioms_commutators_and_hole_form_no_products(monkeypatch):
-    # verify, the commutators and the hole contract the integer cube
-    # directly: no product of elements and no multiplication matrix
+    # verify, the commutators, the hole, the window, the center,
+    # commutativity and the regular trace form contract the integer cube
+    # directly: no product of elements
     def algebras():
-        # F_7[C_7] and a dense, noncommutative hidden-basis F_7 algebra;
-        # built afresh on each call, so that no hole or dual basis is cached
-        o = F7.one
+        # F_7[C_7], a dense noncommutative hidden-basis F_7 algebra and a
+        # semisimple hidden-basis QQ algebra; built afresh on each call, so
+        # that no hole or dual basis is cached
+        o, q = F7.one, QQ.one
         blocks = direct_sum(mat2_block(F7, o), jordan3_block(F7, o, o, o))
+        semisimple = direct_sum(mat2_block(QQ, q), point_block(QQ, Fr(2)))
         return [group_algebra_cyclic(F7, 7),
-                change_basis(blocks, random_invertible(random.Random(53), F7, 7))]
+                change_basis(blocks, random_invertible(random.Random(53), F7, 7)),
+                change_basis(semisimple, random_invertible(random.Random(59), QQ, 5))]
 
-    want = [(verify_by_products(b), commutators_by_products(b), hole_by_products(b))
-            for b in algebras()]
+    rng = random.Random(61)
+    want = []
+    for b in algebras():
+        elems = list(b.basis_columns) + [random_element(rng, b)]
+        want.append((verify_by_products(b), commutators_by_products(b),
+                     hole_by_products(b), elems,
+                     [window_by_products(b, e) for e in elems],
+                     center_by_products(b),
+                     all(b.mul(x, y) == b.mul(y, x) for x in elems for y in elems),
+                     beta_map(b), embedding_obstruction(b)))
     fresh = algebras()
 
     def refuse(*args):
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(FrobeniusAlgebra, "mul", refuse)
-    monkeypatch.setattr(FrobeniusAlgebra, "left_mult_matrix", refuse)
-    for b, (rep, comms, hole) in zip(fresh, want):
+    for b, (rep, comms, hole, elems, windows, center, commutative, beta,
+            obstruction) in zip(fresh, want):
         assert verify(b) == rep and rep.passed
         assert commutator_space(b) == comms
         assert b.hole == hole
+        assert [window(b, e) for e in elems] == windows
+        assert center_basis(b) == center
+        assert b.is_commutative() == commutative
+        assert beta_map(b) == beta
+        assert embedding_obstruction(b) == obstruction
+    assert fresh[0].is_commutative() and not fresh[1].is_commutative()
+    assert [embedding_obstruction(b).status for b in fresh] == [
+        "unsupported_characteristic", "unsupported_characteristic", "semisimple"]
 
 
-def test_products_build_no_multiplication_matrix(monkeypatch):
-    # the structure constants are contracted directly; no n x n matrix is
-    # formed per product
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cube_routes_match_the_product_routes(data):
+    # window, center, commutativity and the regular trace form, also on
+    # non-associative, non-unital and non-symmetric algebras
+    b = data.draw(st.one_of(cubes(), perturbed_algebras()))
+    x = data.draw(elements(b))
+    try:
+        want = window_by_products(b, x)
+    except DegenerateTrace:
+        with pytest.raises(DegenerateTrace):
+            window(b, x)
+    else:
+        assert window(b, x) == want
+    assert center_basis(b) == center_by_products(b)
+    basis = b.basis_columns
+    assert b.is_commutative() == all(b.mul(u, v) == b.mul(v, u)
+                                     for u in basis for v in basis)
+    rep = embedding_obstruction(b)
+    if b.field.char:
+        assert rep.status == "unsupported_characteristic"
+    else:
+        radical = regular_trace_form_by_products(b).kernel_basis()
+        assert rep.status == ("not_semisimple" if radical else "semisimple")
+        assert rep.witness == (radical[0] if radical else None)
+
+
+def test_products_build_no_multiplication_matrix():
+    # the structure constants are contracted directly: the algebra has no
+    # n x n multiplication matrix to form
+    assert not hasattr(FrobeniusAlgebra, "left_mult_matrix")
     rng = random.Random(31)
     F5 = PrimeField(5)
     algebras = [mat2_block(QQ, Fr(1)), group_algebra_cyclic(F5, 5),
@@ -236,11 +308,6 @@ def test_products_build_no_multiplication_matrix(monkeypatch):
                 random_symmetric_frobenius(rng, F7)]
     pairs = [knowledgeable_pair_cyclic(F5, F5.parse(2)),
              knowledgeable_pair_matrix(QQ)]
-
-    def refuse(self, x):
-        raise AssertionError("left_mult_matrix called")
-
-    monkeypatch.setattr(FrobeniusAlgebra, "left_mult_matrix", refuse)
     for b in algebras:
         assert verify(b).passed
         u, v = random_element(rng, b), random_element(rng, b)

@@ -35,6 +35,7 @@ from factories import (
     empty_alphabet_theory,
     one_letter_theory,
     presentations,
+    theories,
     theory_corpus,
     two_letter_theory,
     zero_interval_theory,
@@ -556,6 +557,21 @@ def test_batched_classes_match_the_per_pair_route(case):
             == idempotent_flags_by_pairs(pa))
     for x in pa.K_basis:
         assert trace_K(pa, pa.to_K_coords(x)) == pa.closure_value(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theories())
+def test_kernel_algebra_claims_on_random_theories(t):
+    # the empty alphabet and the trace_of_interval circle kind included:
+    # tracing the interval action leaves no kernel, and K is always a
+    # symmetric Frobenius algebra whose idempotents decompose the unit
+    pa = build_pair_algebra(t)
+    K = frobenius_of_K(pa)
+    if t.circular_is_trace:
+        assert K.dim == 0
+    assert verify(K).passed
+    idem = idempotent_report(pa)
+    assert idem.each_idempotent and idem.orthogonal and idem.sum_is_unit
 
 
 def test_products_are_classed_by_one_product_with_M(monkeypatch):
