@@ -26,7 +26,7 @@ import re
 import reprlib
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
@@ -188,8 +188,34 @@ def _is_prime(n: int) -> bool:
 _SCALAR = re.compile(r"([+-]?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
+def _scalar(v) -> tuple[int, int]:
+    """The numerator and positive denominator, as written, of one JSON
+    scalar: an int, or a string ``[+-]digits`` or ``[+-]digits/digits`` with
+    at most 4,300 digits in each part, which is what :meth:`Field.format`
+    writes.  Anything else, or a zero denominator, raises FieldMismatch.
+    Only text the grammar has matched reaches ``int``, which would also
+    take " 3", "1_000" and "\u0663"."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v, 1
+    m = _SCALAR.fullmatch(v) if isinstance(v, str) else None
+    if m is None:
+        raise FieldMismatch(
+            f"scalar {reprlib.repr(v)} is not an int or a string [+-]digits "
+            "or [+-]digits/digits with at most 4300 digits in each part")
+    if m[2] is None:
+        return int(m[1]), 1
+    den = int(m[2])
+    if not den:
+        raise FieldMismatch(f"scalar {reprlib.repr(v)} has a zero denominator")
+    return int(m[1]), den
+
+
 class Field:
-    """Abstract ground field: the rationals or a prime field F_p."""
+    """Abstract ground field: the rationals or a prime field F_p.
+
+    Every JSON scalar is read by :func:`_scalar`, then either to a field
+    value (``_value``) or straight to its integer form (``_exact``: a
+    residue over F_p, a lowest-terms (numerator, denominator) over QQ)."""
 
     char: int
     name: str
@@ -200,34 +226,48 @@ class Field:
         raise NotImplementedError
 
     def parse(self, v):
-        """Read one scalar of a JSON document: an int, or a string
-        ``[+-]digits`` or ``[+-]digits/digits`` with at most 4,300 digits
-        in each part, which is what :meth:`format` writes.  Anything else
-        raises FieldMismatch."""
-        if isinstance(v, int) and not isinstance(v, bool):
-            return self.of(v)
-        m = _SCALAR.fullmatch(v) if isinstance(v, str) else None
-        if m is None:
-            raise FieldMismatch(
-                f"scalar {reprlib.repr(v)} is not an int or a string [+-]digits "
-                "or [+-]digits/digits with at most 4300 digits in each part")
-        den = int(m[2] or 1)
-        if not den:
-            raise FieldMismatch(f"scalar {reprlib.repr(v)} has a zero denominator")
-        return self.of(Fraction(int(m[1]), den))
+        """Read one scalar of a JSON document (see :func:`_scalar`); over
+        F_p a denominator that p divides in lowest terms raises
+        FieldMismatch too."""
+        return self._value(*_scalar(v))
 
     def parse_vector(self, doc, n: int, path: str) -> tuple:
         """Read a JSON array of n scalars; a bad shape raises SchemaError at
         ``path`` and a bad entry at its own ``path[i]``."""
+        return tuple(self._entries(doc, n, path, self.parse))
+
+    def _read_vector(self, doc, n: int, path: str) -> tuple[list, int]:
+        """What ``_ints(self, self.parse_vector(doc, n, path))`` gives, with
+        the same errors, but no field value per entry."""
+        return self._over_one_denominator(self._entries(doc, n, path, self._exact))
+
+    def _read_cube(self, doc, n: int, path: str) -> tuple[list, int]:
+        """A JSON array of n planes of n rows of n scalars as (ints, d), the
+        ints flat in row-major order; a bad shape raises SchemaError at the
+        path of its array and a bad entry at ``path[i][j][k]``."""
+        if not isinstance(doc, list) or len(doc) != n:
+            raise SchemaError(path, f"expected {n} planes")
+        exact = self._exact
+        out = []
+        for i, plane in enumerate(doc):
+            ppath = f"{path}[{i}]"
+            if not isinstance(plane, list) or len(plane) != n:
+                raise SchemaError(ppath, f"expected {n} rows")
+            for j, row in enumerate(plane):
+                out += self._entries(row, n, f"{ppath}[{j}]", exact)
+        return self._over_one_denominator(out)
+
+    @staticmethod
+    def _entries(doc, n: int, path: str, read) -> list:
         if not isinstance(doc, list) or len(doc) != n:
             raise SchemaError(path, f"expected an array of {n} scalars")
         out = []
         for i, x in enumerate(doc):
             try:
-                out.append(self.parse(x))
+                out.append(read(x))
             except FieldMismatch as e:
                 raise SchemaError(f"{path}[{i}]", str(e)) from None
-        return tuple(out)
+        return out
 
     def format(self, x) -> str:
         raise NotImplementedError
@@ -250,6 +290,21 @@ class RationalField(Field):
         if isinstance(v, FpValue):
             raise FieldMismatch("prime-field value used where a rational was expected")
         raise FieldMismatch(f"cannot interpret {v!r} as a rational scalar")
+
+    _value = Fraction
+
+    @staticmethod
+    def _exact(v) -> tuple[int, int]:
+        n, d = _scalar(v)
+        if d == 1:
+            return n, 1
+        g = gcd(n, d)
+        return n // g, d // g
+
+    @staticmethod
+    def _over_one_denominator(pairs) -> tuple[list, int]:
+        d = lcm(*[q for _, q in pairs])
+        return [n * (d // q) for n, q in pairs], d
 
     def format(self, x) -> str:
         try:
@@ -295,12 +350,31 @@ class PrimeField(Field):
         if isinstance(v, int):
             return FpValue(v, self.p)
         if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise FieldMismatch(
-                    f"denominator {v.denominator} is divisible by {self.p}"
-                )
-            return FpValue(v.numerator * pow(v.denominator, -1, self.p), self.p)
+            return self._value(v.numerator, v.denominator)
         raise FieldMismatch(f"cannot interpret {v!r} as a scalar in F_{self.p}")
+
+    def _residue(self, n: int, d: int) -> int:
+        """n / d mod p for d > 0; raises FieldMismatch when p divides the
+        denominator of n / d in lowest terms."""
+        p = self.p
+        if d == 1:
+            return n % p
+        if d % p == 0:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            if d % p == 0:
+                raise FieldMismatch(f"denominator {d} is divisible by {p}")
+        return n * pow(d, -1, p) % p
+
+    def _value(self, n: int, d: int) -> FpValue:
+        return FpValue(self._residue(n, d), self.p)
+
+    def _exact(self, v) -> int:
+        return self._residue(*_scalar(v))
+
+    @staticmethod
+    def _over_one_denominator(residues) -> tuple[list, int]:
+        return residues, 1
 
     def format(self, x) -> str:
         return str(x.v)

@@ -54,26 +54,22 @@ class FrobeniusAlgebra:
 
     ``mult[i][j][k]`` is the coefficient of basis element k in the product
     of basis elements i and j; ``unit`` and ``trace`` are coordinate
-    tuples.  Construction reads every entry through ``field.of``, so ints
-    and Fractions are accepted, and checks shapes; the algebra axioms are
-    the business of :func:`verify`.  The basis columns, the dual bases, the
-    hole element and the integer cube are built on first use and held for
-    the life of the algebra.  The integer cube is the structure constants
-    as ints: residues in [0, p) over F_p, and numerators over one common
-    denominator over QQ.  It is the algebra's one product path: products,
-    the Gram matrix, the trace, the hole element, the window map, the
-    center, commutativity, the regular trace form, :func:`verify` and
-    :func:`commutator_space` contract these ints and wrap each output
-    entry once.
+    tuples.  Construction reads every entry through ``field.of`` once, so
+    ints and Fractions are accepted, and checks shapes; the algebra axioms
+    are the business of :func:`verify`.  The structure constants are stored
+    only as the integer cube: residues in [0, p) over F_p, and numerators
+    over one common denominator over QQ.  :func:`frobenius_from_json` reads
+    a document straight into it, and ``mult`` is derived from it on first
+    read.  It is the algebra's one product path: products, the Gram matrix,
+    the trace, the hole element, the window map, the center,
+    commutativity, the regular trace form, :func:`verify` and
+    :func:`commutator_space` contract these ints and wrap each output entry
+    once.  The basis columns, the dual bases and the hole element are built
+    on first use and held for the life of the algebra.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
         n = len(names)
-        of = field.of
-        names = tuple(str(x) for x in names)
-        mult = tuple(tuple(tuple(of(c) for c in row) for row in plane) for plane in mult)
-        unit = tuple(of(c) for c in unit)
-        trace = tuple(of(c) for c in trace)
         if len(mult) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in mult
@@ -81,11 +77,30 @@ class FrobeniusAlgebra:
             raise ValueError("structure constants must form an n x n x n cube")
         if len(unit) != n or len(trace) != n:
             raise ValueError("unit and trace must have one entry per basis element")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "trace", trace)
+        of = field.of
+        self._store(field, names,
+                    _ints(field, [of(c) for plane in mult for row in plane for c in row]),
+                    tuple(of(c) for c in unit), _ints(field, [of(c) for c in trace]))
+
+    @classmethod
+    def _of_ints(cls, field: Field, names, cube, unit, trace) -> "FrobeniusAlgebra":
+        """The algebra of the cube (flat, row-major) and trace as (ints, d),
+        as :func:`_ints` gives them, and the unit as field values."""
+        b = object.__new__(cls)
+        b._store(field, names, cube, unit, trace)
+        return b
+
+    def _store(self, field, names, cube, unit, trace):
+        n = len(names)
+        flat, D = cube
+        it = iter(flat)
+        # _cube is (cube, D): cube[i][j] holds the pairs (k, m) with m != 0,
+        # where m / D is mult[i][j][k] (D = 1 and m a residue over F_p)
+        sparse = tuple(tuple(tuple((k, m) for k, m in enumerate(islice(it, n)) if m)
+                             for _ in range(n)) for _ in range(n))
+        for name, value in (("field", field), ("names", tuple(str(x) for x in names)),
+                            ("_cube", (sparse, D)), ("unit", unit), ("_trace_ints", trace)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FrobeniusAlgebra is immutable")
@@ -98,6 +113,19 @@ class FrobeniusAlgebra:
     def is_zero_algebra(self) -> bool:
         return self.dim == 0
 
+    @cached_property
+    def mult(self) -> tuple:
+        """The structure constants as field values, from the integer cube."""
+        cube, D = self._cube
+        n = self.dim
+        return tuple(tuple(_wrap(self.field, [row.get(k, 0) for k in range(n)], D)
+                           for row in map(dict, plane)) for plane in cube)
+
+    @cached_property
+    def trace(self) -> tuple:
+        """The trace covector as field values."""
+        return _wrap(self.field, *self._trace_ints)
+
     def el(self, coeffs) -> Matrix:
         return Matrix.col_vector(self.field, list(coeffs))
 
@@ -105,33 +133,17 @@ class FrobeniusAlgebra:
     def basis_columns(self) -> tuple:
         """The basis elements e_0, ..., e_{n-1} as coordinate columns."""
         F = self.field
-        return tuple(self.el([F.one if j == i else F.zero for j in range(self.dim)])
-                     for i in range(self.dim))
+        return tuple(Matrix._of_values(F, tuple(zip(row)), 1)
+                     for row in Matrix.identity(F, self.dim).data)
 
     def basis_el(self, i: int) -> Matrix:
         return self.basis_columns[i]
 
     def unit_el(self) -> Matrix:
-        return self.el(self.unit)
+        return Matrix._of_values(self.field, tuple(zip(self.unit)), 1)
 
     def zero_el(self) -> Matrix:
         return Matrix.zeros(self.field, self.dim, 1)
-
-    @cached_property
-    def _cube(self) -> tuple:
-        """(cube, D): cube[i][j] holds the pairs (k, m) with m != 0, where
-        m / D is mult[i][j][k] and D is the lcm of the constants'
-        denominators (D = 1 and m a residue over F_p)."""
-        n = self.dim
-        flat, D = _ints(self.field, [m for p in self.mult for row in p for m in row])
-        it = iter(flat)
-        return tuple(tuple(tuple((k, m) for k, m in enumerate(islice(it, n)) if m)
-                           for _ in range(n)) for _ in range(n)), D
-
-    @cached_property
-    def _trace_ints(self) -> tuple:
-        """The trace covector as (ints, d)."""
-        return _ints(self.field, self.trace)
 
     def _coords(self, x: Matrix) -> tuple:
         """(ints, d) of an element, which must be a dim x 1 column over the
@@ -602,16 +614,12 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     if names is not None and (not isinstance(names, list) or len(names) != dim
                               or not all(isinstance(x, str) for x in names)):
         raise SchemaError(f"{path}.basis", f"expected {dim} basis names")
-    mdoc = doc.get("mult")
-    if not isinstance(mdoc, list) or len(mdoc) != dim:
-        raise SchemaError(f"{path}.mult", f"expected {dim} planes")
+    cube = field._read_cube(doc.get("mult"), dim, f"{path}.mult")
     # the default names are built only now, once mult has shown dim is real
     names = names or [f"e{i}" for i in range(dim)]
-    mult = tuple(Matrix.from_lists(field, plane, dim, dim, f"{path}.mult[{i}]").data
-                 for i, plane in enumerate(mdoc))
-    unit = field.parse_vector(doc.get("unit"), dim, f"{path}.unit")
-    trace = field.parse_vector(doc.get("trace"), dim, f"{path}.trace")
-    return FrobeniusAlgebra(field, names, mult, unit, trace)
+    unit = _wrap(field, *field._read_vector(doc.get("unit"), dim, f"{path}.unit"))
+    trace = field._read_vector(doc.get("trace"), dim, f"{path}.trace")
+    return FrobeniusAlgebra._of_ints(field, names, cube, unit, trace)
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
@@ -627,7 +635,7 @@ def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
 
 
 def element_from_json(b: FrobeniusAlgebra, doc, path: str) -> Matrix:
-    return b.el(b.field.parse_vector(doc, b.dim, path))
+    return Matrix._of_values(b.field, tuple(zip(b.field.parse_vector(doc, b.dim, path))), 1)
 
 
 # Largest genus a surface document may give a component: evaluation takes

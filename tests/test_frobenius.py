@@ -14,7 +14,7 @@ from defekt.errors import (
     SchemaError,
 )
 import defekt.frobenius as frobenius_module
-from defekt.exactla import Matrix, PrimeField, QQ
+from defekt.exactla import Field, FpValue, Matrix, PrimeField, QQ, RationalField
 from defekt.frobenius import (
     FrobeniusAlgebra,
     SurfaceComponent,
@@ -646,6 +646,67 @@ def test_json_round_trip():
     assert B2.unit == B.unit
     assert B2.trace == B.trace
     assert B2.names == B.names
+
+
+def _respell(rng, field, c):
+    """A JSON spelling of the field value c: an int where c has one, an
+    unreduced fraction, a residue >= p or a negative one, or a signed zero."""
+    if field.char:
+        p, q, k = field.char, rng.randint(1, 5), rng.randint(-2, 2)
+        num = c.v * q + k * p
+        return rng.choice([c.v + k * p, str(c.v + k * p), f"{num}/{q}",
+                           f"{num * p}/{q * p}"])
+    a, b, k = c.numerator, c.denominator, rng.randint(2, 4)
+    spellings = [f"{a * k}/{b * k}", f"{a}/{b}" if a < 0 else f"+{a}/{b}"]
+    if b == 1:
+        spellings += [a, f"+{a}" if a >= 0 else str(a)]
+    if a == 0:
+        spellings += ["-0", "-0/3", "+0"]
+    return rng.choice(spellings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(perturbed_algebras(),
+                 st.builds(lambda f, seed: random_symmetric_frobenius(random.Random(seed), f),
+                           st.sampled_from(FIELDS), st.integers(0, 2 ** 16))),
+       st.randoms(use_true_random=False))
+def test_respelled_documents_read_to_the_constructors_cube(b, rng):
+    F = b.field
+    doc = frobenius_to_json(b)
+    doc["mult"] = [[[_respell(rng, F, c) for c in row] for row in plane]
+                   for plane in b.mult]
+    doc["unit"] = [_respell(rng, F, c) for c in b.unit]
+    doc["trace"] = [_respell(rng, F, c) for c in b.trace]
+    c = frobenius_from_json(F, doc)
+    assert c._cube == b._cube and c._trace_ints == b._trace_ints
+    assert (c.mult, c.unit, c.trace) == (b.mult, b.unit, b.trace)
+    assert verify(c) == verify(b)
+    assert frobenius_to_json(c) == frobenius_to_json(b)
+
+
+def test_algebra_documents_read_no_scalar_object_per_constant(monkeypatch):
+    # a dim-n document costs at most n parses or field.of calls for each of
+    # its unit and trace, and none for its n^3 structure constants
+    rng = random.Random(67)
+    docs = [frobenius_to_json(random_symmetric_frobenius(rng, F, max_dim=6))
+            for F in FIELDS for _ in range(3)]
+    calls = {"scalars": 0, "residues": 0}
+
+    def counted(key, f):
+        def wrapper(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(Field, "parse", counted("scalars", Field.parse))
+    for cls in (RationalField, PrimeField):
+        monkeypatch.setattr(cls, "of", counted("scalars", cls.of))
+    monkeypatch.setattr(FpValue, "__init__", counted("residues", FpValue.__init__))
+    for doc, F in zip(docs, [F for F in FIELDS for _ in range(3)]):
+        calls.update(scalars=0, residues=0)
+        b = frobenius_from_json(F, doc)
+        assert calls["scalars"] <= 2 * b.dim and calls["residues"] <= 2 * b.dim
+    assert max(len(doc["mult"]) for doc in docs) >= 4
 
 
 def test_json_schema_errors():

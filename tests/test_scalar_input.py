@@ -1,15 +1,19 @@
-"""Every JSON reader takes its scalars through ``Field.parse``: an int, or a
-string ``[+-]digits`` or ``[+-]digits/digits``.  Any other scalar is a
-SchemaError at the path of the entry itself, including strings that
-``Fraction`` would expand into huge numbers."""
+"""Every JSON reader takes its scalars through the grammar of
+``Field.parse``: an int, or a string ``[+-]digits`` or ``[+-]digits/digits``.
+Any other scalar is a SchemaError at the path of the entry itself, including
+strings that ``Fraction`` would expand into huge numbers and strings that
+``int`` alone would take.  The integer readers of algebra documents accept
+exactly what ``Field.parse`` accepts."""
 import json
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defekt.cli import run
 from defekt.errors import FieldMismatch, SchemaError
-from defekt.exactla import PrimeField, QQ
+from defekt.exactla import PrimeField, QQ, _ints, _wrap
 from defekt.frobenius import (
     element_from_json,
     frobenius_from_json,
@@ -19,7 +23,7 @@ from defekt.frobenius import (
 from defekt.openclosed import knowledgeable_from_json, openclosed_from_json
 from defekt.universal import theory_from_json
 
-from factories import knowledgeable_pair_cyclic, mat2_block
+from factories import FIELDS, knowledgeable_pair_cyclic, mat2_block
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -33,7 +37,12 @@ BAD = {
     "bool": True,
     "float": 0.5,
     "5000_digits": "9" * 5000,
+    "leading_space": " 3",
+    "underscore": "1_000",
+    "arabic_indic_digit": "\u0663",
 }
+# The comma-separated --zi and --zc literals strip spaces around each piece.
+CLI_BAD = {k: v for k, v in BAD.items() if k != "leading_space"}
 
 
 def _theory(interval=None, circular=None):
@@ -60,6 +69,12 @@ def _algebra(bad):
     doc = frobenius_to_json(mat2_block(QQ, Fr(1)))
     doc["mult"][0][1][2] = bad
     return frobenius_from_json(QQ, doc)
+
+
+def _algebra_f7(bad):
+    doc = frobenius_to_json(mat2_block(F7, F7.one))
+    doc["mult"][0][1][2] = bad
+    return frobenius_from_json(F7, doc)
 
 
 def _element(bad):
@@ -95,6 +110,7 @@ READERS = {
     "tracerep": (_tracerep, "circular.weight[0][0]"),
     "rational1": (_rational1, "interval.num[0]"),
     "algebra": (_algebra, "$.mult[0][1][2]"),
+    "algebra_f7": (_algebra_f7, "$.mult[0][1][2]"),
     "element": (_element, "$.elem[2]"),
     "surface": (_surface, "$.components[0].boundaries[0][1][1]"),
     "pair": (_pair, "$.cozipper[1][0]"),
@@ -112,7 +128,16 @@ def test_reader_refuses_scalar_at_its_path(reader, bad):
     assert exc.value.path == path
 
 
-@pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+def test_f7_algebra_reader_refuses_a_denominator_divisible_by_7():
+    # p divides the denominator in lowest terms: 7/14 is 1/2, 1/7 is refused
+    assert _algebra_f7("7/14").mult[0][1][2] == F7.parse("1/2")
+    with pytest.raises(SchemaError) as exc:
+        _algebra_f7("1/7")
+    assert exc.value.path == "$.mult[0][1][2]"
+    assert exc.value.message == "$.mult[0][1][2]: denominator 7 is divisible by 7"
+
+
+@pytest.mark.parametrize("bad", CLI_BAD.values(), ids=CLI_BAD.keys())
 def test_cli_series_literal_refuses_scalar(bad, capsys):
     literal = bad if isinstance(bad, str) else json.dumps(bad)
     code = run(["onevar", "analyze", "--zi", f"1,{literal}", "--zc", "1"])
@@ -132,3 +157,42 @@ def test_parse_grammar(field):
                  "3/-2", "3/+2", "0x10", "inf", "nan", "2/", "/2", None, [1]]:
         with pytest.raises(FieldMismatch):
             field.parse(text)
+
+
+_LONG = ["9" * 4300, "9" * 4301, "-" + "9" * 4300, "1/" + "9" * 4300,
+         "1/" + "9" * 4301, "7" * 4300 + "/7"]
+SCALARS = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,25}(/[0-9]{1,25})?", fullmatch=True),
+    st.text(max_size=8),
+    st.text(alphabet=" +-/0123456789_\u0663", max_size=8),
+    st.sampled_from([" 3", "1_000", "\u0663", "+0", "-0/5", "2/4", "14/7", "3/14"]
+                    + _LONG),
+    st.builds("{}/0".format, st.integers(-9, 9)),
+    st.builds(lambda n, k, p: f"{n}/{k * p}", st.integers(-50, 50), st.integers(1, 4),
+              st.sampled_from([7, 1000003])),
+    st.integers(-(10 ** 30), 10 ** 30),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(FIELDS), SCALARS)
+def test_integer_readers_agree_with_parse(field, v):
+    # the vector and the cube reader accept what Field.parse accepts, raise
+    # its message at the entry's path, and their ints wrap to its value
+    try:
+        want = field.parse(v)
+    except FieldMismatch as e:
+        for read, doc, path in ((field._read_vector, [v], "$[0]"),
+                                (field._read_cube, [[[v]]], "$[0][0][0]")):
+            with pytest.raises(SchemaError) as exc:
+                read(doc, 1, "$")
+            assert exc.value.path == path
+            assert exc.value.message == f"{path}: {e.message}"
+    else:
+        got = field._read_vector([v], 1, "$")
+        assert got == _ints(field, [want])
+        assert _wrap(field, *got) == (want,)
+        assert field._read_cube([[[v]]], 1, "$") == got
