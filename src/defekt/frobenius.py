@@ -383,10 +383,10 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
     return kept
 
 
-def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
-    """Basis of Z(B), the solutions of x*e_j = e_j*x for all j.  Row k of
-    block j reads coordinate k of x*e_j - e_j*x off the integer cube:
-    c_ij^k - c_ji^k over D in column i."""
+def _commutator_rows(b: FrobeniusAlgebra) -> Matrix:
+    """The n^2 x n matrix R with R x = 0 exactly when x*e_j = e_j*x for all
+    j.  Row k of block j reads coordinate k of x*e_j - e_j*x off the
+    integer cube: c_ij^k - c_ji^k over D in column i."""
     F, n = b.field, b.dim
     cube, D = b._cube
     rows = [[[0] * n for _ in range(n)] for _ in range(n)]  # rows[j][k][i]
@@ -394,8 +394,12 @@ def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
         for k, m in cube[i][j]:
             rows[j][k][i] += m
             rows[i][k][j] -= m
-    return Matrix._of_values(
-        F, tuple(_wrap(F, row, D) for block in rows for row in block), n).kernel_basis()
+    return Matrix._of_values(F, tuple(_wrap(F, row, D) for block in rows for row in block), n)
+
+
+def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
+    """Basis of Z(B): the kernel of :func:`_commutator_rows`."""
+    return _commutator_rows(b).kernel_basis()
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 The first layer pairs a symmetric Frobenius algebra B (open sector, the
 state space of an interval) with a commutative Frobenius algebra C
 (closed sector, the state space of a circle) through a zipper map
-``j: B -> C`` and a cozipper ``j*: C -> B``.  ``check_knowledgeable``
-verifies the defining axioms one by one: the cozipper is a unital
-algebra homomorphism with central image, the zipper is a
-trace-respecting coalgebra homomorphism, the two maps are adjoint with
-respect to the traces, and the Cardy condition holds (the cozipper
-composed with the zipper equals B's window map).
+``jz: B -> C`` and a cozipper ``jc: C -> B``.  ``check_knowledgeable``
+verifies each defining axiom as one identity between matrices: the
+cozipper is an algebra homomorphism (jc mu_C = mu_B (jc (x) jc), mu the
+multiplication table), unital (jc u_C = u_B) and central (R_B jc = 0,
+R_B the commutator rows of B); the zipper is a coalgebra homomorphism
+(Delta_C jz = (jz (x) jz) Delta_B, Delta the comultiplication) and
+trace-respecting (tau_C jz = tau_B, tau the trace rows); the two maps are
+adjoint for the traces (jz^T G_C = G_B jc, G the Gram matrices); and the
+Cardy condition holds (jc jz is the matrix of B's window map).
 
 The second layer drops C and instead equips B with a rational series Z0
 whose Taylor coefficients evaluate closed surfaces by genus.  Surfaces
@@ -23,6 +26,7 @@ coefficient of Z0 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FieldMismatch, SchemaError, Unsupported
 from .exactla import Field, Matrix
@@ -30,6 +34,7 @@ from .frobenius import (
     FrobeniusAlgebra,
     SurfaceSpec,
     VerifyReport,
+    _commutator_rows,
     eval_surface,
     frobenius_from_json,
     hole_element,
@@ -125,71 +130,60 @@ class KnowledgeableReport:
         )
 
 
-def _comult_matrix(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
-    """Coefficient matrix M of Delta(elem) = sum M[r,s] e_r (x) e_s, with
-    Delta(v) = sum_i (v * y_i) (x) x_i over dual bases tr(x_i y_j) = d_ij."""
-    cols = [b.mul(elem, y) for y in b.duals[1]]
-    n = b.dim
-    return Matrix(
-        b.field,
-        [[cols[s][r, 0] for s in range(n)] for r in range(n)],
-        cols=n,
-    )
+def _columns(F: Field, cols, rows: int) -> Matrix:
+    """The matrix whose columns are the given tuples of ``rows`` entries,
+    also when there are none."""
+    return Matrix._of_values(F, tuple(cols), rows).transpose()
+
+
+def _kron(x: Matrix, y: Matrix) -> Matrix:
+    """x (x) y: entry ((i, k), (j, l)) is x[i, j] y[k, l]."""
+    return Matrix._of_values(x.field, tuple(tuple(s * t for s in xr for t in yr)
+                                            for xr in x.data for yr in y.data),
+                             x.cols * y.cols)
+
+
+def _mult_table(a: FrobeniusAlgebra) -> Matrix:
+    """mu: the dim x dim^2 matrix whose column (i, j) is e_i e_j."""
+    return _columns(a.field, chain.from_iterable(a.mult), a.dim)
+
+
+def _comult_table(a: FrobeniusAlgebra) -> Matrix:
+    """Delta: the dim^2 x dim matrix whose column t holds, in row (r, s), the
+    e_r (x) e_s coefficient of Delta(e_t) = sum_s (e_t y_s) (x) e_s."""
+    F, n = a.field, a.dim
+    left = Matrix._of_values(F, tuple(r for plane in a.mult for r in zip(*plane)), n)
+    ey = left * _columns(F, (y.flat() for y in a.duals[1]), n)  # row (t, r), column s
+    return _columns(F, (tuple(chain.from_iterable(ey.data[t * n:(t + 1) * n]))
+                        for t in range(n)), n * n)
 
 
 def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
-    """Check the knowledgeable-pair axioms one by one."""
+    """Check the knowledgeable-pair axioms, each as one matrix identity:
+    jc mu_C = mu_B (jc (x) jc), jc u_C = u_B and R_B jc = 0 for the
+    cozipper; Delta_C jz = (jz (x) jz) Delta_B and tau_C jz = tau_B for
+    the zipper; jz^T G_C = G_B jc (duality); and jc jz = W, whose column i
+    is window(B, e_i) (Cardy).  mu, Delta and R_B are :func:`_mult_table`,
+    :func:`_comult_table` and :func:`_commutator_rows`."""
     b, c = p.open_algebra, p.closed_algebra
     jz, jc = p.zipper, p.cozipper
+    F = b.field
     vb, vc = verify(b), verify(c)
-
-    alg_hom = all(
-        jc * c.mul(c.basis_el(i), c.basis_el(j))
-        == b.mul(jc * c.basis_el(i), jc * c.basis_el(j))
-        for i in range(c.dim)
-        for j in range(c.dim)
-    )
-    unital = jc * c.unit_el() == b.unit_el()
-    central = all(
-        b.mul(jc * c.basis_el(i), b.basis_el(j))
-        == b.mul(b.basis_el(j), jc * c.basis_el(i))
-        for i in range(c.dim)
-        for j in range(b.dim)
-    )
-    trace_resp = all(
-        c.trace_of(jz * b.basis_el(i)) == b.trace[i] for i in range(b.dim)
-    )
-    duality = all(
-        c.trace_of(c.mul(jz * b.basis_el(i), c.basis_el(j)))
-        == b.trace_of(b.mul(b.basis_el(i), jc * c.basis_el(j)))
-        for i in range(b.dim)
-        for j in range(c.dim)
-    )
-
-    coalg = False
-    cardy = False
+    coalg = cardy = False
     if vb.nondegenerate and vc.nondegenerate:
-        jzt = jz.transpose()
-        coalg = all(
-            _comult_matrix(c, jz * b.basis_el(i))
-            == jz * _comult_matrix(b, b.basis_el(i)) * jzt
-            for i in range(b.dim)
-        )
-        cardy = all(
-            jc * (jz * b.basis_el(i)) == window(b, b.basis_el(i))
-            for i in range(b.dim)
-        )
-
+        coalg = _comult_table(c) * jz == _kron(jz, jz) * _comult_table(b)
+        cardy = jc * jz == _columns(F, (window(b, e).flat() for e in b.basis_columns), b.dim)
     return KnowledgeableReport(
         open_report=vb,
         closed_report=vc,
         closed_commutative=c.is_commutative(),
-        cozipper_algebra_hom=alg_hom,
-        cozipper_unital=unital,
-        cozipper_image_central=central,
+        cozipper_algebra_hom=jc * _mult_table(c) == _mult_table(b) * _kron(jc, jc),
+        cozipper_unital=jc * c.unit_el() == b.unit_el(),
+        cozipper_image_central=(_commutator_rows(b) * jc).is_zero(),
         zipper_coalgebra_hom=coalg,
-        zipper_trace_respecting=trace_resp,
-        duality=duality,
+        zipper_trace_respecting=(Matrix._of_values(F, (c.trace,), c.dim) * jz
+                                 == Matrix._of_values(F, (b.trace,), b.dim)),
+        duality=jz.transpose() * c.gram() == b.gram() * jc,
         cardy=cardy,
     )
 

@@ -6,8 +6,9 @@ minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
 families by testing every word in turn, pair-algebra products classed one
 pair at a time, state-space dimensions as the rank of the Gram matrix of
-spanning diagrams, the Frobenius axioms, the window, the center and the
-regular trace form checked product by product.
+spanning diagrams, the Frobenius axioms, the window, the center, the
+regular trace form and the knowledgeable-pair axioms checked product by
+product.
 Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import combinations, product
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
 from defekt.exactla import Echelon, Matrix, hstack
-from defekt.frobenius import VerifyReport
+from defekt.frobenius import VerifyReport, verify, window
+from defekt.openclosed import KnowledgeableReport
 
 
 def naive_det(rows):
@@ -242,6 +244,50 @@ def regular_trace_form_by_products(b):
     basis = b.basis_columns
     lefts = [hstack([b.mul(x, y) for y in basis]) for x in basis]
     return Matrix(b.field, [[(a * c).trace() for c in lefts] for a in lefts], cols=b.dim)
+
+
+def comult_by_products(b, elem):
+    """Coefficient matrix M of Delta(elem) = sum M[r,s] e_r (x) e_s, with
+    Delta(v) = sum_i (v * y_i) (x) x_i over dual bases tr(x_i y_j) = d_ij."""
+    cols = [b.mul(elem, y) for y in b.duals[1]]
+    n = b.dim
+    return Matrix(b.field, [[cols[s][r, 0] for s in range(n)] for r in range(n)], cols=n)
+
+
+def knowledgeable_by_products(p):
+    """The report of :func:`defekt.openclosed.check_knowledgeable`, each
+    axiom checked through ``mul`` on basis elements and their images, one
+    pair of indices at a time."""
+    b, c = p.open_algebra, p.closed_algebra
+    jz, jc = p.zipper, p.cozipper
+    vb, vc = verify(b), verify(c)
+    alg_hom = all(
+        jc * c.mul(c.basis_el(i), c.basis_el(j))
+        == b.mul(jc * c.basis_el(i), jc * c.basis_el(j))
+        for i in range(c.dim) for j in range(c.dim))
+    unital = jc * c.unit_el() == b.unit_el()
+    central = all(
+        b.mul(jc * c.basis_el(i), b.basis_el(j)) == b.mul(b.basis_el(j), jc * c.basis_el(i))
+        for i in range(c.dim) for j in range(b.dim))
+    trace_resp = all(c.trace_of(jz * b.basis_el(i)) == b.trace[i] for i in range(b.dim))
+    duality = all(
+        c.trace_of(c.mul(jz * b.basis_el(i), c.basis_el(j)))
+        == b.trace_of(b.mul(b.basis_el(i), jc * c.basis_el(j)))
+        for i in range(b.dim) for j in range(c.dim))
+    coalg = cardy = False
+    if vb.nondegenerate and vc.nondegenerate:
+        jzt = jz.transpose()
+        coalg = all(
+            comult_by_products(c, jz * b.basis_el(i))
+            == jz * comult_by_products(b, b.basis_el(i)) * jzt
+            for i in range(b.dim))
+        cardy = all(jc * (jz * b.basis_el(i)) == window(b, b.basis_el(i))
+                    for i in range(b.dim))
+    return KnowledgeableReport(
+        open_report=vb, closed_report=vc, closed_commutative=c.is_commutative(),
+        cozipper_algebra_hom=alg_hom, cozipper_unital=unital,
+        cozipper_image_central=central, zipper_coalgebra_hom=coalg,
+        zipper_trace_respecting=trace_resp, duality=duality, cardy=cardy)
 
 
 def triple_by_sum(pa, x):

@@ -19,6 +19,7 @@ from defekt.frobenius import (
     FrobeniusAlgebra,
     SurfaceComponent,
     SurfaceSpec,
+    _commutator_rows,
     beta_map,
     center_basis,
     commutator_space,
@@ -273,8 +274,8 @@ def test_axioms_commutators_and_hole_form_no_products(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cube_routes_match_the_product_routes(data):
-    # window, center, commutativity and the regular trace form, also on
-    # non-associative, non-unital and non-symmetric algebras
+    # window, center, centrality, commutativity and the regular trace
+    # form, also on non-associative, non-unital and non-symmetric algebras
     b = data.draw(st.one_of(cubes(), perturbed_algebras()))
     x = data.draw(elements(b))
     try:
@@ -286,6 +287,8 @@ def test_cube_routes_match_the_product_routes(data):
         assert window(b, x) == want
     assert center_basis(b) == center_by_products(b)
     basis = b.basis_columns
+    assert (_commutator_rows(b) * x).is_zero() == all(b.mul(x, e) == b.mul(e, x)
+                                                      for e in basis)
     assert b.is_commutative() == all(b.mul(u, v) == b.mul(v, u)
                                      for u in basis for v in basis)
     rep = embedding_obstruction(b)

@@ -1,10 +1,17 @@
 """Tests for knowledgeable pairs and hybrid open/closed theories."""
+import inspect
+import json
+import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defekt.errors import FieldMismatch, PoleAtZero, SchemaError, Unsupported
 from defekt.exactla import Matrix, PrimeField, QQ
+import defekt.openclosed as openclosed_module
+from defekt.cli import run
 from defekt.frobenius import (
     FrobeniusAlgebra,
     SurfaceComponent,
@@ -16,7 +23,7 @@ from defekt.frobenius import (
 from defekt.openclosed import (
     KnowledgeablePair,
     OpenClosedTheory,
-    _comult_matrix,
+    _comult_table,
     check_knowledgeable,
     closed_genus_values,
     eval_oc_closed,
@@ -28,13 +35,16 @@ from defekt.openclosed import (
 
 from factories import (
     _rat,
+    change_basis,
     group_algebra_cyclic,
     knowledgeable_pair_cyclic,
     knowledgeable_pair_matrix,
     mat2_block,
     nilpotent_block,
     point_block,
+    random_invertible,
 )
+from oracles import comult_by_products, knowledgeable_by_products
 
 
 def trivial_pair(zipper_scalar=Fr(1)):
@@ -140,10 +150,118 @@ def test_comultiplication_of_dual_numbers():
     lam = Fr(3)
     c = nilpotent_block(QQ, lam, Fr(1))
     # Delta(1) = 1 (x) x + x (x) 1 - lam x (x) x and Delta(x) = x (x) x.
-    m1 = _comult_matrix(c, c.unit_el())
+    m1 = comult_by_products(c, c.unit_el())
     assert [list(m1.row(0)), list(m1.row(1))] == [[Fr(0), Fr(1)], [Fr(1), -lam]]
-    mx = _comult_matrix(c, c.basis_el(1))
+    mx = comult_by_products(c, c.basis_el(1))
     assert [list(mx.row(0)), list(mx.row(1))] == [[Fr(0), Fr(0)], [Fr(0), Fr(1)]]
+    # the table holds the same coefficients, Delta(e_t) in column t
+    delta = _comult_table(c)
+    assert delta.column(0) == m1.flat() and delta.column(1) == mx.flat()
+
+
+def zero_dimensional_pairs():
+    """(open, closed) = (point, zero), (zero, point) and (zero, zero)."""
+    pt, z = point_block(QQ, Fr(1)), FrobeniusAlgebra(QQ, [], [], [], [])
+    return [KnowledgeablePair(pt, z, Matrix(QQ, [], cols=1), Matrix(QQ, [[]], cols=0)),
+            KnowledgeablePair(z, pt, Matrix(QQ, [[]], cols=0), Matrix(QQ, [], cols=1)),
+            KnowledgeablePair(z, z, Matrix(QQ, [], cols=0), Matrix(QQ, [], cols=0))]
+
+
+# The reports of the zero-dimensional pairs, as `oc check` prints them: a
+# point cozipped from the zero algebra misses B's unit, trace and window.
+ZERO_DIM_FAILURES = [
+    {"cozipper_unital", "zipper_trace_respecting", "cardy"}, set(), set()]
+AXIOMS = ["closed_commutative", "cozipper_algebra_hom", "cozipper_unital",
+          "cozipper_image_central", "zipper_coalgebra_hom",
+          "zipper_trace_respecting", "duality", "cardy"]
+PASSING_ALGEBRA = {"passed": True, "associative": True, "associative_witness": None,
+                   "unital": True, "unital_witness": None, "symmetric": True,
+                   "symmetric_witness": None, "nondegenerate": True,
+                   "radical_witness": None}
+
+
+def pair_doc(pair):
+    f = pair.open_algebra.field
+    return {"field": f.tag(),
+            "open": frobenius_to_json(pair.open_algebra),
+            "closed": frobenius_to_json(pair.closed_algebra),
+            "zipper": pair.zipper.to_lists(), "cozipper": pair.cozipper.to_lists()}
+
+
+@pytest.mark.parametrize("pair,failing", zip(zero_dimensional_pairs(), ZERO_DIM_FAILURES))
+def test_zero_dimensional_pairs(pair, failing, tmp_path, capsys):
+    rep = check_knowledgeable(pair)
+    assert rep == knowledgeable_by_products(pair)
+    assert rep.open_report.passed and rep.closed_report.passed
+    assert {a for a in AXIOMS if not getattr(rep, a)} == failing
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair_doc(pair)))
+    assert run(["oc", "check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": not failing, "open": PASSING_ALGEBRA, "closed": PASSING_ALGEBRA,
+        **{a: a not in failing for a in AXIOMS}}
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """A passing pair (F_3[C_3] or F_5[C_5] over the dual numbers, Mat_2
+    over QQ or F_7), sometimes with B's basis hidden, its closed algebra
+    replaced by B itself or given the zero trace, and one zipper or
+    cozipper entry shifted; or one of the zero-dimensional pairs."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(zero_dimensional_pairs()))
+    field = draw(st.sampled_from([PrimeField(3), PrimeField(5), QQ, PrimeField(7)]))
+    if field.char in (3, 5):
+        pair = knowledgeable_pair_cyclic(field, field.of(draw(st.integers(0, 4))))
+    else:
+        pair = knowledgeable_pair_matrix(field)
+    b, c, jz, jc = pair.open_algebra, pair.closed_algebra, pair.zipper, pair.cozipper
+    if draw(st.booleans()):
+        S = random_invertible(random.Random(draw(st.integers(0, 999))), field, b.dim)
+        b, jz, jc = change_basis(b, S), jz * S, S.inverse() * jc
+    closed = draw(st.sampled_from(["kept", "kept", "kept", "open", "degenerate"]))
+    if closed == "open":
+        c, jz, jc = b, Matrix.identity(field, b.dim), Matrix.identity(field, b.dim)
+    elif closed == "degenerate":
+        c = FrobeniusAlgebra(field, c.names, c.mult, c.unit, [field.zero] * c.dim)
+    if draw(st.booleans()):
+        shift_zipper = draw(st.booleans())
+        m = jz if shift_zipper else jc
+        rows = [list(r) for r in m.data]
+        i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, m.cols - 1))
+        rows[i][j] += field.of(draw(st.sampled_from([1, 2, -1, Fr(1, 2)])))
+        m = Matrix(field, rows, cols=m.cols)
+        jz, jc = (m, jc) if shift_zipper else (jz, m)
+    return KnowledgeablePair(b, c, jz, jc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed_pairs())
+def test_matrix_identities_match_the_product_route(pair):
+    assert check_knowledgeable(pair) == knowledgeable_by_products(pair)
+
+
+def test_check_forms_no_product_per_basis_element(monkeypatch):
+    # each axiom is one identity between whole matrices: no product is
+    # formed per basis element or per pair of them
+    assert "basis_el" not in inspect.getsource(openclosed_module)
+    f5 = PrimeField(5)
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for pair in (knowledgeable_pair_cyclic(f5, f5.parse("2")),
+                 knowledgeable_pair_matrix(QQ)):
+        check_knowledgeable(pair)  # builds the dual bases and the constants
+        calls.clear()
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        assert check_knowledgeable(pair).passed
+        monkeypatch.setattr(Matrix, "__mul__", mul)
+        n, m = pair.open_algebra.dim, pair.closed_algebra.dim
+        assert len(calls) <= 2 * n + m * m + 6
 
 
 def passing_pairs():
