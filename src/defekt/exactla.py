@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul, neg
@@ -241,21 +242,32 @@ class Field:
         the same errors, but no field value per entry."""
         return self._over_one_denominator(self._entries(doc, n, path, self._exact))
 
+    def _read_matrix(self, doc, rows: int, cols: int, path: str) -> tuple[list, int]:
+        """A JSON array of ``rows`` arrays of ``cols`` scalars as (ints, d),
+        the ints flat in row-major order; a bad shape raises SchemaError at
+        the path of its array and a bad entry at ``path[i][j]``."""
+        return self._over_one_denominator(self._rows(doc, rows, cols, path))
+
     def _read_cube(self, doc, n: int, path: str) -> tuple[list, int]:
         """A JSON array of n planes of n rows of n scalars as (ints, d), the
         ints flat in row-major order; a bad shape raises SchemaError at the
         path of its array and a bad entry at ``path[i][j][k]``."""
         if not isinstance(doc, list) or len(doc) != n:
             raise SchemaError(path, f"expected {n} planes")
-        exact = self._exact
         out = []
         for i, plane in enumerate(doc):
-            ppath = f"{path}[{i}]"
-            if not isinstance(plane, list) or len(plane) != n:
-                raise SchemaError(ppath, f"expected {n} rows")
-            for j, row in enumerate(plane):
-                out += self._entries(row, n, f"{ppath}[{j}]", exact)
+            out += self._rows(plane, n, n, f"{path}[{i}]")
         return self._over_one_denominator(out)
+
+    def _rows(self, doc, rows: int, cols: int, path: str) -> list:
+        """The integer forms (``_exact``) of a rows x cols JSON array of
+        scalars, flat in row-major order."""
+        if not isinstance(doc, list) or len(doc) != rows:
+            raise SchemaError(path, f"expected {rows} rows")
+        out = []
+        for i, row in enumerate(doc):
+            out += self._entries(row, cols, f"{path}[{i}]", self._exact)
+        return out
 
     @staticmethod
     def _entries(doc, n: int, path: str, read) -> list:
@@ -339,8 +351,10 @@ class PrimeField(Field):
             raise FieldMismatch(f"{p} is not prime")
         self.p = p
         self.char = p
-        self.zero = FpValue(0, p)
-        self.one = FpValue(1, p)
+
+    # built on first use, so reading a document's field makes no FpValue
+    zero = cached_property(lambda self: FpValue(0, self.p))
+    one = cached_property(lambda self: FpValue(1, self.p))
 
     def of(self, v):
         if isinstance(v, FpValue):
@@ -619,16 +633,21 @@ class Matrix:
     def col_vector(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, [[e] for e in entries], cols=1)
 
+    @classmethod
+    def _of_ints(cls, field: Field, ints, d: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix of the integers ``ints`` (flat, row-major)
+        over ``d``, as :func:`_ints` gives them, each wrapped once."""
+        vals = _wrap(field, ints, d)
+        return cls._of_values(
+            field, tuple(vals[i * cols:(i + 1) * cols] for i in range(rows)), cols)
+
     @staticmethod
     def from_lists(field: Field, lists, rows: int, cols: int,
                    path: str = "matrix") -> "Matrix":
         """Read a JSON array of ``rows`` arrays of ``cols`` exact scalars
-        (see :meth:`Field.parse_vector` for the paths of errors)."""
-        if not isinstance(lists, list) or len(lists) != rows:
-            raise SchemaError(path, f"expected {rows} rows")
-        return Matrix._of_values(field, tuple(
-            field.parse_vector(row, cols, f"{path}[{i}]") for i, row in enumerate(lists)),
-            cols)
+        (see :meth:`Field._read_matrix` for the paths of errors)."""
+        return Matrix._of_ints(field, *field._read_matrix(lists, rows, cols, path),
+                               rows, cols)
 
     def to_lists(self) -> list:
         return [[self.field.format(x) for x in row] for row in self.data]
@@ -871,12 +890,6 @@ class Polynomial:
     def constant(field: Field, c) -> "Polynomial":
         return Polynomial(field, [c])
 
-    @staticmethod
-    def from_list(field: Field, lst, path: str = "poly") -> "Polynomial":
-        if not isinstance(lst, list):
-            raise SchemaError(path, "expected an array of ascending coefficients")
-        return Polynomial(field, field.parse_vector(lst, len(lst), path))
-
     def to_list(self) -> list:
         return [self.field.format(c) for c in self.coeffs]
 
@@ -944,23 +957,14 @@ class Polynomial:
         self._check_field(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        # over QQ, a = A / da and b = B / db with c^k A = Q B + R give
+        # q = Q db / (c^k da) and r = R / (c^k da)
         F = self.field
-        rem = list(self.coeffs)
-        qlen = max(0, len(rem) - len(other.coeffs) + 1)
-        q = [F.zero] * qlen
-        dl = other.coeffs[-1]
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            if rem[-1] == F.zero:
-                rem.pop()
-                continue
-            shift = len(rem) - dlen
-            c = rem[-1] / dl
-            q[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * oc
-            rem.pop()
-        return Polynomial(F, q), Polynomial(F, rem)
+        (a, da), (b, db) = _ints(F, self.coeffs), _ints(F, other.coeffs)
+        q, r = _poly_divmod(F.char, a, b)
+        s = 1 if F.char else da * b[-1] ** len(q)
+        return (Polynomial(F, _wrap(F, [x * db for x in q], s)),
+                Polynomial(F, _wrap(F, r, s)))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -1038,12 +1042,61 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
     return m.kernel_basis()
 
 
+def _poly_divmod(p: int, a, b) -> tuple[list, list]:
+    """Long division of ascending integer coefficient lists, b nonzero with
+    no trailing zero: (q, r) with deg r < deg b and no trailing zero in r.
+    Over F_p (p > 0) a = q b + r, in residues.  Over QQ (p == 0) it is
+    pseudo-division, c^len(q) a = q b + r with c the leading coefficient
+    of b, so every step stays in the integers."""
+    c, m = b[-1], len(b) - 1
+    inv = pow(c, -1, p) if p else None
+    q = [0] * max(0, len(a) - m)
+    r = list(a)
+    for i in reversed(range(len(q))):
+        t = r.pop()  # c t - t c, or t - (t / c) c mod p, is zero
+        if p:
+            t = t * inv % p
+        else:
+            r = [c * x for x in r]
+            q = [c * x for x in q]
+        q[i] = t
+        for j in range(m):
+            r[i + j] -= t * b[j]
+    if p:
+        r = [x % p for x in r]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_gcd(p: int, a, b) -> list:
+    """Euclid's algorithm on ascending integer coefficient lists with no
+    trailing zero: the gcd, monic in residues over F_p, and over QQ with
+    integer coefficients of gcd 1 and a positive leading one (each
+    remainder is divided by the gcd of its coefficients).  gcd(0, 0) is
+    the empty list."""
+    while b:
+        r = _poly_divmod(p, a, b)[1]
+        if r and not p:
+            g = gcd(*r)
+            r = [x // g for x in r]
+        a, b = b, r
+    if not a:
+        return []
+    if p:
+        inv = pow(a[-1], -1, p)
+        return [x * inv % p for x in a]
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [x // g for x in a]
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by Euclid's algorithm; gcd(0, 0) = 0."""
+    """Monic gcd by Euclid's algorithm on the integer coefficients
+    (:func:`_poly_gcd`); gcd(0, 0) = 0."""
     a._check_field(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    F = a.field
+    g = _poly_gcd(F.char, _ints(F, a.coeffs)[0], _ints(F, b.coeffs)[0])
+    return Polynomial(F, _wrap(F, g, g[-1]) if g else ())
 
 
 def poly_gcd_lcm(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

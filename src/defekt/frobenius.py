@@ -64,8 +64,8 @@ class FrobeniusAlgebra:
     the trace, the hole element, the window map, the center,
     commutativity, the regular trace form, :func:`verify` and
     :func:`commutator_space` contract these ints and wrap each output entry
-    once.  The basis columns, the dual bases and the hole element are built
-    on first use and held for the life of the algebra.
+    once.  The basis columns, the Gram matrix, the dual bases and the hole
+    element are built on first use and held for the life of the algebra.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
@@ -187,8 +187,14 @@ class FrobeniusAlgebra:
         return Matrix._of_values(F, tuple(zip(_wrap(F, out, dx * dy * D))), 1)
 
     def product(self, elements) -> Matrix:
-        out = self.unit_el()
-        for e in elements:
+        """The product of the elements from the first, left to right, each
+        checked through ``_coords``; the empty product is the unit."""
+        factors = iter(elements)
+        out = next(factors, None)
+        if out is None:
+            return self.unit_el()
+        self._coords(out)
+        for e in factors:
             out = self.mul(out, e)
         return out
 
@@ -203,7 +209,11 @@ class FrobeniusAlgebra:
         return _wrap(self.field, [sum(map(mul, tr, xs))], dt * dx)[0]
 
     def gram(self) -> Matrix:
-        """G[i][j] = trace(e_i * e_j)."""
+        """G[i][j] = trace(e_i * e_j), built on first use and held."""
+        return self._gram
+
+    @cached_property
+    def _gram(self) -> Matrix:
         F = self.field
         cube, D = self._cube
         tr, dt = self._trace_ints

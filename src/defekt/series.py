@@ -21,9 +21,10 @@ canonical minimal rotation so equal rotation classes compare equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import AlphabetMismatch, FieldMismatch, PoleAtZero, SchemaError
-from .exactla import Field, Matrix, Polynomial, poly_gcd
+from .exactla import Field, Matrix, Polynomial, _ints, _poly_divmod, _poly_gcd, _wrap
 
 __all__ = [
     "CircularRepresentation",
@@ -212,6 +213,35 @@ def eval_cyclic(rep: CircularRepresentation, word):
     return rep.value(word)
 
 
+def _lowest_terms(p: int, num: list, den: list) -> tuple[tuple, tuple]:
+    """num / den in lowest terms, from ascending integer coefficient lists
+    over one scale (residues over F_p, p > 0; p == 0 for QQ).  Over F_p
+    the residues with den[0] = 1; over QQ coprime integer coefficients
+    with no common factor and den[0] > 0.  Either way equal functions give
+    equal pairs, and the zero function is ((), (1,)).  A denominator that
+    vanishes at 0 raises PoleAtZero."""
+    for a in (num, den):
+        while a and not a[-1]:
+            a.pop()
+    if not den or not den[0]:
+        raise PoleAtZero(
+            "denominator vanishes at 0; no power-series expansion exists"
+        )
+    if not num:
+        return (), (1,)
+    g = _poly_gcd(p, num, den)
+    if len(g) > 1:
+        num, den = [_poly_divmod(p, a, g)[0] for a in (num, den)]
+        if not p:
+            # pseudo-division gave c^len(q) (a / g), c the leading coefficient of g
+            num, den = [[x // g[-1] ** len(q) for x in q] for q in (num, den)]
+    if p:
+        inv = pow(den[0], -1, p)
+        return tuple(x * inv % p for x in num), tuple(x * inv % p for x in den)
+    c = gcd(*num, *den) if den[0] > 0 else -gcd(*num, *den)
+    return tuple(x // c for x in num), tuple(x // c for x in den)
+
+
 class RationalFunction1:
     """A one-variable rational function P/Q with Q(0) != 0, stored reduced
     (gcd(P, Q) = 1) with Q normalized to constant term 1."""
@@ -221,38 +251,32 @@ class RationalFunction1:
     def __init__(self, field: Field, num: Polynomial, den: Polynomial):
         if num.field != field or den.field != field:
             raise FieldMismatch("rational function parts over the wrong field")
-        if den.is_zero() or den.coeff(0) == field.zero:
-            raise PoleAtZero(
-                "denominator vanishes at 0; no power-series expansion exists"
-            )
-        if num.is_zero():
-            den = Polynomial.one(field)
-        else:
-            # g is monic, so a constant g is 1; the scalar the plain Euclid
-            # remainder would carry is absorbed by the normalization below
-            g = poly_gcd(num, den)
-            if g.deg > 0:
-                num = num // g
-                den = den // g
-        c0 = den.coeff(0)
-        if c0 != field.one:
-            inv = field.one / c0
-            num = num.scale(inv)
-            den = den.scale(inv)
+        (n, dn), (d, dd) = _ints(field, num.coeffs), _ints(field, den.coeffs)
+        self._store(field, *_lowest_terms(field.char, [x * dd for x in n],
+                                          [x * dn for x in d]))
+
+    @classmethod
+    def _of_lowest_terms(cls, field: Field, num, den) -> "RationalFunction1":
+        """The function of a pair that :func:`_lowest_terms` gives."""
+        z = object.__new__(cls)
+        z._store(field, num, den)
+        return z
+
+    def _store(self, field, num, den):
+        # dividing by den[0] makes the constant term of Q one (over F_p it
+        # already is)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", Polynomial(field, _wrap(field, num, den[0])))
+        object.__setattr__(self, "den", Polynomial(field, _wrap(field, den, den[0])))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction1 is immutable")
 
     @staticmethod
     def from_lists(field: Field, num, den, path: str = "rational1") -> "RationalFunction1":
-        return RationalFunction1(
-            field,
-            Polynomial.from_list(field, num, f"{path}.num"),
-            Polynomial.from_list(field, den, f"{path}.den"),
-        )
+        """Read JSON arrays of the ascending coefficients of P and Q."""
+        return RationalFunction1._of_lowest_terms(
+            field, *_read_lowest_terms(field, num, den, path))
 
     @staticmethod
     def constant(field: Field, c) -> "RationalFunction1":
@@ -377,47 +401,102 @@ def word_to_str(alphabet, word) -> str:
     return "".join(alphabet[a] for a in word)
 
 
-def _letters_from_json(field: Field, alphabet, doc, dim: int, path: str):
+# The parts of a theory document are read in two stages.  ``_read_linrep``,
+# ``_read_circrep`` and ``_read_rational1`` read a part through the scalar
+# grammar into ints, as a hashable tuple that is its content: equal tuples
+# mean equal data, and every check they make has then passed.  ``_linrep``,
+# ``_circrep`` and ``RationalFunction1._of_lowest_terms`` build from such a
+# tuple with no second parse; the weight of a tracerep is checked there,
+# by CircularRepresentation.
+
+
+def _frozen(read) -> tuple:
+    """A reader's (ints, d) with the ints as a tuple, so that it hashes."""
+    ints, d = read
+    return tuple(ints), d
+
+
+def _read_letters(field: Field, alphabet, doc, dim: int, path: str) -> tuple:
+    """One (ints, d) per letter of the alphabet, in its order."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object keyed by letter names")
     unknown = sorted(set(doc) - set(alphabet))
     if unknown:
         raise SchemaError(f"{path}.{unknown[0]}", "letter not in the alphabet")
-    mats = []
+    out = []
     for name in alphabet:
         if name not in doc:
             raise SchemaError(f"{path}.{name}", "missing letter matrix")
-        mats.append(Matrix.from_lists(field, doc[name], dim, dim, f"{path}.{name}"))
-    return tuple(mats)
+        out.append(_frozen(field._read_matrix(doc[name], dim, dim, f"{path}.{name}")))
+    return tuple(out)
 
 
-def linrep_from_json(field: Field, alphabet, doc, path: str = "interval") -> LinearRepresentation:
+def _read_dim(doc, path: str) -> int:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
-    init = Matrix.row_vector(field, field.parse_vector(doc.get("init"), dim, f"{path}.init"))
-    final = Matrix.col_vector(field, field.parse_vector(doc.get("final"), dim, f"{path}.final"))
-    letters = _letters_from_json(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
-    return LinearRepresentation(field, len(alphabet), dim, init, letters, final)
+    return dim
 
 
-def circrep_from_json(field: Field, alphabet, doc, path: str = "circular") -> CircularRepresentation:
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise SchemaError(f"{path}.dim", "expected a nonnegative integer")
-    weight = Matrix.from_lists(field, doc.get("weight"), dim, dim, f"{path}.weight")
-    letters = _letters_from_json(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
+def _read_linrep(field: Field, alphabet, doc, path: str) -> tuple:
+    """(dim, init, final, letters), each vector and matrix as (ints, d)."""
+    dim = _read_dim(doc, path)
+    init = _frozen(field._read_vector(doc.get("init"), dim, f"{path}.init"))
+    final = _frozen(field._read_vector(doc.get("final"), dim, f"{path}.final"))
+    letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
+    return dim, init, final, letters
+
+
+def _linrep(field: Field, part) -> LinearRepresentation:
+    dim, init, final, letters = part
+    return LinearRepresentation(
+        field, len(letters), dim, Matrix._of_ints(field, *init, 1, dim),
+        tuple(Matrix._of_ints(field, *m, dim, dim) for m in letters),
+        Matrix._of_ints(field, *final, dim, 1))
+
+
+def _read_circrep(field: Field, alphabet, doc, path: str) -> tuple:
+    """(dim, weight, letters), each matrix as (ints, d)."""
+    dim = _read_dim(doc, path)
+    weight = _frozen(field._read_matrix(doc.get("weight"), dim, dim, f"{path}.weight"))
+    letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
+    return dim, weight, letters
+
+
+def _circrep(field: Field, part, path: str) -> CircularRepresentation:
+    dim, weight, letters = part
     try:
-        return CircularRepresentation(field, len(alphabet), dim, letters, weight)
+        return CircularRepresentation(
+            field, len(letters), dim,
+            tuple(Matrix._of_ints(field, *m, dim, dim) for m in letters),
+            Matrix._of_ints(field, *weight, dim, dim))
     except FieldMismatch as e:
         raise SchemaError(f"{path}.weight", str(e)) from None
 
 
-def rational1_from_json(field: Field, doc, path: str) -> RationalFunction1:
+def _read_coefficients(field: Field, doc, path: str) -> tuple[list, int]:
+    if not isinstance(doc, list):
+        raise SchemaError(path, "expected an array of ascending coefficients")
+    return field._read_vector(doc, len(doc), path)
+
+
+def _read_lowest_terms(field: Field, num, den, path: str) -> tuple[tuple, tuple]:
+    """The coefficient arrays num and den in lowest terms
+    (:func:`_lowest_terms`)."""
+    n, dn = _read_coefficients(field, num, f"{path}.num")
+    d, dd = _read_coefficients(field, den, f"{path}.den")
+    return _lowest_terms(field.char, [x * dd for x in n], [x * dn for x in d])
+
+
+def _read_rational1(field: Field, doc, path: str) -> tuple[tuple, tuple]:
     num = doc.get("num")
     den = doc.get("den")
     if num is None:
         raise SchemaError(f"{path}.num", "missing coefficient list")
     if den is None:
         raise SchemaError(f"{path}.den", "missing coefficient list")
-    return RationalFunction1.from_lists(field, num, den, path)
+    return _read_lowest_terms(field, num, den, path)
+
+
+def rational1_from_json(field: Field, doc, path: str) -> RationalFunction1:
+    return RationalFunction1._of_lowest_terms(field, *_read_rational1(field, doc, path))

@@ -49,11 +49,14 @@ from .exactla import Echelon, Field, Matrix, field_from_json, hstack, vstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
+    RationalFunction1,
     Word,
+    _circrep,
+    _linrep,
+    _read_circrep,
+    _read_linrep,
+    _read_rational1,
     _word_action,
-    circrep_from_json,
-    linrep_from_json,
-    rational1_from_json,
     rational_to_rep,
 )
 
@@ -525,7 +528,7 @@ def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
 
 # -- theory ingestion --------------------------------------------------------
 
-# Most theories theory_from_json keeps, keyed by their parsed content; the
+# Most theories theory_from_json keeps, keyed by the content it reads; the
 # least recently returned one is dropped first.
 THEORY_CACHE = 64
 _theories: "OrderedDict[tuple, Theory]" = OrderedDict()
@@ -539,12 +542,21 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     Circular kinds: tracerep, rational1 (alphabet size <= 1),
     trace_of_interval.
 
-    The document is always read and validated in full.  One whose parsed
-    content (field compared by ``==``, letter names, interval matrices,
-    circle matrices or the trace marker) equals that of one of the last
-    ``THEORY_CACHE`` theories returned gets that same Theory back, with
-    all it has built; beyond the bound the least recently returned theory
-    is dropped.  The command line parses one theory per process.
+    The document is always read and validated in full, in two stages.
+    First every scalar is read through the scalar grammar straight to
+    integers (``Field._read_vector`` and ``Field._read_matrix``), and a
+    rational1 part is put in lowest terms on those integers.  The content
+    of the document is then the field (compared by ``==``), the letter
+    names and, for each part, its kind with its dimension and integers or
+    its reduced coefficients.  A document whose content equals that of
+    one of the last ``THEORY_CACHE`` theories returned gets that same
+    Theory back, with all it has built, and no field value, matrix or
+    realisation is made for it; beyond the bound the least recently
+    returned theory is dropped.  Otherwise the matrices are built from
+    the integers already read, and the checks that need them run before
+    the theory is kept: a tracerep weight must commute with the letters,
+    and rational circle data on an empty alphabet must be constant.  The
+    command line parses one theory per process.
     """
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")
@@ -563,21 +575,18 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
         raise SchemaError("interval", "expected an object with a 'kind' key")
     kind = idoc.get("kind")
     if kind == "linrep":
-        interval = linrep_from_json(field, alphabet, idoc, "interval")
+        ipart = _read_linrep(field, alphabet, idoc, "interval")
     elif kind == "rational1":
         if len(alphabet) > 1:
             raise SchemaError(
                 "interval.kind", "rational1 needs an alphabet of size <= 1"
             )
-        z = rational1_from_json(field, idoc, "interval")
-        r = rational_to_rep(z)
-        if not alphabet:
-            if not z.num.is_zero() and (z.num.deg > 0 or z.den.deg > 0):
-                raise SchemaError(
-                    "interval", "an empty alphabet admits only constant data"
-                )
-            r = LinearRepresentation(field, 0, r.dim, r.init, (), r.final)
-        interval = r
+        ipart = _read_rational1(field, idoc, "interval")
+        num, den = ipart
+        if not alphabet and num and (len(num) > 1 or len(den) > 1):
+            raise SchemaError(
+                "interval", "an empty alphabet admits only constant data"
+            )
     else:
         raise SchemaError("interval.kind", f"unknown kind {kind!r}")
 
@@ -585,28 +594,39 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     if not isinstance(cdoc, dict):
         raise SchemaError("circular", "expected an object with a 'kind' key")
     ckind = cdoc.get("kind")
+    cpart = None
     if ckind == "tracerep":
-        circular = circrep_from_json(field, alphabet, cdoc, "circular")
+        cpart = _read_circrep(field, alphabet, cdoc, "circular")
     elif ckind == "rational1":
         if len(alphabet) > 1:
             raise SchemaError(
                 "circular.kind", "rational1 needs an alphabet of size <= 1"
             )
-        z = rational1_from_json(field, cdoc, "circular")
-        circular = CircularRepresentation.from_rational(z, len(alphabet))
+        cpart = _read_rational1(field, cdoc, "circular")
     elif ckind != "trace_of_interval":
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
-    is_trace = ckind == "trace_of_interval"
 
-    key = (field, alphabet, interval.init, interval.letters, interval.final,
-           "trace" if is_trace else (circular.letters, circular.weight))
+    key = (field, alphabet, kind, ipart, ckind, cpart)
     t = _theories.get(key)
     if t is not None:
         _theories.move_to_end(key)
         return t
+
+    if kind == "linrep":
+        interval = _linrep(field, ipart)
+    else:
+        r = rational_to_rep(RationalFunction1._of_lowest_terms(field, *ipart))
+        interval = (r if alphabet else
+                    LinearRepresentation(field, 0, r.dim, r.init, (), r.final))
+    is_trace = ckind == "trace_of_interval"
     if is_trace:
         space = minimize(interval)
         circular = interval_trace_series(space)
+    elif ckind == "tracerep":
+        circular = _circrep(field, cpart, "circular")
+    else:
+        circular = CircularRepresentation.from_rational(
+            RationalFunction1._of_lowest_terms(field, *cpart), len(alphabet))
     t = Theory(field, alphabet, interval, circular, is_trace)
     if is_trace:
         # the circle data was built from the state space: hand it to the

@@ -1,6 +1,7 @@
 """Tests for the symmetric Frobenius algebra engine."""
 import random
 from fractions import Fraction as Fr
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -434,6 +435,54 @@ def test_gram_is_inverted_once_per_algebra(monkeypatch):
     # the basis columns are built once and are the x_i of the dual bases
     assert B.basis_el(2) is B.basis_columns[2]
     assert B.duals[0] is B.basis_columns
+
+
+def test_gram_is_built_once_per_algebra(monkeypatch):
+    # every reader of the Gram matrix (verify, the dual bases, the duality
+    # identity of a knowledgeable pair) gets the one held matrix
+    built = []
+    real = FrobeniusAlgebra._gram.func
+    counted = cached_property(lambda b: built.append(b) or real(b))
+    counted.__set_name__(FrobeniusAlgebra, "_gram")
+    monkeypatch.setattr(FrobeniusAlgebra, "_gram", counted)
+    pair = knowledgeable_pair_cyclic(PrimeField(5), 1)
+    b, c = pair.open_algebra, pair.closed_algebra
+    assert check_knowledgeable(pair).passed
+    assert sorted(map(id, built)) == sorted([id(b), id(c)])
+    assert b.gram() is b.gram() and c.gram() is c.gram()
+    assert len(built) == 2
+
+
+def test_product_starts_from_its_first_factor(monkeypatch):
+    # a word of m >= 1 factors costs m - 1 products and equals the product
+    # from the unit; the empty product is the unit, and a lone factor is
+    # still checked
+    rng = random.Random(73)
+    algebras = [random_symmetric_frobenius(rng, F, max_dim=5) for F in FIELDS]
+    words = [[random_element(rng, b) for _ in range(3)] for b in algebras]
+    want = []
+    for b, word in zip(algebras, words):
+        acc = b.unit_el()
+        for e in word:
+            acc = b.mul(acc, e)
+        want.append(acc)
+    calls = []
+    real = FrobeniusAlgebra.mul
+    monkeypatch.setattr(FrobeniusAlgebra, "mul",
+                        lambda b, x, y: calls.append(x) or real(b, x, y))
+    for b, word, w in zip(algebras, words, want):
+        calls.clear()
+        assert b.product(word) == w
+        assert len(calls) == 2 and calls[0] is word[0]
+        assert b.product(word[:1]) is word[0]
+        assert b.product([]) == b.unit_el() == b.power(word[0], 0)
+        assert len(calls) == 2
+    B = mat2_block(QQ, Fr(1))
+    for bad in (Matrix.col_vector(QQ, [Fr(1)] * 3), Matrix.col_vector(F7, [1, 2, 3, 4])):
+        with pytest.raises(FieldMismatch):
+            B.product([bad])
+        with pytest.raises(FieldMismatch):
+            B.power(bad, 1)
 
 
 def test_mat2_window_is_trace_times_identity():

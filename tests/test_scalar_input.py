@@ -196,3 +196,34 @@ def test_integer_readers_agree_with_parse(field, v):
         assert got == _ints(field, [want])
         assert _wrap(field, *got) == (want,)
         assert field._read_cube([[[v]]], 1, "$") == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), SCALARS)
+def test_matrix_reader_agrees_with_parse(field, v):
+    # the matrix reader of theory documents takes each entry as
+    # Field.parse does, and its ints wrap to the parsed values
+    try:
+        want = field.parse(v)
+    except FieldMismatch as e:
+        with pytest.raises(SchemaError) as exc:
+            field._read_matrix([["1", v]], 1, 2, "$")
+        assert exc.value.path == "$[0][1]"
+        assert exc.value.message == f"$[0][1]: {e.message}"
+    else:
+        got = field._read_matrix([["1", v]], 1, 2, "$")
+        assert got == _ints(field, [field.one, want])
+        assert _wrap(field, *got) == (field.one, want)
+
+
+@pytest.mark.parametrize("doc,path,message", [
+    ("1", "$", "expected 2 rows"),
+    ([["1", "2"]], "$", "expected 2 rows"),
+    ([["1", "2"], "3"], "$[1]", "expected an array of 2 scalars"),
+    ([["1", "2"], ["3"]], "$[1]", "expected an array of 2 scalars"),
+])
+def test_matrix_reader_shape_errors(doc, path, message):
+    for field in FIELDS:
+        with pytest.raises(SchemaError) as exc:
+            field._read_matrix(doc, 2, 2, "$")
+        assert (exc.value.path, exc.value.message) == (path, f"{path}: {message}")

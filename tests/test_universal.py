@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from defekt import universal
 from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, FieldMismatch, SchemaError
-from defekt.exactla import Matrix, PrimeField, QQ, hstack
+from defekt.exactla import FpValue, Matrix, PrimeField, QQ, RationalField, hstack
 from defekt.frobenius import frobenius_to_json, verify
 from defekt.series import (
     CircularRepresentation,
@@ -870,6 +870,36 @@ def test_different_content_gives_a_different_theory():
     assert t.circular.value((0, 0)) == trace.circular.value((0, 0))
 
 
+def _scalar_paths(doc, path=()):
+    """The path of every scalar string in a theory document's parts."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            if k not in ("field", "alphabet", "kind"):
+                yield from _scalar_paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _scalar_paths(v, path + (i,))
+    elif isinstance(doc, str):
+        yield path
+
+
+@pytest.mark.parametrize("base", [linrep_doc(f) for f in FIELD_DOCS]
+                         + ONE_LETTER_RATIONAL_DOCS,
+                         ids=["linrep-QQ", "linrep-F7", "rational1-QQ", "rational1-F7"])
+def test_every_scalar_is_part_of_the_content(base):
+    t = theory_from_json(base)
+    paths = list(_scalar_paths(base))
+    assert len(paths) >= 6
+    for path in paths:
+        doc = _reordered(base)  # a deep copy
+        *head, last = path
+        node = doc
+        for k in head:
+            node = node[k]
+        node[last] = str(Fr(node[last]) + 1)
+        assert theory_from_json(doc) is not t, path
+
+
 def test_field_override_is_part_of_the_content():
     F7 = PrimeField(7)
     t = theory_from_json(theory_doc(), field_override=F7)
@@ -896,16 +926,125 @@ def _schema_path(doc):
     return exc.value.path
 
 
+def _schema_error(doc):
+    with pytest.raises(SchemaError) as exc:
+        theory_from_json(doc)
+    return exc.value.path, exc.value.message
+
+
+def _with(doc, part, **changes):
+    return dict(doc, **{part: dict(doc[part], **changes)})
+
+
 @pytest.mark.parametrize("field_doc", FIELD_DOCS, ids=FIELD_IDS)
 def test_a_hit_never_skips_validation(field_doc):
-    bad_entry = linrep_doc(field_doc, entry="1e3")
-    bad_letters = dict(linrep_doc(field_doc), alphabet=["a", "a"])
-    cold = [_schema_path(bad_entry), _schema_path(bad_letters)]
-    assert cold == ["interval.letters.a[0][0]", "alphabet"]
+    # each bad document differs from a kept one in one place; after the
+    # kept ones are hits, every one still fails where and as it did cold
+    good = linrep_doc(field_doc)
+    rational = dict(ONE_LETTER_RATIONAL_DOCS[0], field=field_doc)
+    circle = good["circular"]
+    bad = [
+        (linrep_doc(field_doc, entry="1e3"), "interval.letters.a[0][0]"),
+        (dict(good, alphabet=["a", "a"]), "alphabet"),
+        (_with(good, "circular", letters=dict(circle["letters"], b=[["3x"]])),
+         "circular.letters.b[0][0]"),
+        (_with(rational, "interval", num=["1", "1/0"]), "interval.num[1]"),
+        (_with(good, "interval", letters=dict(good["interval"]["letters"],
+                                              c=[["1", "0"], ["0", "1"]])),
+         "interval.letters.c"),
+        (_with(good, "circular", dim=2, weight=[["1", "0"], ["0", "2"]],
+               letters={"a": [["1", "1"], ["0", "1"]], "b": [["1", "0"], ["0", "1"]]}),
+         "circular.weight"),
+    ]
+    cold = [_schema_error(doc) for doc, _ in bad]
+    assert [path for path, _ in cold] == [path for _, path in bad]
+    assert "does not commute with letter 0" in cold[-1][1]
     assert not universal._theories
-    t = theory_from_json(linrep_doc(field_doc))
-    assert [_schema_path(bad_entry), _schema_path(bad_letters)] == cold
+    t, r = theory_from_json(good), theory_from_json(rational)
+    assert theory_from_json(good) is t and theory_from_json(rational) is r
+    assert [_schema_error(doc) for doc, _ in bad] == cold
     assert theory_from_json(linrep_doc(field_doc)) is t
+
+
+def _counting(monkeypatch):
+    """A list that every field value, matrix, polynomial or rational
+    function built from now on appends its kind to."""
+    built = []
+
+    def count(kind, f):
+        return lambda *a, **k: built.append(kind) or f(*a, **k)
+
+    monkeypatch.setattr(RationalField, "_value", staticmethod(count("value", Fr)))
+    monkeypatch.setattr(PrimeField, "_value", count("value", PrimeField._value))
+    monkeypatch.setattr(FpValue, "__init__", count("FpValue", FpValue.__init__))
+    monkeypatch.setattr(Matrix, "__init__", count("Matrix", Matrix.__init__))
+    monkeypatch.setattr(Matrix, "_of_values", classmethod(
+        lambda cls, *a, f=Matrix._of_values: built.append("Matrix") or f(*a)))
+    monkeypatch.setattr(Polynomial, "__init__", count("Polynomial", Polynomial.__init__))
+    monkeypatch.setattr(RationalFunction1, "__init__",
+                        count("RationalFunction1", RationalFunction1.__init__))
+    monkeypatch.setattr(RationalFunction1, "_of_lowest_terms", classmethod(
+        lambda cls, *a, f=RationalFunction1._of_lowest_terms:
+        built.append("RationalFunction1") or f(*a)))
+    return built
+
+
+HIT_DOCS = ([linrep_doc(f) for f in FIELD_DOCS] + ONE_LETTER_RATIONAL_DOCS
+            + [dict(linrep_doc(f), circular={"kind": "trace_of_interval"})
+               for f in FIELD_DOCS])
+
+
+@pytest.mark.parametrize("doc", HIT_DOCS, ids=[
+    "linrep-QQ", "linrep-F7", "rational1-QQ", "rational1-F7", "trace-QQ", "trace-F7"])
+def test_a_hit_builds_no_field_value_matrix_or_function(monkeypatch, doc):
+    t = theory_from_json(doc)
+    built = _counting(monkeypatch)
+    assert theory_from_json(_reordered(doc)) is t
+    assert built == []
+    # the counters see a miss build the theory
+    universal._theories.clear()
+    assert theory_from_json(doc) is not t
+    assert "Matrix" in built and "value" not in built
+
+
+def _times(coeffs, factor):
+    """The ascending coefficients of the product of two polynomials."""
+    out = [Fr(0)] * (len(coeffs) + len(factor) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(factor):
+            out[i + j] += Fr(a) * Fr(b)
+    return [str(x) for x in out]
+
+
+RATIONAL1_RESPELLINGS = {
+    "common-factor": lambda num, den: (_times(num, ["1", "2"]), _times(den, ["1", "2"])),
+    "den0-is-3": lambda num, den: (_times(num, ["3"]), _times(den, ["3"])),
+    "den0-is--1/2-with-zeros": lambda num, den: (_times(num, ["-1/2"]) + ["0"],
+                                                 _times(den, ["-1/2"]) + ["0/4", "0"]),
+}
+
+
+@pytest.mark.parametrize("respell", RATIONAL1_RESPELLINGS.values(),
+                         ids=RATIONAL1_RESPELLINGS.keys())
+@pytest.mark.parametrize("part", ["interval", "circular"])
+@pytest.mark.parametrize("doc", ONE_LETTER_RATIONAL_DOCS, ids=FIELD_IDS)
+def test_equal_rational1_functions_return_the_same_theory(doc, part, respell):
+    # num and den written with a common factor, or with den(0) != 1, are
+    # the same reduced, normalised function, so the same theory
+    t = theory_from_json(doc)
+    num, den = respell(doc[part]["num"], doc[part]["den"])
+    respelled = _with(doc, part, num=num, den=den)
+    assert theory_from_json(respelled) is t
+    # scaling only the numerator is another function
+    other = _with(doc, part, num=_times(doc[part]["num"], ["2"]))
+    assert theory_from_json(other) is not t
+
+
+@pytest.mark.parametrize("doc", ONE_LETTER_RATIONAL_DOCS, ids=FIELD_IDS)
+def test_zero_rational1_functions_return_the_same_theory(doc):
+    t = theory_from_json(_with(doc, "circular", num=[], den=["1"]))
+    for num, den in ((["0"], ["1", "3"]), (["0/2", "0"], ["-1/2"])):
+        assert theory_from_json(_with(doc, "circular", num=num, den=den)) is t
 
 
 @pytest.mark.parametrize("field_doc", FIELD_DOCS, ids=FIELD_IDS)
