@@ -530,44 +530,48 @@ def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
 
 
 class Echelon:
-    """Incremental row echelon form for independence testing.
+    """Incremental row echelon form for independence testing, on integers.
 
-    ``add`` reduces a vector by the rows kept so far, in the order they
-    were kept, and keeps the normalized remainder when it is nonzero.  Fed
-    the columns of a matrix in order, it accepts exactly the pivot columns
-    of the matrix's rref.  Over F_p the rows are ints in [0, p).
+    ``add`` takes a vector of ints, read mod p over F_p; over QQ it may be
+    any nonzero multiple of the rationals it stands for, such as the ints
+    :func:`_ints` gives, since scaling does not change independence.  It
+    reduces the vector by the rows kept so far, in the order they were
+    kept, and keeps the remainder when it is nonzero.  Fed the columns of a
+    matrix in order, each as ints scaled by any nonzero integer, it accepts
+    exactly the pivot columns of the matrix's rref.  Rows are kept as ints:
+    residues with a leading 1 over F_p, integer rows with no common factor
+    over QQ, reduced fraction-free.
     """
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field):
         self.field = field
-        self.rows: list[tuple[int, list]] = []  # (pivot index, normalized row)
+        self.rows: list[tuple[int, list]] = []  # (pivot index, integer row)
 
     def add(self, vec) -> bool:
         """Keep the vector if it is independent of the span; True if kept."""
         p = self.field.char
-        if p:
-            v = [x.v for x in vec]
-            for i, row in self.rows:
-                c = v[i]
-                if c:
-                    v = [(x - c * y) % p for x, y in zip(v, row)]
-            for i, x in enumerate(v):
-                if x:
-                    inv = pow(x, -1, p)
-                    self.rows.append((i, [inv * y % p for y in v]))
-                    return True
-            return False
-        v = list(vec)
+        v = [x % p for x in vec] if p else list(vec)
         for i, row in self.rows:
             c = v[i]
             if c:
-                v = [x - c * y if y else x for x, y in zip(v, row)]
+                if p:
+                    v = [(x - c * y) % p for x, y in zip(v, row)]
+                else:
+                    a = row[i]
+                    g = gcd(a, c)
+                    a, c = a // g, c // g
+                    v = [a * x - c * y for x, y in zip(v, row)]
         for i, x in enumerate(v):
             if x:
-                inv = self.field.one / x
-                self.rows.append((i, [inv * y for y in v]))
+                if p:
+                    inv = pow(x, -1, p)
+                    v = [inv * y % p for y in v]
+                else:
+                    g = gcd(*v)
+                    v = [y // g for y in v]
+                self.rows.append((i, v))
                 return True
         return False
 

@@ -376,7 +376,8 @@ def hole_element(b: FrobeniusAlgebra) -> Matrix:
 def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
     """Basis of [B,B] = span{e_i e_j - e_j e_i}, deterministic order: the
     first commutators independent of those before them.  Each commutator
-    is read off the integer cube, c_ij - c_ji over D, and wrapped once."""
+    is read off the integer cube, c_ij - c_ji over D, tested as ints, and
+    wrapped once if kept."""
     F, n = b.field, b.dim
     cube, D = b._cube
     ech = Echelon(F)
@@ -387,9 +388,8 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
             c[k] += m
         for k, m in cube[j][i]:
             c[k] -= m
-        c = _wrap(F, c, D)
         if ech.add(c):
-            kept.append(Matrix._of_values(F, tuple(zip(c)), 1))
+            kept.append(Matrix._of_values(F, tuple(zip(_wrap(F, c, D))), 1))
     return kept
 
 
@@ -443,8 +443,8 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
     # coset representatives: standard basis vectors extending [B,B]
     ech = Echelon(F)
     for c in comms:
-        ech.add(c.flat())
-    reps = [i for i in range(n) if ech.add(b.basis_el(i).flat())]
+        ech.add(_ints(F, c.flat())[0])
+    reps = [i for i in range(n) if ech.add([int(j == i) for j in range(n)])]
 
     cent_mat = hstack(cent) if cent else Matrix.zeros(F, n, 0)
     lands = True

@@ -7,7 +7,8 @@ The resulting dimension equals the rank of the (word x word) value matrix.
 Every word family of this module (the two sides of ``minimize``, the
 cobasis words and the arc words) comes from one breadth-first saturation,
 ``_saturate``, and is the first length-then-lex family of words whose
-vectors are independent.
+vectors are independent; the saturation carries each word's state as
+integers.
 
 ``build_pair_algebra`` constructs the state space of a +- boundary pair as
 a quotient of a concrete spanning model.  A spanning element is a triple
@@ -31,21 +32,24 @@ and the quotient is three fixed matrices on them (``PairAlgebra``): one row
 reduction of the functionals on the generators, Fmat = L * G, gives the
 basis, the class of every generator and these dimensions; K is the kernel of
 the A(+) action on that basis, and a class in K has its K coordinates at the
-kernel's free columns.  The classes of many triples are one product with M.
+kernel's free columns.  The classes of many triples are one product with M,
+and the products of a batch of classes, pair by pair, are integer
+contractions classed by one integer product with M.
 """
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import mul
 
 from .errors import (
     DefektError,
     FieldMismatch,
     SchemaError,
 )
-from .exactla import Echelon, Field, Matrix, field_from_json, hstack, vstack
+from .exactla import Echelon, Field, Matrix, _ints, _wrap, field_from_json, hstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -144,8 +148,9 @@ def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
 
 
 def _saturate(field: Field, start: tuple, letters: tuple,
-              prepend: bool = False) -> list[tuple[Word, tuple]]:
-    """Length-then-lex saturation: the kept (word, state) pairs, in order.
+              prepend: bool = False) -> list[tuple[Word, list, int]]:
+    """Length-then-lex saturation: the kept (word, state, d) triples, in
+    order.
 
     The empty word's state is ``start``, a tuple of matrices; ``letters``
     holds one sequence of letter matrices per entry.  A letter appended to
@@ -153,22 +158,54 @@ def _saturate(field: Field, start: tuple, letters: tuple,
     ``prepend``, goes in front and multiplies on the left.  From the empty
     word, each kept word is extended by every letter, and the candidates of
     one length are tested in sorted word order against one Echelon of the
-    flattened states.  Each length keeps a state or ends the search, so
-    the words are shorter than the dimension of the span."""
+    states.  Each length keeps a state or ends the search, so the words are
+    shorter than the dimension of the span.
+
+    A state is one flat integer vector, the entries of its matrices in
+    order and row-major, standing for those ints over d: residues with
+    d = 1 over F_p; over QQ, d = d0 * D^len(w), with d0 the common
+    denominator of the start and D that of all the letter matrices, which
+    are read as ints once.  Scaling keeps independence, so the words are
+    those of the same search on the matrices."""
+    p = field.char
+    shapes = [(m.rows, m.cols) for m in start]
+    state, d = _ints(field, [x for m in start for x in m.flat()])
+    flat, D = _ints(field, [x for ls in letters for a in ls for x in a.flat()])
+    # lines[j][a]: the rows (prepend) or the columns of letter a of entry j
+    ints = iter(flat)
+    lines = [[_lines(list(islice(ints, a.rows * a.cols)), a.rows, a.cols, not prepend)
+              for a in ls] for ls in letters]
     ech = Echelon(field)
-    kept: list[tuple[Word, tuple]] = []
-    layer = [((), start)]
+    kept: list[tuple[Word, list, int]] = []
+    layer = [((), state)]
     while layer:
-        layer = [(w, s) for w, s in sorted(layer, key=lambda c: c[0])
-                 if ech.add([x for m in s for x in m.flat()])]
-        kept.extend(layer)
-        layer = [
-            ((a,) + w if prepend else w + (a,),
-             tuple(ls[a] * m if prepend else m * ls[a]
-                   for m, ls in zip(s, letters)))
-            for w, s in layer for a in range(len(letters[0]))
-        ]
+        layer = [(w, v) for w, v in sorted(layer, key=lambda c: c[0]) if ech.add(v)]
+        kept += [(w, v, d) for w, v in layer]
+        grown = []
+        for w, v in layer:
+            entries = iter(v)
+            parts = [_lines(list(islice(entries, r * c)), r, c, prepend) for r, c in shapes]
+            for a in range(len(letters[0])):
+                u = []
+                for part, ls in zip(parts, lines):
+                    left, right = (ls[a], part) if prepend else (part, ls[a])
+                    u += [sum(map(mul, x, y)) for x in left for y in right]
+                grown.append(((a,) + w if prepend else w + (a,),
+                              [x % p for x in u] if p else u))
+        layer, d = grown, d * D
     return kept
+
+
+def _lines(e: list, r: int, c: int, columns: bool) -> list:
+    """The rows of the r x c matrix whose entries, row-major, are e, or with
+    ``columns`` its columns."""
+    return [e[j::c] for j in range(c)] if columns else [e[i * c:(i + 1) * c] for i in range(r)]
+
+
+def _stacked(field: Field, kept, cols: int) -> Matrix:
+    """The kept states of one-entry saturations as the rows of a matrix,
+    each entry wrapped once."""
+    return Matrix._of_values(field, tuple(_wrap(field, v, d) for _, v, d in kept), cols)
 
 
 def minimize(rep: LinearRepresentation) -> StateSpace:
@@ -189,7 +226,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     kept_rows = _saturate(F, (rep.init,), (rep.letters,))
     if not kept_rows:
         return _zero_statespace(F, nl)
-    W = vstack([row for _, (row,) in kept_rows])
+    W = _stacked(F, kept_rows, rep.dim)
     f = W.rows
     Wt = W.transpose()
     restricted = []
@@ -202,8 +239,8 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     kept_cols = _saturate(F, (gamma1,), (restricted,), prepend=True)
     if not kept_cols:
         return _zero_statespace(F, nl)
-    word_basis = [w for w, _ in kept_cols]
-    V = hstack([col for _, (col,) in kept_cols])
+    word_basis = [w for w, _, _ in kept_cols]
+    V = _stacked(F, kept_cols, f).transpose()
     k = V.cols
     action = tuple(V.solve(restricted[a] * V) for a in range(nl))
     # the initial covector is the first kept forward row and gamma1 the
@@ -212,7 +249,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     cotrace = Matrix(F, [[F.one] + [F.zero] * (f - 1)], cols=f) * V
 
     # covector-side word family: rows cotrace * action(w)
-    cobasis = [w for w, _ in _saturate(F, (cotrace,), (action,))]
+    cobasis = [w for w, _, _ in _saturate(F, (cotrace,), (action,))]
     return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
 
 
@@ -230,9 +267,18 @@ def arc_word_family(ss: StateSpace, circ: CircularRepresentation) -> list[Word]:
     (interval action, circle matrix) pairs, in length-then-lex order.
     This family spans the arc subalgebra and indexes the circle-closure
     functionals."""
-    F = ss.field
-    start = (Matrix.identity(F, ss.dim), Matrix.identity(F, circ.dim))
-    return [w for w, _ in _saturate(F, start, (ss.action, circ.letters))]
+    return [w for w, _, _ in _arc_states(ss, circ)]
+
+
+def _arc_states(ss: StateSpace, circ: CircularRepresentation) -> list[tuple]:
+    """(w, phi_w, rho_w) for each word w of :func:`arc_word_family`: its
+    action on the state space and its circle matrix, built from the
+    saturation's ints."""
+    F, k, m = ss.field, ss.dim, circ.dim
+    start = (Matrix.identity(F, k), Matrix.identity(F, m))
+    return [(w, Matrix._of_ints(F, v[:k * k], d, k, k),
+             Matrix._of_ints(F, v[k * k:], d, m, m))
+            for w, v, d in _saturate(F, start, (ss.action, circ.letters))]
 
 
 class PairAlgebra:
@@ -250,7 +296,9 @@ class PairAlgebra:
     ``Fmat = L * G``, gives the basis, the generator classes and the
     dimensions; ``B``, whose columns are the flat ``basis_triples``, so
     ``B * x`` is the triple of the class x; and ``M``, so that ``M * v``
-    is the class of the triple v.  Exposed structure: the unit, the arc
+    is the class of the triple v, held as ints (``_M_ints``) and built as
+    a matrix on first use.  The arc generators are the arc states the
+    theory holds.  Exposed structure: the unit, the arc
     subalgebra dimension, the matrix-part unit and its complement
     ``one_K``, the kernel ideal K with its closure trace, and the word
     projections into K.
@@ -267,16 +315,14 @@ class PairAlgebra:
         self.k = k
         self.m = m
 
-        words = theory.arc_words
-        self.arc_words = words
-        W = len(words)
+        self.arc_words = theory.arc_words
+        W = len(self.arc_words)
 
         # generators: decorated arcs, acting on A(+) by phi_w, then
         # half-interval pairs E_ij, acting by E_ij
         gens: list[tuple] = []
         closers = []
-        for w in words:
-            phi_w, rho_w = ss.act(w), circ.act(w)
+        for _, phi_w, rho_w in theory.arc_states:
             gens.append((phi_w, rho_w, phi_w))
             closers.append(self._closer(phi_w, rho_w))
         zero_m = Matrix.zeros(F, m, m)
@@ -324,8 +370,11 @@ class PairAlgebra:
                                         for row in Fmat.data), dim)
         _, row_piv = Fb.transpose().rref()
         solver = Matrix._of_values(F, tuple(Fb.data[r] for r in row_piv), dim).inverse()
-        self.M = solver * Matrix._of_values(
-            F, tuple(self.L.data[r] for r in row_piv), n)
+        M = solver * Matrix._of_values(F, tuple(self.L.data[r] for r in row_piv), n)
+        # held as ints over one denominator d, (rows, d); ``M`` is built
+        # from them on first use
+        flat, d = _ints(F, M.flat())
+        self._M_ints = _lines(flat, dim, n, False), d
 
         # kernel ideal: classes acting by zero on A(+), the kernel of the
         # first k^2 functionals on the basis.  Basis vector i is 1 at the
@@ -368,10 +417,40 @@ class PairAlgebra:
                       for o, d in blocks)
                 for v in (self.B * x)._columns()]
 
+    @cached_property
+    def M(self) -> Matrix:
+        """The matrix carrying a flat triple to its class, from ``_M_ints``."""
+        rows, d = self._M_ints
+        return Matrix._of_ints(self.field, [x for r in rows for x in r], d,
+                               self.dim, self.L.cols)
+
     def _products(self, x: Matrix) -> Matrix:
-        """Column i * n + j is the class of x_i * x_j, for the n columns of x."""
-        ts = self._triples(x)
-        return self._classes([tuple(map(operator.mul, s, t)) for s in ts for t in ts])
+        """Column i * n + j is the class of x_i * x_j, for the n columns of x.
+
+        The triples of the columns, ``B * x``, are read as ints, one
+        denominator per column; each pair's three block products are
+        integer contractions, and its class is one integer product with
+        ``_M_ints``, each entry wrapped once."""
+        F, p = self.field, self.field.char
+        sides = (self.k, self.m, self.k)
+        ts = []  # per column: d, then the rows and the columns of its blocks
+        for col in (self.B * x)._columns():
+            v, d = _ints(F, col)
+            ints = iter(v)
+            bs = [(list(islice(ints, s * s)), s) for s in sides]
+            ts.append((d, [_lines(b, s, s, False) for b, s in bs],
+                       [_lines(b, s, s, True) for b, s in bs]))
+        rows, dM = self._M_ints
+        classes = []
+        for ds, srows, _ in ts:
+            for dt, _, tcols in ts:
+                t = [sum(map(mul, r, c))
+                     for sb, tb in zip(srows, tcols) for r in sb for c in tb]
+                if p:
+                    t = [y % p for y in t]
+                classes.append(_wrap(F, [sum(map(mul, r, t)) for r in rows], dM * ds * dt))
+        return Matrix._of_values(F, tuple(zip(*classes)) if classes else ((),) * self.dim,
+                                 len(classes))
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
@@ -383,7 +462,7 @@ class PairAlgebra:
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
         """Product of two classes given in quotient coordinates."""
         s, t = self.triple_of(x), self.triple_of(y)
-        return self.coords(tuple(map(operator.mul, s, t)))
+        return self.coords(tuple(map(mul, s, t)))
 
     def arc_class(self, word) -> Matrix:
         """Class of the arc decorated by the given word."""
@@ -444,9 +523,15 @@ class Theory:
         return minimize(self.interval)
 
     @cached_property
+    def arc_states(self) -> tuple:
+        """(w, phi_w, rho_w) for each arc word w: its action on the state
+        space and its circle matrix, as the saturation found them."""
+        return tuple(_arc_states(self.statespace, self.circular))
+
+    @cached_property
     def arc_words(self) -> tuple:
         """The arc word family of the state space and the circle data."""
-        return tuple(arc_word_family(self.statespace, self.circular))
+        return tuple(w for w, _, _ in self.arc_states)
 
     @cached_property
     def pair_algebra(self) -> PairAlgebra:
@@ -484,8 +569,9 @@ def trace_K(pa: PairAlgebra, x: Matrix):
 def frobenius_of_K(pa: PairAlgebra):
     """The kernel ideal as a symmetric Frobenius algebra (unit one_K,
     closure trace).  Zero-dimensional K gives the zero algebra, flagged
-    empty.  The n^2 products of basis triples are classed by one product
-    with ``pa.M``."""
+    empty.  The n^2 products of basis elements are one call of
+    ``pa._products``: integer contractions, classed by one integer product
+    with the int copy of ``pa.M``."""
     from .frobenius import FrobeniusAlgebra
 
     F = pa.field

@@ -4,8 +4,8 @@ Everything here is deliberately naive and separate from the package's own
 algorithms: determinants by Laplace expansion, ranks by enumerating square
 minors or by textbook elimination, power series by direct long
 multiplication, cyclic canonical forms by trying every rotation, word
-families by testing every word in turn, pair-algebra products classed one
-pair at a time, state-space dimensions as the rank of the Gram matrix of
+families by testing every word in turn, word saturations on matrix
+products, pair-algebra products classed one pair at a time, state-space dimensions as the rank of the Gram matrix of
 spanning diagrams, the Frobenius axioms, the window, the center, the
 regular trace form and the knowledgeable-pair axioms checked product by
 product.
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
-from defekt.exactla import Echelon, Matrix, hstack
+from defekt.exactla import Echelon, Matrix, _ints, hstack
 from defekt.frobenius import VerifyReport, verify, window
 from defekt.openclosed import KnowledgeableReport
 
@@ -93,6 +93,28 @@ def greedy_words(words, vector):
         if elimination_rank(rows + [v]) > len(rows):
             kept.append(w)
             rows.append(v)
+    return kept
+
+
+def saturate_by_products(field, start, letters, prepend=False):
+    """The kept (word, state) pairs of :func:`defekt.universal._saturate`,
+    with each state a tuple of matrices: a candidate's state is its
+    parent's times a letter matrix, one ``Matrix`` product per entry, and
+    the candidates of one length are tested in sorted word order against
+    one Echelon of the flattened states, read as ints."""
+    ech = Echelon(field)
+    kept = []
+    layer = [((), start)]
+    while layer:
+        layer = [(w, s) for w, s in sorted(layer, key=lambda c: c[0])
+                 if ech.add(_ints(field, [x for m in s for x in m.flat()])[0])]
+        kept.extend(layer)
+        layer = [
+            ((a,) + w if prepend else w + (a,),
+             tuple(ls[a] * m if prepend else m * ls[a]
+                   for m, ls in zip(s, letters)))
+            for w, s in layer for a in range(len(letters[0]))
+        ]
     return kept
 
 
@@ -206,7 +228,7 @@ def commutators_by_products(b):
     for i, j in combinations(range(b.dim), 2):
         ei, ej = b.basis_el(i), b.basis_el(j)
         c = b.mul(ei, ej) - b.mul(ej, ei)
-        if ech.add(c.flat()):
+        if ech.add(_ints(b.field, c.flat())[0]):
             kept.append(c)
     return kept
 

@@ -32,7 +32,7 @@ from defekt.exactla import (
     poly_gcd_lcm,
     rref,
 )
-from defekt.exactla import _is_prime
+from defekt.exactla import _ints, _is_prime
 
 from factories import FIELDS, fractions
 from oracles import naive_rank
@@ -339,12 +339,24 @@ def test_rref_matches_reference_elimination(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices())
-def test_echelon_accepts_the_rref_pivot_columns(m):
-    ech = Echelon(m.field)
-    accepted = tuple(j for j in range(m.cols) if ech.add(m.column(j)))
-    assert accepted == m.rref()[1]
-    assert len(accepted) == m.rank()
+@given(matrices(), st.data())
+def test_echelon_accepts_the_rref_pivot_columns(m, data):
+    # Echelon takes integer vectors: the columns as ints over their own
+    # denominators, and the same ints scaled by nonzero integers (nonzero
+    # mod p over F_p, where each entry is also moved by a multiple of p)
+    # accept the rref pivot columns
+    F, p = m.field, m.field.char
+    pivots = m.rref()[1]
+    cols = [_ints(F, m.column(j))[0] for j in range(m.cols)]
+    ints = st.integers(-10**6, 10**6)
+    scales = data.draw(st.lists(ints.filter(lambda c: c % p if p else c),
+                                min_size=m.cols, max_size=m.cols))
+    shifts = data.draw(st.lists(ints, min_size=m.rows, max_size=m.rows))
+    scaled = [[c * x + p * s for x, s in zip(v, shifts)] for c, v in zip(scales, cols)]
+    for vecs in (cols, scaled):
+        ech = Echelon(F)
+        assert tuple(j for j, v in enumerate(vecs) if ech.add(v)) == pivots
+    assert len(pivots) == m.rank()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,15 @@
 """Tests for the universal module: minimization, the pair state space, its
 ideals, and the kernel Frobenius algebra."""
+import random
 from fractions import Fraction as Fr
+from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defekt import universal
+from defekt import series, universal
 from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, FieldMismatch, SchemaError
 from defekt.exactla import FpValue, Matrix, PrimeField, QQ, RationalField, hstack
@@ -46,6 +49,7 @@ from oracles import (
     idempotent_flags_by_pairs,
     kernel_algebra_by_pairs,
     mixed_product,
+    saturate_by_products,
     words_upto,
 )
 
@@ -161,6 +165,69 @@ def test_word_families_are_the_greedy_length_then_lex_families(case):
     assert arcs == greedy_words(
         words_upto(rep.num_letters, len(arcs[-1]) + 1),
         lambda w: ss.act(w).flat() + circ.act(w).flat())
+
+
+def _recorded_saturations(run):
+    """run()'s result, and every ``_saturate`` call it made as (args,
+    kwargs, result)."""
+    calls = []
+    real = universal._saturate
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    with patch.object(universal, "_saturate", recording):
+        return run(), calls
+
+
+def _fractional_theory(field):
+    """A two-letter theory whose matrices have denominators 2 and 3, so
+    that each word length scales the states' common denominator."""
+    def m(*rows):
+        return Matrix(field, [list(r) for r in rows])
+
+    rep = LinearRepresentation(field, 2, 2, m((Fr(1, 2), 1)),
+                               [m((Fr(1, 3), 1), (0, Fr(1, 2))), m((0, Fr(2, 3)), (1, 0))],
+                               m((1,), (Fr(1, 3),)))
+    circ = CircularRepresentation(field, 2, 1, [m((Fr(1, 2),)), m((Fr(1, 3),))],
+                                  m((Fr(3, 2),)))
+    return Theory(field, ("a", "b"), rep, circ)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theories())
+@example(_fractional_theory(QQ))
+@example(_fractional_theory(PrimeField(7)))
+def test_integer_saturation_matches_the_matrix_route(t):
+    # the covector, vector and cobasis families of minimize, then the arc
+    # words: each integer saturation keeps the words and, over its
+    # denominator, the states of the saturation on Matrix products
+    def run():
+        ss = minimize(t.interval)
+        return ss, universal._arc_states(ss, t.circular)
+
+    (ss, arcs), calls = _recorded_saturations(run)
+    prepends = [kwargs.get("prepend", False) for _, kwargs, _ in calls]
+    assert prepends[-1] is False
+    if ss.dim:
+        assert prepends == [False, True, False, False]
+    for (field, start, letters), kwargs, got in calls:
+        want = saturate_by_products(field, start, letters, **kwargs)
+        assert [w for w, _, _ in got] == [w for w, _ in want]
+        for (_, v, d), (_, mats) in zip(got, want):
+            o = 0
+            for m in mats:
+                n = m.rows * m.cols
+                assert Matrix._of_ints(field, v[o:o + n], d, m.rows, m.cols) == m
+                o += n
+            assert o == len(v)
+    _, _, arc_want = calls[-1]
+    assert [w for w, _, _ in arcs] == [w for w, _, _ in arc_want]
+    assert universal.arc_word_family(ss, t.circular) == [w for w, _, _ in arcs]
+    assert t.arc_states == tuple(arcs)
+    assert t.arc_words == tuple(w for w, _, _ in arcs)
 
 
 def test_minimize_pairing_nondegenerate():
@@ -544,12 +611,43 @@ def test_classes_read_off_the_elimination_match_the_solved_route(case):
             assert pa.to_K_coords(x) == want
 
 
+def _one_letter(init, letter, final, circ_letter, weight):
+    """A one-letter QQ presentation of 1 x 1 matrices, with its circle
+    data."""
+    def m(x):
+        return Matrix(QQ, [[x]])
+
+    return (LinearRepresentation(QQ, 1, 1, m(init), [m(letter)], m(final)),
+            CircularRepresentation(QQ, 1, 1, [m(circ_letter)], m(weight)))
+
+
+ZERO_INTERVAL = _one_letter(0, 1, 1, 2, 1)  # k = 0, dim K = 1
+ZERO_PAIR = _one_letter(0, 1, 1, 2, 0)  # k = 0, dim K = 0: no classes
+_TRACED = _one_letter(1, 3, 1, 1, 1)[0]
+TRACED = (_TRACED, interval_trace_series(minimize(_TRACED)))  # k = 1, dim K = 0
+
+
 @settings(max_examples=40, deadline=None)
-@given(presentations())
-def test_batched_classes_match_the_per_pair_route(case):
+@given(presentations(), st.integers(0, 2**32 - 1))
+@example(ZERO_INTERVAL, 0)
+@example(ZERO_PAIR, 1)
+@example(TRACED, 2)
+def test_batched_classes_match_the_per_pair_route(case, seed):
     rep, circ = case
     t = Theory(rep.field, tuple("ab"[:rep.num_letters]), rep, circ)
     pa = build_pair_algebra(t)
+    F = pa.field
+    # the batched products of random classes, none to three at a time,
+    # equal the triple route's products pair by pair
+    rng = random.Random(seed)
+    for n in range(4):
+        x = Matrix(F, [[Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                       for _ in range(pa.dim)], cols=n)
+        prods = pa._products(x)
+        assert (prods.rows, prods.cols) == (pa.dim, n * n)
+        xs = [Matrix.col_vector(F, c) for c in x._columns()]
+        for i, j in product(range(n), repeat=2):
+            assert prods.column(i * n + j) == pa.mul(xs[i], xs[j]).flat()
     K = frobenius_of_K(pa)
     assert (K.mult, K.unit, K.trace) == kernel_algebra_by_pairs(pa)
     idem = idempotent_report(pa)
@@ -575,14 +673,22 @@ def test_kernel_algebra_claims_on_random_theories(t):
 
 
 def test_products_are_classed_by_one_product_with_M(monkeypatch):
+    # frobenius_of_K and idempotent_report each class their products once,
+    # through the int copy of M held by the algebra: no coords call and no
+    # Matrix product with M itself
     real_coords = universal.PairAlgebra.coords
+    real_products = universal.PairAlgebra._products
     real_mul = Matrix.__mul__
-    calls = {"coords": 0, "M": 0}
+    calls = {"coords": 0, "products": 0, "M": 0}
     pa = None
 
     def counted_coords(self, triple):
         calls["coords"] += 1
         return real_coords(self, triple)
+
+    def counted_products(self, x):
+        calls["products"] += 1
+        return real_products(self, x)
 
     def counted_mul(self, other):
         if pa is not None and self is pa.M:
@@ -590,17 +696,73 @@ def test_products_are_classed_by_one_product_with_M(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(universal.PairAlgebra, "coords", counted_coords)
+    monkeypatch.setattr(universal.PairAlgebra, "_products", counted_products)
     monkeypatch.setattr(Matrix, "__mul__", counted_mul)
     seen_K = False
     for name, t in theory_corpus():
         pa = build_pair_algebra(t)
         for run, want in ((frobenius_of_K, int(pa.K_dim > 0)),
                           (idempotent_report, 1)):
-            calls.update(coords=0, M=0)
+            calls.update(coords=0, products=0, M=0)
             run(pa)
-            assert calls == {"coords": 0, "M": want}, (name, run.__name__)
+            assert calls == {"coords": 0, "products": want, "M": 0}, (name, run.__name__)
+        rows, d = vars(pa)["_M_ints"]
+        assert Matrix._of_ints(pa.field, [x for r in rows for x in r], d,
+                               pa.dim, pa.M.cols) == pa.M, name
         seen_K = seen_K or pa.K_dim > 0
     assert seen_K
+
+
+def test_saturations_and_pair_products_form_no_product_per_word_or_pair(monkeypatch):
+    # building a theory's pair algebra acts no arc word (it reads the arc
+    # states the theory kept), the saturations form no Matrix product, and
+    # a batch of pair products forms one, B * x, however many pairs
+    acts = []
+    products = {"_saturate": [], "_products": []}
+    active = []
+    real_mul = Matrix.__mul__
+    real_act = series._word_action
+
+    def counted_act(field, dim, letters, word):
+        acts.append(word)
+        return real_act(field, dim, letters, word)
+
+    def counted_mul(self, other):
+        if active:
+            products[active[-1]][-1] += 1
+        return real_mul(self, other)
+
+    def within(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            products[name].append(0)
+            active.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+        monkeypatch.setattr(owner, name, wrapped)
+
+    corpus = theory_corpus()
+    # StateSpace.act reads universal's name, the representations' series'
+    monkeypatch.setattr(universal, "_word_action", counted_act)
+    monkeypatch.setattr(series, "_word_action", counted_act)
+    monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+    within(universal, "_saturate")
+    within(universal.PairAlgebra, "_products")
+    for name, t in corpus:
+        acts.clear()
+        pa = t.pair_algebra
+        assert acts == [], name
+        frobenius_of_K(pa)
+        idempotent_report(pa)
+        pa._products(hstack(list(pa.K_basis) + [pa.unit] * 3) if pa.dim
+                     else Matrix.zeros(pa.field, 0, 2))
+    # minimize's families and the arc words, for every theory
+    assert len(products["_saturate"]) >= 2 * len(corpus)
+    assert set(products["_saturate"]) == {0}
+    assert set(products["_products"]) == {1}
 
 
 # -- theory JSON ---------------------------------------------------------------
