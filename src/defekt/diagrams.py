@@ -550,7 +550,7 @@ def _brauer_rank(K, r: int) -> int:
                         v = v * traces[w]
                     row.append(v)
             rows.append(tuple(row))
-    return Matrix._of_values(K.field, tuple(rows), len(rows)).rank()
+    return Matrix(K.field, rows, cols=len(rows)).rank()
 
 
 def _dim_of(t: Theory, eps: str) -> int:

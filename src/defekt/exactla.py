@@ -2,18 +2,20 @@
 
 Scalars are ``fractions.Fraction`` (rationals, kept in lowest terms with a
 positive denominator by the stdlib) or :class:`FpValue` (residues mod p,
-stored in ``[0, p)``).  Matrices are immutable dense row-major arrays of
-these scalars and polynomials are immutable ascending coefficient tuples
-with no trailing zeros.
+stored in ``[0, p)``).  Matrices are immutable dense row-major arrays and
+polynomials are immutable ascending coefficient tuples with no trailing
+zeros.
 
-Elimination and matrix products do not run on the scalar objects.  Each
-field has one elimination kernel and one product kernel on raw integers:
-over F_p, rows of ints in ``[0, p)`` reduced mod p, with one modular
-inverse per pivot; over QQ, rows and columns scaled to integers by the lcm
-of their denominators, with fraction-free (Bareiss) Gauss-Jordan divided
-by the last pivot at the end.  Each output entry is wrapped back into a
-scalar once, so callers see the same ``Fraction`` and ``FpValue`` entries
-either way.
+A matrix stores its entries once, as integers over one denominator (the
+layout of FLINT's ``fmpq_mat``): residues in ``[0, p)`` over F_p, and over
+QQ numerators over a positive denominator that shares no factor with all
+of them.  Products, sums, elimination and solving run on these ints, and
+a result is put back in that canonical form, so equal matrices are equal
+structurally.  Each field has one elimination kernel: over F_p, rows
+reduced mod p with one modular inverse per pivot; over QQ, fraction-free
+(Bareiss) Gauss-Jordan on the numerators, over the last pivot at the end.
+Field values (``Fraction``, ``FpValue``) are made only where a matrix is
+read entry by entry.
 
 No floating point is used anywhere, and every algorithm is deterministic:
 row reduction always picks the leftmost nonzero column and the topmost
@@ -232,14 +234,10 @@ class Field:
         FieldMismatch too."""
         return self._value(*_scalar(v))
 
-    def parse_vector(self, doc, n: int, path: str) -> tuple:
-        """Read a JSON array of n scalars; a bad shape raises SchemaError at
-        ``path`` and a bad entry at its own ``path[i]``."""
-        return tuple(self._entries(doc, n, path, self.parse))
-
     def _read_vector(self, doc, n: int, path: str) -> tuple[list, int]:
-        """What ``_ints(self, self.parse_vector(doc, n, path))`` gives, with
-        the same errors, but no field value per entry."""
+        """A JSON array of n scalars as (ints, d), the ints over their lcm
+        denominator (residues over F_p, d = 1); a bad shape raises
+        SchemaError at ``path`` and a bad entry at its own ``path[i]``."""
         return self._over_one_denominator(self._entries(doc, n, path, self._exact))
 
     def _read_matrix(self, doc, rows: int, cols: int, path: str) -> tuple[list, int]:
@@ -432,22 +430,18 @@ def field_from_json(doc, path: str = "field") -> Field:
 
 # -- scalar kernels -----------------------------------------------------------
 #
-# One elimination kernel and one product kernel per field, on raw integers:
-# residues in [0, p) for F_p, numerators over a common denominator for QQ.
-# Both eliminations pivot on the leftmost nonzero column and the topmost
+# One elimination kernel per field, on raw integers: residues in [0, p) for
+# F_p, the numerators of a matrix over its denominator for QQ.  Both
+# eliminations pivot on the leftmost nonzero column and the topmost
 # available row; the reduced row echelon form is unique, so their output is
 # the one Gauss-Jordan on the scalar objects would give.
 
 
-def _fp_wrap(F: "PrimeField", row) -> tuple:
-    """Residues in [0, p) as FpValues; zero and one share the field's."""
-    p, zero, one = F.p, F.zero, F.one
-    return tuple(zero if x == 0 else one if x == 1 else FpValue(x, p) for x in row)
-
-
 def _ints(F: Field, xs) -> tuple[list, int]:
     """Field values as integers over one common denominator d, the lcm of
-    their denominators: (ints, d).  Over F_p the residues, with d = 1."""
+    their denominators: (ints, d).  Over F_p the residues, with d = 1.
+    For values in lowest terms (as every ``Fraction`` is) no prime divides
+    d and all the ints, so this is the canonical form of :class:`Matrix`."""
     if F.char:
         return [x.v for x in xs], 1
     d = lcm(*[x.denominator for x in xs])
@@ -456,17 +450,28 @@ def _ints(F: Field, xs) -> tuple[list, int]:
 
 def _wrap(F: Field, ints, d: int) -> tuple:
     """The field values v / d of integers v, each wrapped once; over F_p,
-    d is 1 and v any int."""
-    if F.char:
-        p = F.char
-        return _fp_wrap(F, [v % p for v in ints])
+    d is 1 and v any int, and zero and one share the field's."""
     zero = F.zero
+    if F.char:
+        p, one = F.char, F.one
+        return tuple(zero if r == 0 else one if r == 1 else FpValue(r, p)
+                     for r in (v % p for v in ints))
     return tuple(Fraction(v, d) if v else zero for v in ints)
 
 
-def _fp_rref(F: "PrimeField", data, ncols: int) -> tuple[tuple, tuple]:
-    p = F.p
-    work = [[x.v for x in row] for row in data]
+def _joined(mats) -> tuple[list, int]:
+    """The entries of the matrices, in order and each row-major, as ints
+    over one denominator, the lcm of theirs (1 over F_p)."""
+    d = lcm(*[m._den for m in mats])
+    out: list = []
+    for m in mats:
+        s = d // m._den
+        out += m._num if s == 1 else [x * s for x in m._num]
+    return out, d
+
+
+def _fp_rref(p: int, work: list, ncols: int) -> tuple[int, ...]:
+    """Reduce the rows of residues ``work`` in place; the pivot columns."""
     nrows = len(work)
     pivots: list[int] = []
     pr = 0
@@ -488,15 +493,16 @@ def _fp_rref(F: "PrimeField", data, ncols: int) -> tuple[tuple, tuple]:
         pr += 1
         if pr == nrows:
             break
-    return tuple(_fp_wrap(F, row) for row in work), tuple(pivots)
+    return tuple(pivots)
 
 
-def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
-    # Each row is scaled to integers by the lcm of its denominators.  After
-    # a pivot a, every other row becomes (a*row - f*pivot row) / prev, an
-    # exact division (each entry is a minor of the scaled matrix), so every
-    # pivot row ends with the last pivot d at its pivot: entry x is x/d.
-    work = [_ints(QQ, row)[0] for row in data]
+def _qq_rref(work: list, ncols: int) -> tuple[int, tuple[int, ...]]:
+    """Reduce the integer rows ``work`` in place, fraction-free; the last
+    pivot d, over which the rows are the rref, and the pivot columns.
+
+    After a pivot a, every other row becomes (a*row - f*pivot row) / prev,
+    an exact division (each entry is a minor of the matrix), so every pivot
+    row ends with d at its pivot."""
     nrows = len(work)
     pivots: list[int] = []
     pr = 0
@@ -523,24 +529,21 @@ def _qq_rref(data, ncols: int) -> tuple[tuple, tuple]:
         pr += 1
         if pr == nrows:
             break
-    zero = QQ.zero
-    return (tuple(tuple(Fraction(x, prev) if x else zero for x in row)
-                  for row in work),
-            tuple(pivots))
+    return prev, tuple(pivots)
 
 
 class Echelon:
     """Incremental row echelon form for independence testing, on integers.
 
     ``add`` takes a vector of ints, read mod p over F_p; over QQ it may be
-    any nonzero multiple of the rationals it stands for, such as the ints
-    :func:`_ints` gives, since scaling does not change independence.  It
-    reduces the vector by the rows kept so far, in the order they were
-    kept, and keeps the remainder when it is nonzero.  Fed the columns of a
-    matrix in order, each as ints scaled by any nonzero integer, it accepts
-    exactly the pivot columns of the matrix's rref.  Rows are kept as ints:
-    residues with a leading 1 over F_p, integer rows with no common factor
-    over QQ, reduced fraction-free.
+    any nonzero multiple of the rationals it stands for, such as the
+    numerators of a :class:`Matrix`, since scaling does not change
+    independence.  It reduces the vector by the rows kept so far, in the
+    order they were kept, and keeps the remainder when it is nonzero.  Fed
+    the columns of a matrix in order, each as ints scaled by any nonzero
+    integer, it accepts exactly the pivot columns of the matrix's rref.
+    Rows are kept as ints: residues with a leading 1 over F_p, integer rows
+    with no common factor over QQ, reduced fraction-free.
     """
 
     __slots__ = ("field", "rows")
@@ -579,40 +582,60 @@ class Echelon:
 class Matrix:
     """An immutable dense matrix over a Field.
 
-    Entries are stored row-major as a tuple of tuples.  ``m[i]`` is row i,
-    ``m[i, j]`` an entry.  Arithmetic checks field and shape compatibility
-    and raises FieldMismatch / NotSquare accordingly.  Zero-by-n and n-by-zero
-    shapes are fully supported.
+    The entries are stored once, as ``_num``, a flat row-major tuple of
+    ints, over one denominator ``_den``, in canonical form, so equality and
+    hashing are structural: over F_p residues in [0, p) over 1; over QQ a
+    positive ``_den`` sharing no factor with all the numerators (1 for the
+    zero matrix).  Every operation runs on these ints, and
+    :meth:`_of_ints` puts a result in canonical form.  The reads ``data``
+    (built on first read and kept), ``m[i]``, ``m[i, j]``, ``row``,
+    ``column``, ``flat``, ``to_lists`` and ``trace()`` give ``Fraction`` or
+    ``FpValue`` entries.  Arithmetic checks field and shape compatibility
+    and raises FieldMismatch / NotSquare accordingly.  Zero-by-n and
+    n-by-zero shapes are fully supported.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_num", "_den", "_data")
 
     def __init__(self, field: Field, rows: Iterable[Iterable], cols: int | None = None):
         data = tuple(tuple(field.of(x) for x in row) for row in rows)
-        if data:
-            ncols = len(data[0])
-            for row in data:
-                if len(row) != ncols:
-                    raise FieldMismatch("ragged rows in matrix construction")
-            if cols is not None and cols != ncols:
-                raise FieldMismatch("explicit column count disagrees with rows")
-        else:
-            ncols = 0 if cols is None else cols
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "data", data)
+        ncols = len(data[0]) if data else cols or 0
+        if any(len(row) != ncols for row in data):
+            raise FieldMismatch("ragged rows in matrix construction")
+        if data and cols is not None and cols != ncols:
+            raise FieldMismatch("explicit column count disagrees with rows")
+        num, d = _ints(field, [x for row in data for x in row])
+        self._set(field, len(data), ncols, tuple(num), d, data)
+
+    def _set(self, field, rows, cols, num, den, data):
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "_num", num)
+        put(self, "_den", den)
+        put(self, "_data", data)
 
     @classmethod
-    def _of_values(cls, field: Field, data: tuple, cols: int) -> "Matrix":
-        """A matrix whose rows ``data``, a tuple of tuples of ``cols``
-        entries, already hold ``field`` values: no ``field.of``, no checks."""
+    def _raw(cls, field: Field, num: tuple, den: int, rows: int, cols: int) -> "Matrix":
+        """The matrix of ``num`` over ``den``, which must already be in
+        canonical form."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
+        m._set(field, rows, cols, num, den, None)
         return m
+
+    @classmethod
+    def _of_ints(cls, field: Field, ints, d: int, rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix of the integers ``ints`` (flat, row-major)
+        over ``d`` (nonzero; prime to p over F_p), in canonical form."""
+        p = field.char
+        if p:
+            s = pow(d, -1, p)
+            return cls._raw(field, tuple(x * s % p for x in ints) if s != 1 else
+                            tuple(x % p for x in ints), 1, rows, cols)
+        g = gcd(d, *ints) if d > 0 else -gcd(d, *ints)
+        return cls._raw(field, tuple(x // g for x in ints) if g != 1 else tuple(ints),
+                        d // g, rows, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -621,13 +644,12 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, r: int, c: int) -> "Matrix":
-        return Matrix._of_values(field, ((field.zero,) * c,) * r, c)
+        return Matrix._raw(field, (0,) * (r * c), 1, r, c)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix._of_values(
-            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n)
+        return Matrix._raw(field, tuple(int(i == j) for i in range(n) for j in range(n)),
+                           1, n, n)
 
     @staticmethod
     def row_vector(field: Field, entries: Sequence) -> "Matrix":
@@ -636,14 +658,6 @@ class Matrix:
     @staticmethod
     def col_vector(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, [[e] for e in entries], cols=1)
-
-    @classmethod
-    def _of_ints(cls, field: Field, ints, d: int, rows: int, cols: int) -> "Matrix":
-        """The rows x cols matrix of the integers ``ints`` (flat, row-major)
-        over ``d``, as :func:`_ints` gives them, each wrapped once."""
-        vals = _wrap(field, ints, d)
-        return cls._of_values(
-            field, tuple(vals[i * cols:(i + 1) * cols] for i in range(rows)), cols)
 
     @staticmethod
     def from_lists(field: Field, lists, rows: int, cols: int,
@@ -658,10 +672,18 @@ class Matrix:
 
     # -- basic structure ---------------------------------------------------
 
+    @property
+    def data(self) -> tuple:
+        """The rows of field values, built on first read and kept."""
+        if self._data is None:
+            vals, c = _wrap(self.field, self._num, self._den), self.cols
+            object.__setattr__(self, "_data",
+                               tuple(vals[i * c:(i + 1) * c] for i in range(self.rows)))
+        return self._data
+
     def __getitem__(self, idx):
         if isinstance(idx, tuple):
-            i, j = idx
-            return self.data[i][j]
+            return self.data[idx[0]][idx[1]]
         return self.data[idx]
 
     def flat(self) -> tuple:
@@ -671,30 +693,35 @@ class Matrix:
         return self.data[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.data)
 
-    def _columns(self) -> tuple:
-        return tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+    def _sub(self, rows=None, cols=None) -> "Matrix":
+        """The submatrix on the given row and column indices (all when
+        None), in their order."""
+        c, num = self.cols, self._num
+        rows = range(self.rows) if rows is None else rows
+        cols = range(c) if cols is None else cols
+        return Matrix._of_ints(self.field, [num[r * c + j] for r in rows for j in cols],
+                               self._den, len(rows), len(cols))
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_values(self.field, self._columns(), self.rows)
+        c, num = self.cols, self._num
+        return Matrix._raw(self.field, tuple(chain.from_iterable(num[j::c] for j in range(c))),
+                           self._den, c, self.rows)
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(self._num)
+
+    def _key(self) -> tuple:
+        return self.field, self.rows, self.cols, self._den, self._num
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash(self._key())
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -710,47 +737,46 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
         self._check_field(other)
         if self.rows != other.rows or self.cols != other.cols:
             raise FieldMismatch("matrix shapes differ in addition")
-        return Matrix._of_values(
-            self.field,
-            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)),
-            self.cols,
-        )
+        d = lcm(self._den, other._den)
+        s, t = d // self._den, sign * (d // other._den)
+        return Matrix._of_ints(self.field, [s * x + t * y for x, y in zip(self._num, other._num)],
+                               d, self.rows, self.cols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of_values(
-            self.field, tuple(tuple(map(neg, row)) for row in self.data), self.cols)
+        p = self.field.char
+        return Matrix._raw(self.field, tuple(-x % p if p else -x for x in self._num),
+                           self._den, self.rows, self.cols)
 
     def scale(self, s) -> "Matrix":
-        s = self.field.of(s)
-        return Matrix._of_values(
-            self.field, tuple(tuple(s * x for x in row) for row in self.data), self.cols)
+        F = self.field
+        s = F.of(s)
+        n, d = (s.v, 1) if F.char else (s.numerator, s.denominator)
+        return Matrix._of_ints(F, [n * x for x in self._num], d * self._den,
+                               self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             self._check_field(other)
-            if self.cols != other.rows:
+            n, c = self.cols, other.cols
+            if n != other.rows:
                 raise FieldMismatch(
-                    f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+                    f"cannot multiply {self.rows}x{n} by {other.rows}x{c}"
                 )
-            F = self.field
-            cols = [_ints(F, col) for col in other._columns()]
-            rows = [_ints(F, row) for row in self.data]
-            if F.char:
-                data = tuple(_wrap(F, [sum(map(mul, r, c)) for c, _ in cols], 1)
-                             for r, _ in rows)
-            else:
-                zero = F.zero
-                data = tuple(tuple(Fraction(v, dr * dc) if (v := sum(map(mul, r, c)))
-                                   else zero for c, dc in cols)
-                             for r, dr in rows)
-            return Matrix._of_values(F, data, other.cols)
+            a, b = self._num, other._num
+            bcols = [b[j::c] for j in range(c)]
+            out = [sum(map(mul, a[i * n:(i + 1) * n], col))
+                   for i in range(self.rows) for col in bcols]
+            return Matrix._of_ints(self.field, out, self._den * other._den, self.rows, c)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -769,8 +795,7 @@ class Matrix:
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare("trace of a non-square matrix")
-        ints, d = _ints(self.field, [row[i] for i, row in enumerate(self.data)])
-        return _wrap(self.field, [sum(ints)], d)[0]
+        return self.field._value(sum(self._num[::self.cols + 1]), self._den)
 
     # -- elimination -------------------------------------------------------
 
@@ -780,12 +805,14 @@ class Matrix:
         Pivoting is deterministic: leftmost nonzero column, topmost
         available row, no magnitude-based choices.
         """
-        F = self.field
+        F, c = self.field, self.cols
+        # over QQ the numerators have the rref of the matrix itself
+        work = [list(self._num[i * c:(i + 1) * c]) for i in range(self.rows)]
         if F.char:
-            data, pivots = _fp_rref(F, self.data, self.cols)
+            d, pivots = 1, _fp_rref(F.char, work, c)
         else:
-            data, pivots = _qq_rref(self.data, self.cols)
-        return Matrix._of_values(F, data, self.cols), pivots
+            d, pivots = _qq_rref(work, c)
+        return Matrix._of_ints(F, [x for row in work for x in row], d, self.rows, c), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -796,17 +823,14 @@ class Matrix:
         free column and 0 at the other free columns and at every column
         after the i-th free one."""
         R, pivots = self.rref()
-        F = self.field
-        pivset = set(pivots)
+        c, num, d = self.cols, R._num, R._den
         basis = []
-        for fc in range(self.cols):
-            if fc in pivset:
-                continue
-            v = [F.zero] * self.cols
-            v[fc] = F.one
+        for fc in sorted(set(range(c)).difference(pivots)):
+            v = [0] * c
+            v[fc] = d
             for r, pc in enumerate(pivots):
-                v[pc] = -R.data[r][fc]
-            basis.append(Matrix._of_values(F, tuple(zip(v)), 1))
+                v[pc] = -num[r * c + fc]
+            basis.append(Matrix._of_ints(self.field, v, d, c, 1))
         return basis
 
     def solve(self, rhs: "Matrix") -> "Matrix | None":
@@ -815,52 +839,49 @@ class Matrix:
         self._check_field(rhs)
         if self.rows != rhs.rows:
             raise FieldMismatch("solve: row counts differ")
-        aug = hstack([self, rhs])
-        R, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.cols:
-                return None
-        F = self.field
-        out = [[F.zero] * rhs.cols for _ in range(self.cols)]
+        n, k = self.cols, rhs.cols
+        R, pivots = hstack([self, rhs]).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [0] * (n * k)
         for r, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                out[pc][j] = R.data[r][self.cols + j]
-        return Matrix._of_values(F, tuple(map(tuple, out)), rhs.cols)
+            start = r * (n + k) + n
+            out[pc * k:(pc + 1) * k] = R._num[start:start + k]
+        return Matrix._of_ints(self.field, out, R._den, n, k)
 
     def inverse(self) -> "Matrix":
+        """A^-1.  When A X = I is consistent for a square A, A has full
+        rank, so the one solution ``solve`` gives is the inverse."""
         if self.rows != self.cols:
             raise NotSquare("inverse of a non-square matrix")
         sol = self.solve(Matrix.identity(self.field, self.rows))
-        if sol is None or (sol * self) != Matrix.identity(self.field, self.rows):
+        if sol is None:
             raise SingularMatrix("matrix is not invertible")
         return sol
 
 
-def hstack(mats: Sequence[Matrix]) -> Matrix:
+def _check_stack(mats: Sequence[Matrix], name: str, side: str) -> None:
+    """The matrices must be some, over one field, and agree in ``side``."""
     if not mats:
-        raise FieldMismatch("hstack of nothing")
-    F = mats[0].field
-    r = mats[0].rows
-    for m in mats:
-        if m.field != F:
-            raise FieldMismatch("hstack over different fields")
-        if m.rows != r:
-            raise FieldMismatch("hstack with differing row counts")
-    rows = tuple(tuple(chain.from_iterable(m.data[i] for m in mats)) for i in range(r))
-    return Matrix._of_values(F, rows, sum(m.cols for m in mats))
+        raise FieldMismatch(f"{name} of nothing")
+    if any(m.field != mats[0].field for m in mats):
+        raise FieldMismatch(f"{name} over different fields")
+    if any(getattr(m, side) != getattr(mats[0], side) for m in mats):
+        noun = {"rows": "row", "cols": "column"}[side]
+        raise FieldMismatch(f"{name} with differing {noun} counts")
+
+
+def hstack(mats: Sequence[Matrix]) -> Matrix:
+    _check_stack(mats, "hstack", "rows")
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise FieldMismatch("vstack of nothing")
-    F = mats[0].field
-    c = mats[0].cols
-    for m in mats:
-        if m.field != F:
-            raise FieldMismatch("vstack over different fields")
-        if m.cols != c:
-            raise FieldMismatch("vstack with differing column counts")
-    return Matrix._of_values(F, tuple(row for m in mats for row in m.data), c)
+    _check_stack(mats, "vstack", "cols")
+    # canonical matrices brought over the lcm of their denominators stay
+    # canonical when stacked
+    num, d = _joined(mats)
+    return Matrix._raw(mats[0].field, tuple(num), d, sum(m.rows for m in mats), mats[0].cols)
 
 
 class Polynomial:

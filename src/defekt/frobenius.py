@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularMatrix,
 )
-from .exactla import Echelon, Field, Matrix, _ints, _wrap, hstack
+from .exactla import Echelon, Field, Matrix, _ints, _joined, _wrap, hstack
 
 __all__ = [
     "BetaReport",
@@ -57,15 +57,14 @@ class FrobeniusAlgebra:
     tuples.  Construction reads every entry through ``field.of`` once, so
     ints and Fractions are accepted, and checks shapes; the algebra axioms
     are the business of :func:`verify`.  The structure constants are stored
-    only as the integer cube: residues in [0, p) over F_p, and numerators
-    over one common denominator over QQ.  :func:`frobenius_from_json` reads
-    a document straight into it, and ``mult`` is derived from it on first
-    read.  It is the algebra's one product path: products, the Gram matrix,
-    the trace, the hole element, the window map, the center,
-    commutativity, the regular trace form, :func:`verify` and
-    :func:`commutator_space` contract these ints and wrap each output entry
-    once.  The basis columns, the Gram matrix, the dual bases and the hole
-    element are built on first use and held for the life of the algebra.
+    only as the integer cube (residues over F_p, numerators over one
+    denominator over QQ), the unit as a column and the trace as a row
+    ``Matrix``; ``mult``, ``unit`` and ``trace`` are read off them.  The
+    cube is the one product path: products, the Gram matrix, the trace, the
+    hole element, the window map, the center, the regular trace form and
+    :func:`verify` contract matrices' ints against it.  The basis columns,
+    the Gram matrix, the dual bases and the hole element are built on first
+    use and held for the life of the algebra.
     """
 
     def __init__(self, field: Field, names, mult, unit, trace):
@@ -77,15 +76,15 @@ class FrobeniusAlgebra:
             raise ValueError("structure constants must form an n x n x n cube")
         if len(unit) != n or len(trace) != n:
             raise ValueError("unit and trace must have one entry per basis element")
-        of = field.of
         self._store(field, names,
-                    _ints(field, [of(c) for plane in mult for row in plane for c in row]),
-                    tuple(of(c) for c in unit), _ints(field, [of(c) for c in trace]))
+                    _ints(field, [field.of(c) for plane in mult for row in plane for c in row]),
+                    Matrix.col_vector(field, unit), Matrix.row_vector(field, trace))
 
     @classmethod
-    def _of_ints(cls, field: Field, names, cube, unit, trace) -> "FrobeniusAlgebra":
-        """The algebra of the cube (flat, row-major) and trace as (ints, d),
-        as :func:`_ints` gives them, and the unit as field values."""
+    def _of_cube(cls, field: Field, names, cube, unit: Matrix,
+                 trace: Matrix) -> "FrobeniusAlgebra":
+        """The algebra of the cube (flat, row-major) as (ints, d), the unit
+        column and the trace row."""
         b = object.__new__(cls)
         b._store(field, names, cube, unit, trace)
         return b
@@ -98,8 +97,8 @@ class FrobeniusAlgebra:
         # where m / D is mult[i][j][k] (D = 1 and m a residue over F_p)
         sparse = tuple(tuple(tuple((k, m) for k, m in enumerate(islice(it, n)) if m)
                              for _ in range(n)) for _ in range(n))
-        for name, value in (("field", field), ("names", tuple(str(x) for x in names)),
-                            ("_cube", (sparse, D)), ("unit", unit), ("_trace_ints", trace)):
+        for name, value in zip(("field", "names", "_cube", "_unit", "_trace"),
+                               (field, tuple(map(str, names)), (sparse, D), unit, trace)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -122,9 +121,14 @@ class FrobeniusAlgebra:
                            for row in map(dict, plane)) for plane in cube)
 
     @cached_property
+    def unit(self) -> tuple:
+        """The unit's coordinates as field values."""
+        return self._unit.flat()
+
+    @cached_property
     def trace(self) -> tuple:
         """The trace covector as field values."""
-        return _wrap(self.field, *self._trace_ints)
+        return self._trace.flat()
 
     def el(self, coeffs) -> Matrix:
         return Matrix.col_vector(self.field, list(coeffs))
@@ -132,15 +136,15 @@ class FrobeniusAlgebra:
     @cached_property
     def basis_columns(self) -> tuple:
         """The basis elements e_0, ..., e_{n-1} as coordinate columns."""
-        F = self.field
-        return tuple(Matrix._of_values(F, tuple(zip(row)), 1)
-                     for row in Matrix.identity(F, self.dim).data)
+        F, n = self.field, self.dim
+        return tuple(Matrix._raw(F, tuple(int(i == j) for j in range(n)), 1, n, 1)
+                     for i in range(n))
 
     def basis_el(self, i: int) -> Matrix:
         return self.basis_columns[i]
 
     def unit_el(self) -> Matrix:
-        return Matrix._of_values(self.field, tuple(zip(self.unit)), 1)
+        return self._unit
 
     def zero_el(self) -> Matrix:
         return Matrix.zeros(self.field, self.dim, 1)
@@ -151,12 +155,15 @@ class FrobeniusAlgebra:
         F, n = self.field, self.dim
         if not isinstance(x, Matrix) or x.field != F or x.rows != n or x.cols != 1:
             raise FieldMismatch(f"algebra elements must be {n}x1 columns over {F!r}")
-        return _ints(F, x.flat())
+        return x._num, x._den
+
+    def _column(self, ints, d: int) -> Matrix:
+        """The element with the coordinates ``ints`` over d."""
+        return Matrix._of_ints(self.field, ints, d, self.dim, 1)
 
     def _contract(self, h, d: int) -> Matrix:
         """sum_{i,j} h[i][j] e_i e_j for ints h over d: out_k =
-        sum_{i,j} h_ij c_ij^k, wrapped once over d D."""
-        F = self.field
+        sum_{i,j} h_ij c_ij^k, over d D."""
         cube, D = self._cube
         out = [0] * self.dim
         for hrow, plane in zip(h, cube):
@@ -164,16 +171,16 @@ class FrobeniusAlgebra:
                 if hij:
                     for k, m in pairs:
                         out[k] += hij * m
-        return Matrix._of_values(F, tuple(zip(_wrap(F, out, d * D))), 1)
+        return self._column(out, d * D)
 
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
         """x*y, contracted from the integer cube:
-        out_k = sum_{i,j} x_i y_j mult[i][j][k], with x and y scaled to
-        integers by the lcm of their own denominators and each out_k
-        wrapped once.  Zero coordinates and zero constants add nothing, so
-        skipping them is exact; a product of basis elements costs n steps,
-        a dense element times a basis element n^2."""
-        F, n = self.field, self.dim
+        out_k = sum_{i,j} x_i y_j mult[i][j][k], on the numerators of x and
+        y, over the product of the denominators.  Zero coordinates and zero
+        constants add nothing, so skipping them is exact; a product of basis
+        elements costs n steps, a dense element times a basis element
+        n^2."""
+        n = self.dim
         (xs, dx), (ys, dy) = self._coords(x), self._coords(y)
         cube, D = self._cube
         ys = [(j, yj) for j, yj in enumerate(ys) if yj]
@@ -184,7 +191,7 @@ class FrobeniusAlgebra:
                     c = xi * yj
                     for k, m in plane[j]:
                         out[k] += c * m
-        return Matrix._of_values(F, tuple(zip(_wrap(F, out, dx * dy * D))), 1)
+        return self._column(out, dx * dy * D)
 
     def product(self, elements) -> Matrix:
         """The product of the elements from the first, left to right, each
@@ -204,9 +211,8 @@ class FrobeniusAlgebra:
         return self.product(repeat(x, n))
 
     def trace_of(self, x: Matrix):
-        tr, dt = self._trace_ints
         xs, dx = self._coords(x)
-        return _wrap(self.field, [sum(map(mul, tr, xs))], dt * dx)[0]
+        return self.field._value(sum(map(mul, self._trace._num, xs)), self._trace._den * dx)
 
     def gram(self) -> Matrix:
         """G[i][j] = trace(e_i * e_j), built on first use and held."""
@@ -214,12 +220,11 @@ class FrobeniusAlgebra:
 
     @cached_property
     def _gram(self) -> Matrix:
-        F = self.field
         cube, D = self._cube
-        tr, dt = self._trace_ints
-        return Matrix._of_values(F, tuple(
-            _wrap(F, [sum(m * tr[k] for k, m in pairs) for pairs in plane], D * dt)
-            for plane in cube), self.dim)
+        tr = self._trace._num
+        return Matrix._of_ints(self.field, [sum(m * tr[k] for k, m in pairs)
+                                            for plane in cube for pairs in plane],
+                               D * self._trace._den, self.dim, self.dim)
 
     def is_commutative(self) -> bool:
         cube = self._cube[0]
@@ -233,17 +238,16 @@ class FrobeniusAlgebra:
         """:func:`dual_bases` of this algebra, computed once."""
         return dual_bases(self)
 
-    @cached_property
-    def _dual_ints(self) -> tuple:
+    def _dual_rows(self) -> tuple[list, int]:
         """(g, d): g[i] the coordinates of the dual y_i, as ints over d."""
         n = self.dim
-        flat, d = _ints(self.field, [c for y in self.duals[1] for c in y.flat()])
+        flat, d = _joined(self.duals[1])
         return [flat[i * n:(i + 1) * n] for i in range(n)], d
 
     @cached_property
     def hole(self) -> Matrix:
         """See :func:`hole_element`: sum_i e_i y_i, one contraction."""
-        return self._contract(*self._dual_ints)
+        return self._contract(*self._dual_rows())
 
 
 # -- verification -------------------------------------------------------------
@@ -300,7 +304,7 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
             assoc_w = (i, j, k)
             break
 
-    us, du = _ints(F, b.unit)
+    us, du = b._coords(b.unit_el())
     us = [(l, u) for l, u in enumerate(us) if u]
     unital_w = None
     for i in range(n):
@@ -316,8 +320,9 @@ def verify(b: FrobeniusAlgebra) -> VerifyReport:
             break
 
     G = b.gram()
+    g = G._num
     sym_w = next(((i, j) for i, j in combinations(range(n), 2)
-                  if G[i, j] != G[j, i]), None)
+                  if g[i * n + j] != g[j * n + i]), None)
     radical = G.kernel_basis()
     return VerifyReport(
         associative=assoc_w is None,
@@ -341,18 +346,16 @@ def dual_bases(b: FrobeniusAlgebra) -> tuple[tuple, tuple]:
         ginv = b.gram().inverse()
     except SingularMatrix:
         raise DegenerateTrace("trace pairing is singular") from None
-    ys = tuple(Matrix._of_values(b.field, tuple(zip(col)), 1)
-               for col in ginv._columns())
-    return b.basis_columns, ys
+    return b.basis_columns, tuple(ginv._sub(cols=[j]) for j in range(b.dim))
 
 
 def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
     """sum_i y_i * elem * x_i; central, basis-choice independent.  With
     x_i = e_i and g[i] the coordinates of y_i it is sum_{l,i} h_li e_l e_i,
-    h_li = sum_j g_ij (e_j elem)_l: contracted on the integer cube and
-    wrapped once, with no product of elements."""
+    h_li = sum_j g_ij (e_j elem)_l: contracted on the integer cube, with no
+    product of elements."""
     cube, D = b._cube
-    g, dg = b._dual_ints
+    g, dg = b._dual_rows()
     xs, dx = b._coords(elem)
     right = [[0] * b.dim for _ in cube]  # right[j][l] = (e_j elem)_l
     for rj, plane in zip(right, cube):
@@ -377,7 +380,7 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
     """Basis of [B,B] = span{e_i e_j - e_j e_i}, deterministic order: the
     first commutators independent of those before them.  Each commutator
     is read off the integer cube, c_ij - c_ji over D, tested as ints, and
-    wrapped once if kept."""
+    made a column if kept."""
     F, n = b.field, b.dim
     cube, D = b._cube
     ech = Echelon(F)
@@ -389,7 +392,7 @@ def commutator_space(b: FrobeniusAlgebra) -> list[Matrix]:
         for k, m in cube[j][i]:
             c[k] -= m
         if ech.add(c):
-            kept.append(Matrix._of_values(F, tuple(zip(_wrap(F, c, D))), 1))
+            kept.append(b._column(c, D))
     return kept
 
 
@@ -404,7 +407,8 @@ def _commutator_rows(b: FrobeniusAlgebra) -> Matrix:
         for k, m in cube[i][j]:
             rows[j][k][i] += m
             rows[i][k][j] -= m
-    return Matrix._of_values(F, tuple(_wrap(F, row, D) for block in rows for row in block), n)
+    return Matrix._of_ints(F, [x for block in rows for row in block for x in row], D,
+                           n * n, n)
 
 
 def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:
@@ -443,7 +447,7 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
     # coset representatives: standard basis vectors extending [B,B]
     ech = Echelon(F)
     for c in comms:
-        ech.add(_ints(F, c.flat())[0])
+        ech.add(c._num)
     reps = [i for i in range(n) if ech.add([int(j == i) for j in range(n)])]
 
     cent_mat = hstack(cent) if cent else Matrix.zeros(F, n, 0)
@@ -452,7 +456,7 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
     for i in reps:
         w = window(b, b.basis_el(i))
         sol = cent_mat.solve(w)
-        if sol is None or cent_mat * sol != w:
+        if sol is None:
             lands = False
             sol = Matrix.zeros(F, len(cent), 1)
         cols.append(sol)
@@ -582,9 +586,9 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
     # T_ij = trace(L_i L_j), L_i left multiplication by e_i: sum_{k,l} c_ik^l c_jl^k
     cube, D = b._cube
     dense = [[dict(pairs) for pairs in plane] for plane in cube]
-    T = Matrix._of_values(F, tuple(_wrap(F, [
+    T = Matrix._of_ints(F, [
         sum(m * dj[l].get(k, 0) for k, pairs in enumerate(ci) for l, m in pairs)
-        for dj in dense], D * D) for ci in cube), b.dim)
+        for ci in cube for dj in dense], D * D, b.dim, b.dim)
     rad = T.kernel_basis()
     if not rad:
         return ObstructionReport(
@@ -631,9 +635,10 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     cube = field._read_cube(doc.get("mult"), dim, f"{path}.mult")
     # the default names are built only now, once mult has shown dim is real
     names = names or [f"e{i}" for i in range(dim)]
-    unit = _wrap(field, *field._read_vector(doc.get("unit"), dim, f"{path}.unit"))
+    unit = field._read_vector(doc.get("unit"), dim, f"{path}.unit")
     trace = field._read_vector(doc.get("trace"), dim, f"{path}.trace")
-    return FrobeniusAlgebra._of_ints(field, names, cube, unit, trace)
+    return FrobeniusAlgebra._of_cube(field, names, cube, Matrix._of_ints(field, *unit, dim, 1),
+                                     Matrix._of_ints(field, *trace, 1, dim))
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
@@ -649,7 +654,7 @@ def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
 
 
 def element_from_json(b: FrobeniusAlgebra, doc, path: str) -> Matrix:
-    return Matrix._of_values(b.field, tuple(zip(b.field.parse_vector(doc, b.dim, path))), 1)
+    return b._column(*b.field._read_vector(doc, b.dim, path))
 
 
 # Largest genus a surface document may give a component: evaluation takes

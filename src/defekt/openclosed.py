@@ -26,10 +26,9 @@ coefficient of Z0 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import FieldMismatch, SchemaError, Unsupported
-from .exactla import Field, Matrix
+from .exactla import Field, Matrix, _ints, hstack
 from .frobenius import (
     FrobeniusAlgebra,
     SurfaceSpec,
@@ -130,32 +129,42 @@ class KnowledgeableReport:
         )
 
 
-def _columns(F: Field, cols, rows: int) -> Matrix:
-    """The matrix whose columns are the given tuples of ``rows`` entries,
-    also when there are none."""
-    return Matrix._of_values(F, tuple(cols), rows).transpose()
-
-
 def _kron(x: Matrix, y: Matrix) -> Matrix:
     """x (x) y: entry ((i, k), (j, l)) is x[i, j] y[k, l]."""
-    return Matrix._of_values(x.field, tuple(tuple(s * t for s in xr for t in yr)
-                                            for xr in x.data for yr in y.data),
-                             x.cols * y.cols)
+    xc, yc = x.cols, y.cols
+    return Matrix._of_ints(x.field, [s * t for i in range(x.rows) for k in range(y.rows)
+                                     for s in x._num[i * xc:(i + 1) * xc]
+                                     for t in y._num[k * yc:(k + 1) * yc]],
+                           x._den * y._den, x.rows * y.rows, xc * yc)
+
+
+def _cube_matrix(a: FrobeniusAlgebra, rows: int, cols: int, index) -> Matrix:
+    """The rows x cols matrix holding c_ij^k, over the cube's denominator,
+    at the flat row-major position index(i, j, k), and 0 elsewhere."""
+    cube, D = a._cube
+    out = [0] * (rows * cols)
+    for i, plane in enumerate(cube):
+        for j, pairs in enumerate(plane):
+            for k, m in pairs:
+                out[index(i, j, k)] = m
+    return Matrix._of_ints(a.field, out, D, rows, cols)
 
 
 def _mult_table(a: FrobeniusAlgebra) -> Matrix:
     """mu: the dim x dim^2 matrix whose column (i, j) is e_i e_j."""
-    return _columns(a.field, chain.from_iterable(a.mult), a.dim)
+    n = a.dim
+    return _cube_matrix(a, n, n * n, lambda i, j, k: (k * n + i) * n + j)
 
 
 def _comult_table(a: FrobeniusAlgebra) -> Matrix:
     """Delta: the dim^2 x dim matrix whose column t holds, in row (r, s), the
     e_r (x) e_s coefficient of Delta(e_t) = sum_s (e_t y_s) (x) e_s."""
-    F, n = a.field, a.dim
-    left = Matrix._of_values(F, tuple(r for plane in a.mult for r in zip(*plane)), n)
-    ey = left * _columns(F, (y.flat() for y in a.duals[1]), n)  # row (t, r), column s
-    return _columns(F, (tuple(chain.from_iterable(ey.data[t * n:(t + 1) * n]))
-                        for t in range(n)), n * n)
+    n = a.dim
+    left = _cube_matrix(a, n * n, n, lambda t, j, r: (t * n + r) * n + j)  # (e_t e_j)_r
+    ys = a.duals[1]
+    ey = left * (hstack(ys) if ys else Matrix.zeros(a.field, 0, 0))  # row (t, r), column s
+    # ey, read as n x n^2 (row t, column (r, s)), is Delta transposed
+    return Matrix._of_ints(a.field, ey._num, ey._den, n, n * n).transpose()
 
 
 def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
@@ -172,7 +181,8 @@ def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
     coalg = cardy = False
     if vb.nondegenerate and vc.nondegenerate:
         coalg = _comult_table(c) * jz == _kron(jz, jz) * _comult_table(b)
-        cardy = jc * jz == _columns(F, (window(b, e).flat() for e in b.basis_columns), b.dim)
+        ws = [window(b, e) for e in b.basis_columns]
+        cardy = jc * jz == (hstack(ws) if ws else Matrix.zeros(F, 0, 0))
     return KnowledgeableReport(
         open_report=vb,
         closed_report=vc,
@@ -181,8 +191,7 @@ def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
         cozipper_unital=jc * c.unit_el() == b.unit_el(),
         cozipper_image_central=(_commutator_rows(b) * jc).is_zero(),
         zipper_coalgebra_hom=coalg,
-        zipper_trace_respecting=(Matrix._of_values(F, (c.trace,), c.dim) * jz
-                                 == Matrix._of_values(F, (b.trace,), b.dim)),
+        zipper_trace_respecting=c._trace * jz == b._trace,
         duality=jz.transpose() * c.gram() == b.gram() * jc,
         cardy=cardy,
     )
@@ -263,25 +272,21 @@ def state_space_circle(t: OpenClosedTheory, gmax: int, smax: int) -> CircleState
     )
 
     def entry(row, col):
+        """The index in tr_pow + alphas of the Gram entry."""
         g, s = row
         h, u = col
         if s + u >= 1:
-            return tr_pow[g + h + s + u - 1]
-        return alphas[g + h]
+            return g + h + s + u - 1
+        return len(tr_pow) + g + h
 
-    gram = Matrix(
-        f,
-        [[entry(r, cl) for cl in labels] for r in labels],
-        cols=len(labels),
-    )
+    # every entry is one of these values, read to ints over one denominator
+    vals, d = _ints(f, tr_pow + alphas)
+    n = len(labels)
+    gram = Matrix._of_ints(f, [vals[entry(r, cl)] for r in labels for cl in labels],
+                           d, n, n)
     dim = gram.rank()
     keep = [i for i, (g, s) in enumerate(labels) if g < gmax and s < smax]
-    inner = Matrix(
-        f,
-        [[gram[i, j] for j in keep] for i in keep],
-        cols=len(keep),
-    )
-    inner_dim = inner.rank()
+    inner_dim = gram._sub(keep, keep).rank()
     return CircleStateSpace(
         dim=dim,
         labels=labels,

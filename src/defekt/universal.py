@@ -49,7 +49,7 @@ from .errors import (
     FieldMismatch,
     SchemaError,
 )
-from .exactla import Echelon, Field, Matrix, _ints, _wrap, field_from_json, hstack
+from .exactla import Echelon, Field, Matrix, _joined, field_from_json, hstack, vstack
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -104,14 +104,10 @@ class StateSpace:
 
     def __init__(self, field, num_letters, dim, action, cyclic, cotrace,
                  word_basis, cobasis_words):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num_letters", num_letters)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "action", tuple(action))
-        object.__setattr__(self, "cyclic", cyclic)
-        object.__setattr__(self, "cotrace", cotrace)
-        object.__setattr__(self, "word_basis", tuple(word_basis))
-        object.__setattr__(self, "cobasis_words", tuple(cobasis_words))
+        for name, value in zip(self.__slots__, (
+                field, num_letters, dim, tuple(action), cyclic, cotrace,
+                tuple(word_basis), tuple(cobasis_words))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("StateSpace is immutable")
@@ -148,9 +144,9 @@ def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
 
 
 def _saturate(field: Field, start: tuple, letters: tuple,
-              prepend: bool = False) -> list[tuple[Word, list, int]]:
-    """Length-then-lex saturation: the kept (word, state, d) triples, in
-    order.
+              prepend: bool = False) -> tuple[list[Word], Matrix]:
+    """Length-then-lex saturation: the kept words, in order, and the matrix
+    whose row i is the state of word i.
 
     The empty word's state is ``start``, a tuple of matrices; ``letters``
     holds one sequence of letter matrices per entry.  A letter appended to
@@ -164,13 +160,13 @@ def _saturate(field: Field, start: tuple, letters: tuple,
     A state is one flat integer vector, the entries of its matrices in
     order and row-major, standing for those ints over d: residues with
     d = 1 over F_p; over QQ, d = d0 * D^len(w), with d0 the common
-    denominator of the start and D that of all the letter matrices, which
-    are read as ints once.  Scaling keeps independence, so the words are
-    those of the same search on the matrices."""
+    denominator of the start and D that of all the letter matrices.
+    Scaling keeps independence, so the words are those of the same search
+    on the matrices."""
     p = field.char
     shapes = [(m.rows, m.cols) for m in start]
-    state, d = _ints(field, [x for m in start for x in m.flat()])
-    flat, D = _ints(field, [x for ls in letters for a in ls for x in a.flat()])
+    state, d = _joined(start)
+    flat, D = _joined([a for ls in letters for a in ls])
     # lines[j][a]: the rows (prepend) or the columns of letter a of entry j
     ints = iter(flat)
     lines = [[_lines(list(islice(ints, a.rows * a.cols)), a.rows, a.cols, not prepend)
@@ -193,19 +189,17 @@ def _saturate(field: Field, start: tuple, letters: tuple,
                 grown.append(((a,) + w if prepend else w + (a,),
                               [x % p for x in u] if p else u))
         layer, d = grown, d * D
-    return kept
+    # the last state's denominator is a multiple of every earlier one's
+    dk = kept[-1][2] if kept else 1
+    return ([w for w, _, _ in kept],
+            Matrix._of_ints(field, [x * (dk // d) for _, v, d in kept for x in v], dk,
+                            len(kept), len(state)))
 
 
 def _lines(e: list, r: int, c: int, columns: bool) -> list:
     """The rows of the r x c matrix whose entries, row-major, are e, or with
     ``columns`` its columns."""
     return [e[j::c] for j in range(c)] if columns else [e[i * c:(i + 1) * c] for i in range(r)]
-
-
-def _stacked(field: Field, kept, cols: int) -> Matrix:
-    """The kept states of one-entry saturations as the rows of a matrix,
-    each entry wrapped once."""
-    return Matrix._of_values(field, tuple(_wrap(field, v, d) for _, v, d in kept), cols)
 
 
 def minimize(rep: LinearRepresentation) -> StateSpace:
@@ -223,10 +217,9 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     nl = rep.num_letters
 
     # forward (covector) side: rows init * act(w)
-    kept_rows = _saturate(F, (rep.init,), (rep.letters,))
-    if not kept_rows:
+    W = _saturate(F, (rep.init,), (rep.letters,))[1]
+    if not W.rows:
         return _zero_statespace(F, nl)
-    W = _stacked(F, kept_rows, rep.dim)
     f = W.rows
     Wt = W.transpose()
     restricted = []
@@ -236,20 +229,19 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     gamma1 = W * rep.final
 
     # backward (vector) side on the restricted presentation
-    kept_cols = _saturate(F, (gamma1,), (restricted,), prepend=True)
-    if not kept_cols:
+    word_basis, Vt = _saturate(F, (gamma1,), (restricted,), prepend=True)
+    if not word_basis:
         return _zero_statespace(F, nl)
-    word_basis = [w for w, _, _ in kept_cols]
-    V = _stacked(F, kept_cols, f).transpose()
+    V = Vt.transpose()
     k = V.cols
     action = tuple(V.solve(restricted[a] * V) for a in range(nl))
     # the initial covector is the first kept forward row and gamma1 the
     # first kept column, so their coordinates are e_0 on either side
-    cyclic = Matrix.col_vector(F, [F.one] + [F.zero] * (k - 1))
-    cotrace = Matrix(F, [[F.one] + [F.zero] * (f - 1)], cols=f) * V
+    cyclic = Matrix._raw(F, (1,) + (0,) * (k - 1), 1, k, 1)
+    cotrace = V._sub([0])
 
     # covector-side word family: rows cotrace * action(w)
-    cobasis = [w for w, _, _ in _saturate(F, (cotrace,), (action,))]
+    cobasis = _saturate(F, (cotrace,), (action,))[0]
     return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
 
 
@@ -272,13 +264,15 @@ def arc_word_family(ss: StateSpace, circ: CircularRepresentation) -> list[Word]:
 
 def _arc_states(ss: StateSpace, circ: CircularRepresentation) -> list[tuple]:
     """(w, phi_w, rho_w) for each word w of :func:`arc_word_family`: its
-    action on the state space and its circle matrix, built from the
-    saturation's ints."""
+    action on the state space and its circle matrix, read off the
+    saturation's rows."""
     F, k, m = ss.field, ss.dim, circ.dim
     start = (Matrix.identity(F, k), Matrix.identity(F, m))
-    return [(w, Matrix._of_ints(F, v[:k * k], d, k, k),
-             Matrix._of_ints(F, v[k * k:], d, m, m))
-            for w, v, d in _saturate(F, start, (ss.action, circ.letters))]
+    words, S = _saturate(F, start, (ss.action, circ.letters))
+    n, num, d = S.cols, S._num, S._den
+    return [(w, Matrix._of_ints(F, num[i * n:i * n + k * k], d, k, k),
+             Matrix._of_ints(F, num[i * n + k * k:(i + 1) * n], d, m, m))
+            for i, w in enumerate(words)]
 
 
 class PairAlgebra:
@@ -296,9 +290,8 @@ class PairAlgebra:
     ``Fmat = L * G``, gives the basis, the generator classes and the
     dimensions; ``B``, whose columns are the flat ``basis_triples``, so
     ``B * x`` is the triple of the class x; and ``M``, so that ``M * v``
-    is the class of the triple v, held as ints (``_M_ints``) and built as
-    a matrix on first use.  The arc generators are the arc states the
-    theory holds.  Exposed structure: the unit, the arc
+    is the class of the triple v.  The arc generators are the arc states
+    the theory holds.  Exposed structure: the unit, the arc
     subalgebra dimension, the matrix-part unit and its complement
     ``one_K``, the kernel ideal K with its closure trace, and the word
     projections into K.
@@ -309,11 +302,7 @@ class PairAlgebra:
         ss = theory.statespace
         circ = theory.circular
         k, m = ss.dim, circ.dim
-        self.field = F
-        self.statespace = ss
-        self.circ = circ
-        self.k = k
-        self.m = m
+        self.field, self.statespace, self.circ, self.k, self.m = F, ss, circ, k, m
 
         self.arc_words = theory.arc_words
         W = len(self.arc_words)
@@ -325,12 +314,10 @@ class PairAlgebra:
         for _, phi_w, rho_w in theory.arc_states:
             gens.append((phi_w, rho_w, phi_w))
             closers.append(self._closer(phi_w, rho_w))
-        zero_m = Matrix.zeros(F, m, m)
-        for i in range(k):
-            for j in range(k):
-                e = [[F.one if (r, c) == (i, j) else F.zero for c in range(k)]
-                     for r in range(k)]
-                gens.append((Matrix.zeros(F, k, k), zero_m, Matrix(F, e, cols=k)))
+        zero_k, zero_m = Matrix.zeros(F, k, k), Matrix.zeros(F, m, m)
+        for i in range(k * k):
+            e = Matrix._raw(F, tuple(int(c == i) for c in range(k * k)), 1, k, k)
+            gens.append((zero_k, zero_m, e))
         self._gens = gens
 
         # functionals: action on A(+) entrywise (the a block), then circle
@@ -338,10 +325,9 @@ class PairAlgebra:
         # holds, in its first dim rows, the class of generator c in the
         # basis of pivot generators.
         n = 2 * k * k + m * m
-        z, o = F.zero, F.one
-        picks = [tuple(o if c == k * k + m * m + r else z for c in range(n))
-                 for r in range(k * k)]
-        self.L = Matrix._of_values(F, tuple(picks + closers), n)
+        picks = Matrix._raw(F, tuple(int(c == k * k + m * m + r)
+                                     for r in range(k * k) for c in range(n)), 1, k * k, n)
+        self.L = vstack([picks] + closers)
         Fmat = self.L * _flat_columns(F, gens, n)
         R, pivots = Fmat.rref()
         dim = self.dim = len(pivots)
@@ -349,7 +335,7 @@ class PairAlgebra:
         self.B = _flat_columns(F, self.basis_triples, n)
 
         def gen_class(c):
-            return Matrix._of_values(F, tuple((R.data[r][c],) for r in range(dim)), 1)
+            return R._sub(range(dim), [c])
 
         # the empty arc word is generator 0 (with no generators, dim is 0
         # and nothing is read)
@@ -366,24 +352,17 @@ class PairAlgebra:
 
         # L * B restricted to independent rows is invertible, and its
         # inverse carries those functionals of a triple to its class
-        Fb = Matrix._of_values(F, tuple(tuple(row[c] for c in pivots)
-                                        for row in Fmat.data), dim)
+        Fb = Fmat._sub(cols=pivots)
         _, row_piv = Fb.transpose().rref()
-        solver = Matrix._of_values(F, tuple(Fb.data[r] for r in row_piv), dim).inverse()
-        M = solver * Matrix._of_values(F, tuple(self.L.data[r] for r in row_piv), n)
-        # held as ints over one denominator d, (rows, d); ``M`` is built
-        # from them on first use
-        flat, d = _ints(F, M.flat())
-        self._M_ints = _lines(flat, dim, n, False), d
+        self.M = Fb._sub(row_piv).inverse() * self.L._sub(row_piv)
 
         # kernel ideal: classes acting by zero on A(+), the kernel of the
         # first k^2 functionals on the basis.  Basis vector i is 1 at the
         # i-th free column and 0 at every later column, so its last nonzero
         # entry names that column.
-        self.K_basis = Matrix._of_values(F, Fb.data[:k * k], dim).kernel_basis()
+        self.K_basis = Fb._sub(range(k * k)).kernel_basis()
         self.K_dim = len(self.K_basis)
-        self._K_free = [max(r for r, (x,) in enumerate(b.data) if x)
-                        for b in self.K_basis]
+        self._K_free = [max(r for r, x in enumerate(b._num) if x) for b in self.K_basis]
         self._K_mat = (hstack(self.K_basis) if self.K_basis
                        else Matrix.zeros(F, dim, 0))
 
@@ -395,14 +374,14 @@ class PairAlgebra:
     # trace(AB) = sum A_ij B_ji it is the covector -flat(phi_w^T) on phi,
     # flat((rho_w*D)^T) on rho and flat(phi_w^T) on a.
 
-    def _closer(self, phi_w, rho_w) -> tuple:
-        return ((-phi_w).transpose().flat()
-                + (rho_w * self.circ.weight).transpose().flat()
-                + phi_w.transpose().flat())
+    def _closer(self, phi_w, rho_w) -> Matrix:
+        """The closure covector of the arc (phi_w, rho_w), as a row."""
+        phi_t = phi_w.transpose()
+        num, d = _joined([-phi_t, (rho_w * self.circ.weight).transpose(), phi_t])
+        return Matrix._of_ints(self.field, num, d, 1, len(num))
 
     def _closer_row(self, word) -> Matrix:
-        c = self._closer(self.statespace.act(word), self.circ.act(word))
-        return Matrix._of_values(self.field, (c,), len(c))
+        return self._closer(self.statespace.act(word), self.circ.act(word))
 
     def _classes(self, triples) -> Matrix:
         """The classes of the triples, as the columns of one product."""
@@ -412,45 +391,40 @@ class PairAlgebra:
         """The triples of the classes in the columns of x."""
         F, k, m = self.field, self.k, self.m
         blocks = ((0, k), (k * k, m), (k * k + m * m, k))  # (offset, side)
-        return [tuple(Matrix._of_values(F, tuple(v[o + i * d:o + (i + 1) * d]
-                                                 for i in range(d)), d)
-                      for o, d in blocks)
-                for v in (self.B * x)._columns()]
-
-    @cached_property
-    def M(self) -> Matrix:
-        """The matrix carrying a flat triple to its class, from ``_M_ints``."""
-        rows, d = self._M_ints
-        return Matrix._of_ints(self.field, [x for r in rows for x in r], d,
-                               self.dim, self.L.cols)
+        T = self.B * x
+        return [tuple(Matrix._of_ints(F, T._num[c::T.cols][o:o + s * s], T._den, s, s)
+                      for o, s in blocks)
+                for c in range(T.cols)]
 
     def _products(self, x: Matrix) -> Matrix:
         """Column i * n + j is the class of x_i * x_j, for the n columns of x.
 
-        The triples of the columns, ``B * x``, are read as ints, one
-        denominator per column; each pair's three block products are
-        integer contractions, and its class is one integer product with
-        ``_M_ints``, each entry wrapped once."""
+        The triples of the columns, ``B * x``, are read as ints over its one
+        denominator d; each pair's three block products are integer
+        contractions over d^2, and the classes are one integer product with
+        the rows of ``M``."""
         F, p = self.field, self.field.char
         sides = (self.k, self.m, self.k)
-        ts = []  # per column: d, then the rows and the columns of its blocks
-        for col in (self.B * x)._columns():
-            v, d = _ints(F, col)
-            ints = iter(v)
+        T = self.B * x
+        ts = []  # per column: the rows and the columns of its blocks
+        for c in range(T.cols):
+            ints = iter(T._num[c::T.cols])
             bs = [(list(islice(ints, s * s)), s) for s in sides]
-            ts.append((d, [_lines(b, s, s, False) for b, s in bs],
+            ts.append(([_lines(b, s, s, False) for b, s in bs],
                        [_lines(b, s, s, True) for b, s in bs]))
-        rows, dM = self._M_ints
+        M = self.M
+        rows = _lines(M._num, M.rows, M.cols, False)
         classes = []
-        for ds, srows, _ in ts:
-            for dt, _, tcols in ts:
+        for srows, _ in ts:
+            for _, tcols in ts:
                 t = [sum(map(mul, r, c))
                      for sb, tb in zip(srows, tcols) for r in sb for c in tb]
                 if p:
                     t = [y % p for y in t]
-                classes.append(_wrap(F, [sum(map(mul, r, t)) for r in rows], dM * ds * dt))
-        return Matrix._of_values(F, tuple(zip(*classes)) if classes else ((),) * self.dim,
-                                 len(classes))
+                classes.append([sum(map(mul, r, t)) for r in rows])
+        n = len(classes)
+        return Matrix._of_ints(F, [c[r] for r in range(self.dim) for c in classes],
+                               M._den * T._den ** 2, self.dim, n)
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
@@ -480,8 +454,7 @@ class PairAlgebra:
         # a class in K has its K-coordinates at the free columns
         if coords.field != self.field or coords.rows != self.dim:
             raise FieldMismatch("class coordinates have the wrong field or length")
-        z = Matrix._of_values(self.field, tuple(coords.data[r] for r in self._K_free),
-                              coords.cols)
+        z = coords._sub(self._K_free)
         if self._K_mat * z != coords:
             raise DefektError("class does not lie in the kernel ideal")
         return z
@@ -499,8 +472,8 @@ class PairAlgebra:
 def _flat_columns(F: Field, triples, n: int) -> Matrix:
     """The triples as the columns of an n-row matrix, each flattened to
     flat(phi) ++ flat(rho) ++ flat(a)."""
-    return Matrix._of_values(F, tuple(phi.flat() + rho.flat() + a.flat()
-                                      for phi, rho, a in triples), n).transpose()
+    num, d = _joined([m for t in triples for m in t])
+    return Matrix._of_ints(F, num, d, len(triples), n).transpose()
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,18 +544,17 @@ def frobenius_of_K(pa: PairAlgebra):
     closure trace).  Zero-dimensional K gives the zero algebra, flagged
     empty.  The n^2 products of basis elements are one call of
     ``pa._products``: integer contractions, classed by one integer product
-    with the int copy of ``pa.M``."""
+    with ``pa.M``; column (i, j) of their K coordinates is row (i, j) of
+    the structure-constant cube."""
     from .frobenius import FrobeniusAlgebra
 
     F = pa.field
     n = pa.K_dim
     if n == 0:
         return FrobeniusAlgebra(F, (), (), (), ())
-    cols = pa.to_K_coords(pa._products(pa._K_mat))._columns()
-    mult = tuple(cols[i * n:(i + 1) * n] for i in range(n))
-    unit = tuple(pa.to_K_coords(pa.one_K).flat())
-    return FrobeniusAlgebra(F, tuple(f"k{i}" for i in range(n)), mult, unit,
-                            pa._K_trace.flat())
+    P = pa.to_K_coords(pa._products(pa._K_mat)).transpose()
+    return FrobeniusAlgebra._of_cube(F, tuple(f"k{i}" for i in range(n)), (P._num, P._den),
+                                     pa.to_K_coords(pa.one_K), pa._K_trace)
 
 
 @dataclass(frozen=True)
@@ -600,9 +572,9 @@ class IdempotentReport:
 def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
     els = [pa.one_K] + [pa.I_coords[i][i] for i in range(pa.k)]
     n = len(els)
-    cols = pa._products(hstack(els))._columns()
-    each = all(cols[i * n + i] == e.flat() for i, e in enumerate(els))
-    orth = all(not any(cols[i * n + j])
+    P = pa._products(hstack(els))
+    each = all(P._sub(cols=[i * n + i]) == e for i, e in enumerate(els))
+    orth = all(not any(P._num[i * n + j::P.cols])
                for i in range(n) for j in range(n) if i != j)
     return IdempotentReport(
         idempotents=tuple(els),
