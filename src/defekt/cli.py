@@ -409,7 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.set_defaults(handler=_cmd_oc_eval)
     p = osub.add_parser("circle-dim", parents=[common],
-                        help="circle state space dimension and stabilization")
+                        help="circle state space dimension at the given bounds; "
+                             "'stabilized' only compares it with the rank at "
+                             "bounds one lower and does not prove it final")
     p.add_argument("theory")
     p.add_argument("--gmax", type=int, default=4, help="genus bound")
     p.add_argument("--smax", type=int, default=4, help="side circle bound")

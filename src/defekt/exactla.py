@@ -11,7 +11,7 @@ layout of FLINT's ``fmpq_mat``): residues in ``[0, p)`` over F_p, and over
 QQ numerators over a positive denominator that shares no factor with all
 of them.  Products, sums, elimination and solving run on these ints, and
 a result is put back in that canonical form, so equal matrices are equal
-structurally.  Each field has one elimination kernel: over F_p, rows
+structurally.  One elimination kernel serves both fields: over F_p, rows
 reduced mod p with one modular inverse per pivot; over QQ, fraction-free
 (Bareiss) Gauss-Jordan on the numerators, over the last pivot at the end.
 Field values (``Fraction``, ``FpValue``) are made only where a matrix is
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -238,7 +238,7 @@ class Field:
         """A JSON array of n scalars as (ints, d), the ints over their lcm
         denominator (residues over F_p, d = 1); a bad shape raises
         SchemaError at ``path`` and a bad entry at its own ``path[i]``."""
-        return self._over_one_denominator(self._entries(doc, n, path, self._exact))
+        return self._over_one_denominator(self._entries(doc, n, path))
 
     def _read_matrix(self, doc, rows: int, cols: int, path: str) -> tuple[list, int]:
         """A JSON array of ``rows`` arrays of ``cols`` scalars as (ints, d),
@@ -264,17 +264,17 @@ class Field:
             raise SchemaError(path, f"expected {rows} rows")
         out = []
         for i, row in enumerate(doc):
-            out += self._entries(row, cols, f"{path}[{i}]", self._exact)
+            out += self._entries(row, cols, f"{path}[{i}]")
         return out
 
-    @staticmethod
-    def _entries(doc, n: int, path: str, read) -> list:
+    def _entries(self, doc, n: int, path: str) -> list:
+        """The integer forms (``_exact``) of a JSON array of n scalars."""
         if not isinstance(doc, list) or len(doc) != n:
             raise SchemaError(path, f"expected an array of {n} scalars")
         out = []
         for i, x in enumerate(doc):
             try:
-                out.append(read(x))
+                out.append(self._exact(x))
             except FieldMismatch as e:
                 raise SchemaError(f"{path}[{i}]", str(e)) from None
         return out
@@ -428,13 +428,13 @@ def field_from_json(doc, path: str = "field") -> Field:
     raise SchemaError(f"{path}.type", f"unknown field type {t!r}")
 
 
-# -- scalar kernels -----------------------------------------------------------
+# -- integer kernels ----------------------------------------------------------
 #
-# One elimination kernel per field, on raw integers: residues in [0, p) for
-# F_p, the numerators of a matrix over its denominator for QQ.  Both
-# eliminations pivot on the leftmost nonzero column and the topmost
-# available row; the reduced row echelon form is unique, so their output is
-# the one Gauss-Jordan on the scalar objects would give.
+# Elimination on raw integers: residues in [0, p) for F_p, the numerators
+# of a matrix over its denominator for QQ.  It pivots on the leftmost
+# nonzero column and the topmost available row; the reduced row echelon
+# form is unique, so its output is the one Gauss-Jordan on the scalar
+# objects would give.
 
 
 def _ints(F: Field, xs) -> tuple[list, int]:
@@ -470,39 +470,16 @@ def _joined(mats) -> tuple[list, int]:
     return out, d
 
 
-def _fp_rref(p: int, work: list, ncols: int) -> tuple[int, ...]:
-    """Reduce the rows of residues ``work`` in place; the pivot columns."""
-    nrows = len(work)
-    pivots: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        sel = next((r for r in range(pr, nrows) if work[r][c]), None)
-        if sel is None:
-            continue
-        work[pr], work[sel] = work[sel], work[pr]
-        # columns left of c are zero in the pivot row, so only the tail moves
-        inv = pow(work[pr][c], -1, p)
-        tail = [inv * x % p for x in work[pr][c:]]
-        work[pr] = [0] * c + tail
-        for r in range(nrows):
-            row = work[r]
-            f = row[c]
-            if f and r != pr:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return tuple(pivots)
+def _rref(p: int, work: list, ncols: int) -> tuple[int, tuple[int, ...]]:
+    """Reduce the integer rows ``work`` in place; the denominator d of the
+    rref they then hold, and the pivot columns.
 
-
-def _qq_rref(work: list, ncols: int) -> tuple[int, tuple[int, ...]]:
-    """Reduce the integer rows ``work`` in place, fraction-free; the last
-    pivot d, over which the rows are the rref, and the pivot columns.
-
-    After a pivot a, every other row becomes (a*row - f*pivot row) / prev,
-    an exact division (each entry is a minor of the matrix), so every pivot
-    row ends with d at its pivot."""
+    Over F_p (p > 0) the rows are residues, each pivot row is scaled by one
+    modular inverse and d is 1.  Over QQ (p == 0) the reduction is
+    fraction-free: after a pivot a, every other row becomes
+    (a*row - f*pivot row) / prev, an exact division (each entry is a minor
+    of the matrix), so every pivot row ends with the last pivot d at its
+    pivot."""
     nrows = len(work)
     pivots: list[int] = []
     pr = 0
@@ -512,19 +489,30 @@ def _qq_rref(work: list, ncols: int) -> tuple[int, tuple[int, ...]]:
         if sel is None:
             continue
         work[pr], work[sel] = work[sel], work[pr]
-        prow = work[pr]
-        a = prow[c]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            row = work[r]
-            f = row[c]
-            if f:
-                work[r] = [(a * x - f * y) // prev for x, y in zip(row, prow)]
-            elif a != prev:
-                # rows with f == 0 are scaled too, keeping the common pivot
-                work[r] = [a * x // prev for x in row]
-        prev = a
+        if p:
+            # columns left of c are zero in the pivot row, so only the tail moves
+            inv = pow(work[pr][c], -1, p)
+            tail = [inv * x % p for x in work[pr][c:]]
+            work[pr] = [0] * c + tail
+            for r in range(nrows):
+                row = work[r]
+                f = row[c]
+                if f and r != pr:
+                    row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        else:
+            prow = work[pr]
+            a = prow[c]
+            for r in range(nrows):
+                if r == pr:
+                    continue
+                row = work[r]
+                f = row[c]
+                if f:
+                    work[r] = [(a * x - f * y) // prev for x, y in zip(row, prow)]
+                elif a != prev:
+                    # rows with f == 0 are scaled too, keeping the common pivot
+                    work[r] = [a * x // prev for x in row]
+            prev = a
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -805,14 +793,12 @@ class Matrix:
         Pivoting is deterministic: leftmost nonzero column, topmost
         available row, no magnitude-based choices.
         """
-        F, c = self.field, self.cols
+        c = self.cols
         # over QQ the numerators have the rref of the matrix itself
         work = [list(self._num[i * c:(i + 1) * c]) for i in range(self.rows)]
-        if F.char:
-            d, pivots = 1, _fp_rref(F.char, work, c)
-        else:
-            d, pivots = _qq_rref(work, c)
-        return Matrix._of_ints(F, [x for row in work for x in row], d, self.rows, c), pivots
+        d, pivots = _rref(self.field.char, work, c)
+        return Matrix._of_ints(self.field, [x for row in work for x in row], d,
+                               self.rows, c), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

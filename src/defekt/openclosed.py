@@ -138,33 +138,33 @@ def _kron(x: Matrix, y: Matrix) -> Matrix:
                            x._den * y._den, x.rows * y.rows, xc * yc)
 
 
-def _cube_matrix(a: FrobeniusAlgebra, rows: int, cols: int, index) -> Matrix:
-    """The rows x cols matrix holding c_ij^k, over the cube's denominator,
-    at the flat row-major position index(i, j, k), and 0 elsewhere."""
+def _mult_table(a: FrobeniusAlgebra) -> Matrix:
+    """mu: the dim x dim^2 matrix whose column (i, j) is e_i e_j, read off
+    the integer cube."""
+    n = a.dim
     cube, D = a._cube
-    out = [0] * (rows * cols)
+    out = [0] * n ** 3
     for i, plane in enumerate(cube):
         for j, pairs in enumerate(plane):
             for k, m in pairs:
-                out[index(i, j, k)] = m
-    return Matrix._of_ints(a.field, out, D, rows, cols)
-
-
-def _mult_table(a: FrobeniusAlgebra) -> Matrix:
-    """mu: the dim x dim^2 matrix whose column (i, j) is e_i e_j."""
-    n = a.dim
-    return _cube_matrix(a, n, n * n, lambda i, j, k: (k * n + i) * n + j)
+                out[(k * n + i) * n + j] = m
+    return Matrix._of_ints(a.field, out, D, n, n * n)
 
 
 def _comult_table(a: FrobeniusAlgebra) -> Matrix:
     """Delta: the dim^2 x dim matrix whose column t holds, in row (r, s), the
-    e_r (x) e_s coefficient of Delta(e_t) = sum_s (e_t y_s) (x) e_s."""
+    e_r (x) e_s coefficient of Delta(e_t) = sum_s (e_t y_s) (x) e_s, that is
+    sum_j c_tj^r g_sj with g_s the coordinates of y_s."""
     n = a.dim
-    left = _cube_matrix(a, n * n, n, lambda t, j, r: (t * n + r) * n + j)  # (e_t e_j)_r
-    ys = a.duals[1]
-    ey = left * (hstack(ys) if ys else Matrix.zeros(a.field, 0, 0))  # row (t, r), column s
-    # ey, read as n x n^2 (row t, column (r, s)), is Delta transposed
-    return Matrix._of_ints(a.field, ey._num, ey._den, n, n * n).transpose()
+    cube, D = a._cube
+    g, dg = a._dual_rows()
+    out = [0] * n ** 3
+    for t, plane in enumerate(cube):
+        for j, pairs in enumerate(plane):
+            for r, m in pairs:
+                for s in range(n):
+                    out[(r * n + s) * n + t] += m * g[s][j]
+    return Matrix._of_ints(a.field, out, D * dg, n * n, n)
 
 
 def check_knowledgeable(p: KnowledgeablePair) -> KnowledgeableReport:
@@ -241,7 +241,10 @@ class CircleStateSpace:
     ``labels[i]`` is the (genus, side circles) pair indexing row and column
     i of ``gram``; ``inner_dim`` is the rank with both bounds lowered by
     one, and ``stabilized`` reports whether that smaller rank already
-    equals ``dim``.
+    equals ``dim``.  It compares the ranks at two bounds only and does not
+    prove that ``dim`` is final: for the point algebra with closed series
+    1/(1 - x^5), gmax = smax = 2 gives dim 3, stabilized, while the
+    dimension is 6 from gmax = smax = 4 on.
     """
 
     dim: int

@@ -112,8 +112,12 @@ class LinearRepresentation:
                 raise FieldMismatch("letter matrix over the wrong field")
         if init.field != field or final.field != field:
             raise FieldMismatch("boundary vectors over the wrong field")
-        for name, value in zip(self.__slots__, (field, num_letters, dim, init, letters, final)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num_letters", num_letters)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "final", final)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearRepresentation is immutable")
@@ -162,8 +166,11 @@ class CircularRepresentation:
                         f"weight does not commute with letter {i}; circle "
                         "values would depend on the rotation"
                     )
-        for name, value in zip(self.__slots__, (field, num_letters, dim, letters, weight)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num_letters", num_letters)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "weight", weight)
 
     def __setattr__(self, name, value):
         raise AttributeError("CircularRepresentation is immutable")

@@ -104,10 +104,14 @@ class StateSpace:
 
     def __init__(self, field, num_letters, dim, action, cyclic, cotrace,
                  word_basis, cobasis_words):
-        for name, value in zip(self.__slots__, (
-                field, num_letters, dim, tuple(action), cyclic, cotrace,
-                tuple(word_basis), tuple(cobasis_words))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num_letters", num_letters)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "action", tuple(action))
+        object.__setattr__(self, "cyclic", cyclic)
+        object.__setattr__(self, "cotrace", cotrace)
+        object.__setattr__(self, "word_basis", tuple(word_basis))
+        object.__setattr__(self, "cobasis_words", tuple(cobasis_words))
 
     def __setattr__(self, name, value):
         raise AttributeError("StateSpace is immutable")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
-from defekt.exactla import Echelon, Matrix, _ints, hstack
+from defekt.exactla import Matrix, hstack
 from defekt.frobenius import VerifyReport, verify, window
 from defekt.openclosed import KnowledgeableReport
 
@@ -96,18 +96,33 @@ def greedy_words(words, vector):
     return kept
 
 
+class _Span:
+    """The rows kept so far; ``add`` keeps a row of field values when it
+    raises their rank by textbook elimination."""
+
+    def __init__(self):
+        self.rows = []
+
+    def add(self, row) -> bool:
+        row = list(row)
+        if elimination_rank(self.rows + [row]) > len(self.rows):
+            self.rows.append(row)
+            return True
+        return False
+
+
 def saturate_by_products(field, start, letters, prepend=False):
     """The kept (word, state) pairs of :func:`defekt.universal._saturate`,
     with each state a tuple of matrices: a candidate's state is its
     parent's times a letter matrix, one ``Matrix`` product per entry, and
     the candidates of one length are tested in sorted word order against
-    one Echelon of the flattened states, read as ints."""
-    ech = Echelon(field)
+    the span of the field values of the states kept before them."""
+    span = _Span()
     kept = []
     layer = [((), start)]
     while layer:
         layer = [(w, s) for w, s in sorted(layer, key=lambda c: c[0])
-                 if ech.add(_ints(field, [x for m in s for x in m.flat()])[0])]
+                 if span.add(x for m in s for x in m.flat())]
         kept.extend(layer)
         layer = [
             ((a,) + w if prepend else w + (a,),
@@ -223,12 +238,12 @@ def commutators_by_products(b):
     """The kept commutators of :func:`defekt.frobenius.commutator_space`:
     e_i e_j - e_j e_i through ``b.mul`` for i < j in order, each kept when
     independent of those kept before it."""
-    ech = Echelon(b.field)
+    span = _Span()
     kept = []
     for i, j in combinations(range(b.dim), 2):
         ei, ej = b.basis_el(i), b.basis_el(j)
         c = b.mul(ei, ej) - b.mul(ej, ei)
-        if ech.add(_ints(b.field, c.flat())[0]):
+        if span.add(c.flat()):
             kept.append(c)
     return kept
 

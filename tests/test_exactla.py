@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +31,9 @@ from defekt.exactla import (
     poly_gcd,
     poly_gcd_lcm,
     rref,
+    vstack,
 )
-from defekt.exactla import _ints, _is_prime
+from defekt.exactla import _is_prime
 
 from factories import FIELDS, fractions
 from oracles import naive_rank
@@ -338,6 +339,15 @@ def test_rref_matches_reference_elimination(m):
     assert all(type(x) is type(m.field.zero) for row in r.data for x in row)
 
 
+def over_common_denominator(F, xs) -> list:
+    """Field values as ints: residues over F_p; over QQ the numerators
+    over the lcm of the denominators."""
+    if F.char:
+        return [x.v for x in xs]
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_echelon_accepts_the_rref_pivot_columns(m, data):
@@ -347,7 +357,7 @@ def test_echelon_accepts_the_rref_pivot_columns(m, data):
     # accept the rref pivot columns
     F, p = m.field, m.field.char
     pivots = m.rref()[1]
-    cols = [_ints(F, m.column(j))[0] for j in range(m.cols)]
+    cols = [over_common_denominator(F, m.column(j)) for j in range(m.cols)]
     ints = st.integers(-10**6, 10**6)
     scales = data.draw(st.lists(ints.filter(lambda c: c % p if p else c),
                                 min_size=m.cols, max_size=m.cols))
@@ -445,3 +455,59 @@ def test_kernel_vectors_are_killed(m):
     for v in m.kernel_basis():
         assert (m * v).is_zero()
     assert m.cols == m.rank() + len(m.kernel_basis())
+
+
+@pytest.mark.parametrize("F", [QQ, F7], ids=["QQ", "F7"])
+def test_inverse_refuses_singular_and_non_square_matrices(F):
+    singular = [Matrix.zeros(F, 1, 1), Matrix.zeros(F, 3, 3),
+                Matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])]
+    # the determinant of m is -7: invertible over QQ, singular over F_7
+    m = Matrix(F, [[1, 2], [3, -1]])
+    if F.char:
+        singular.append(m)
+    else:
+        assert m.inverse() == Matrix(F, [[Fraction(1, 7), Fraction(2, 7)],
+                                         [Fraction(3, 7), Fraction(-1, 7)]])
+    for s in singular:
+        with pytest.raises(SingularMatrix):
+            s.inverse()
+    with pytest.raises(NotSquare):
+        Matrix.zeros(F, 2, 3).inverse()
+    empty = Matrix.zeros(F, 0, 0).inverse()
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
+def assert_canonical(m):
+    """m holds its entries once, in canonical form, and equals (and
+    hashes as) the matrix the public constructor builds from them."""
+    F = m.field
+    assert len(m._num) == m.rows * m.cols and all(type(x) is int for x in m._num)
+    if F.char:
+        assert m._den == 1 and all(0 <= x < F.char for x in m._num)
+    else:
+        assert m._den > 0 and gcd(m._den, *m._num) == 1
+    same = Matrix(F, [list(row) for row in m.data], cols=m.cols)
+    assert same == m and hash(same) == hash(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_operation_returns_the_canonical_form(data):
+    a = data.draw(matrices(nmax=4))
+    F, (r, c) = a.field, (a.rows, a.cols)
+    b = data.draw(matrices(field=F, shape=(r, c)))
+    k = data.draw(st.integers(0, 3))
+    x = data.draw(matrices(field=F, shape=(c, k))) if k else Matrix.zeros(F, c, 0)
+    s = data.draw(fractions(data.draw(st.booleans())))
+    sq = data.draw(matrices(field=F, shape=(r, r)))
+    out = [a, b, Matrix.from_lists(F, a.to_lists(), r, c), a + b, a - b, a - a,
+           a * x, a.scale(s), a.scale(0), a.transpose(), a.rref()[0],
+           hstack([a, b]), vstack([a, b]), *a.kernel_basis()]
+    for rhs in (b, a * x):
+        sol = a.solve(rhs)
+        if sol is not None:
+            out.append(sol)
+    if sq.rank() == r:
+        out.append(sq.inverse())
+    for m in out:
+        assert_canonical(m)
