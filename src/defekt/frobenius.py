@@ -400,15 +400,14 @@ def _commutator_rows(b: FrobeniusAlgebra) -> Matrix:
     """The n^2 x n matrix R with R x = 0 exactly when x*e_j = e_j*x for all
     j.  Row k of block j reads coordinate k of x*e_j - e_j*x off the
     integer cube: c_ij^k - c_ji^k over D in column i."""
-    F, n = b.field, b.dim
+    n = b.dim
     cube, D = b._cube
-    rows = [[[0] * n for _ in range(n)] for _ in range(n)]  # rows[j][k][i]
+    out = [0] * n ** 3  # row (j, k), column i
     for i, j in product(range(n), repeat=2):
         for k, m in cube[i][j]:
-            rows[j][k][i] += m
-            rows[i][k][j] -= m
-    return Matrix._of_ints(F, [x for block in rows for row in block for x in row], D,
-                           n * n, n)
+            out[(j * n + k) * n + i] += m
+            out[(i * n + k) * n + j] -= m
+    return Matrix._of_ints(b.field, out, D, n * n, n)
 
 
 def center_basis(b: FrobeniusAlgebra) -> list[Matrix]:

@@ -306,7 +306,11 @@ class PairAlgebra:
         ss = theory.statespace
         circ = theory.circular
         k, m = ss.dim, circ.dim
-        self.field, self.statespace, self.circ, self.k, self.m = F, ss, circ, k, m
+        self.field = F
+        self.statespace = ss
+        self.circ = circ
+        self.k = k
+        self.m = m
 
         self.arc_words = theory.arc_words
         W = len(self.arc_words)
@@ -387,19 +391,6 @@ class PairAlgebra:
     def _closer_row(self, word) -> Matrix:
         return self._closer(self.statespace.act(word), self.circ.act(word))
 
-    def _classes(self, triples) -> Matrix:
-        """The classes of the triples, as the columns of one product."""
-        return self.M * _flat_columns(self.field, triples, self.M.cols)
-
-    def _triples(self, x: Matrix) -> list:
-        """The triples of the classes in the columns of x."""
-        F, k, m = self.field, self.k, self.m
-        blocks = ((0, k), (k * k, m), (k * k + m * m, k))  # (offset, side)
-        T = self.B * x
-        return [tuple(Matrix._of_ints(F, T._num[c::T.cols][o:o + s * s], T._den, s, s)
-                      for o, s in blocks)
-                for c in range(T.cols)]
-
     def _products(self, x: Matrix) -> Matrix:
         """Column i * n + j is the class of x_i * x_j, for the n columns of x.
 
@@ -432,10 +423,14 @@ class PairAlgebra:
 
     def coords(self, triple) -> Matrix:
         """Coordinates of a spanning triple's class in the quotient basis."""
-        return self._classes([triple])
+        return self.M * _flat_columns(self.field, [triple], self.M.cols)
 
     def triple_of(self, coords: Matrix) -> tuple:
-        return self._triples(coords)[0]
+        """The triple of the class in the first column of coords."""
+        k, m = self.k, self.m
+        t = (self.B * coords)._sub(cols=[0])
+        return tuple(Matrix._of_ints(self.field, t._num[o:o + s * s], t._den, s, s)
+                     for o, s in ((0, k), (k * k, m), (k * k + m * m, k)))
 
     def mul(self, x: Matrix, y: Matrix) -> Matrix:
         """Product of two classes given in quotient coordinates."""
