@@ -859,7 +859,12 @@ def _check_stack(mats: Sequence[Matrix], name: str, side: str) -> None:
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     _check_stack(mats, "hstack", "rows")
-    return vstack([m.transpose() for m in mats]).transpose()
+    d = lcm(*[m._den for m in mats])
+    parts = [(m.cols, m._num if m._den == d else [x * (d // m._den) for x in m._num])
+             for m in mats]
+    num = [x for i in range(mats[0].rows) for c, p in parts for x in p[i * c:(i + 1) * c]]
+    # as for vstack, the result is canonical
+    return Matrix._raw(mats[0].field, tuple(num), d, mats[0].rows, sum(c for c, _ in parts))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
