@@ -19,6 +19,8 @@ The package works over the rationals or a prime field, always exactly:
   map from the cocenter to the center, and a semisimplicity obstruction.
 - ``openclosed``: zipper/cozipper pairs, mixed open-closed surface
   evaluation, and circle state-space estimates.
+- ``lru``: the bounded map behind the content-keyed theory and algebra
+  caches.
 - ``cli``: the ``defekt`` command-line tool (JSON in, JSON out).
 """
 

@@ -27,6 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .exactla import Echelon, Field, Matrix, _ints, _joined, _wrap, hstack
+from .lru import LRU
 
 __all__ = [
     "BetaReport",
@@ -619,9 +620,26 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
 # -- JSON ---------------------------------------------------------------------
 
 
+# Most algebras frobenius_from_json keeps, keyed by the content it reads;
+# the least recently returned one is dropped first.
+ALGEBRA_CACHE = 64
+_algebras = LRU(ALGEBRA_CACHE)
+
+
 def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     """Parse {"dim":n,"basis":[names],"mult":[[[c]]],"unit":[...],
-    "trace":[...]}."""
+    "trace":[...]}; a missing or null basis means the names e0, e1, ...
+
+    The document is always read and validated in full: every scalar goes
+    through the scalar grammar straight to integers (``Field._read_cube``
+    and ``Field._read_vector``), and any error is raised before a lookup.
+    The content of the document is then the field (compared by ``==``),
+    the basis names, and the cube, unit and trace as (ints, denominator).
+    A document whose content equals that of one of the last
+    ``ALGEBRA_CACHE`` algebras returned gets that same immutable algebra
+    back, with its Gram matrix, dual bases and hole element if they were
+    built; beyond the bound the least recently returned one is dropped.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an algebra object")
     dim = doc.get("dim")
@@ -631,13 +649,18 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     if names is not None and (not isinstance(names, list) or len(names) != dim
                               or not all(isinstance(x, str) for x in names)):
         raise SchemaError(f"{path}.basis", f"expected {dim} basis names")
-    cube = field._read_cube(doc.get("mult"), dim, f"{path}.mult")
+    cube, D = field._read_cube(doc.get("mult"), dim, f"{path}.mult")
     # the default names are built only now, once mult has shown dim is real
-    names = names or [f"e{i}" for i in range(dim)]
-    unit = field._read_vector(doc.get("unit"), dim, f"{path}.unit")
-    trace = field._read_vector(doc.get("trace"), dim, f"{path}.trace")
-    return FrobeniusAlgebra._of_cube(field, names, cube, Matrix._of_ints(field, *unit, dim, 1),
-                                     Matrix._of_ints(field, *trace, 1, dim))
+    names = tuple(names or [f"e{i}" for i in range(dim)])
+    unit, du = field._read_vector(doc.get("unit"), dim, f"{path}.unit")
+    trace, dt = field._read_vector(doc.get("trace"), dim, f"{path}.trace")
+    key = (field, names, tuple(cube), D, tuple(unit), du, tuple(trace), dt)
+    b = _algebras.hit(key)
+    if b is not None:
+        return b
+    return _algebras.keep(key, FrobeniusAlgebra._of_cube(
+        field, names, (cube, D), Matrix._of_ints(field, unit, du, dim, 1),
+        Matrix._of_ints(field, trace, dt, 1, dim)))
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:

@@ -38,7 +38,6 @@ contractions classed by one integer product with M.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -50,6 +49,7 @@ from .errors import (
     SchemaError,
 )
 from .exactla import Echelon, Field, Matrix, _joined, field_from_json, hstack, vstack
+from .lru import LRU
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -588,7 +588,7 @@ def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
 # Most theories theory_from_json keeps, keyed by the content it reads; the
 # least recently returned one is dropped first.
 THEORY_CACHE = 64
-_theories: "OrderedDict[tuple, Theory]" = OrderedDict()
+_theories = LRU(THEORY_CACHE)
 
 
 def theory_from_json(doc, field_override: Field | None = None) -> Theory:
@@ -664,9 +664,8 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
 
     key = (field, alphabet, kind, ipart, ckind, cpart)
-    t = _theories.get(key)
+    t = _theories.hit(key)
     if t is not None:
-        _theories.move_to_end(key)
         return t
 
     if kind == "linrep":
@@ -689,7 +688,4 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
         # the circle data was built from the state space: hand it to the
         # theory (cached_property reads the instance dict first)
         vars(t)["statespace"] = space
-    _theories[key] = t
-    if len(_theories) > THEORY_CACHE:
-        _theories.popitem(last=False)
-    return t
+    return _theories.keep(key, t)

@@ -5,11 +5,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from defekt import universal  # noqa: E402
+from defekt import frobenius, universal  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
-def _fresh_theory_cache():
-    """Each test starts with no parsed theory kept, so a test that counts
-    the constructions of a fresh theory sees them all."""
+def _fresh_document_caches():
+    """Each test starts with no parsed theory or algebra kept, so a test
+    that counts the constructions of a fresh theory, or the Gram inversions
+    of a fresh algebra, sees them all."""
     universal._theories.clear()
+    frobenius._algebras.clear()

@@ -784,6 +784,127 @@ def test_json_schema_errors():
     assert exc.value.path == "$.basis"
 
 
+# -- algebra cache ----------------------------------------------------------------
+
+CACHE_FIELDS = [QQ, F7]
+
+
+def cache_doc(F):
+    """mat2 with trace 1/2 beside a point with trace 3, with the default
+    basis names and the trace spelled "1/2" and "3" over every field."""
+    doc = frobenius_to_json(direct_sum(mat2_block(F, F.parse("1/2")), point_block(F, F.of(3))))
+    del doc["basis"]
+    doc["trace"] = ["1/2", "0", "0", "1/2", "3"]
+    return doc
+
+
+@pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
+def test_equal_content_returns_the_same_algebra(F):
+    doc = cache_doc(F)
+    b = frobenius_from_json(F, doc)
+    same = [
+        dict(reversed(doc.items())),
+        dict(doc, trace=["2/4", 0, "-0", "2/4", 3]),
+        dict(doc, mult=[[[int(c) for c in row] for row in plane] for plane in doc["mult"]]),
+        dict(doc, basis=None),
+        dict(doc, basis=[f"e{i}" for i in range(5)]),
+    ]
+    for other in same:
+        assert frobenius_from_json(F, other) is b
+    # the field is compared by ==
+    assert frobenius_from_json(PrimeField(7) if F.char else RationalField(), doc) is b
+    changed = [
+        (F, dict(doc, basis=["a", "b", "c", "d", "e"])),
+        (PrimeField(11) if F.char else F7, doc),
+        (F, dict(doc, unit=["1", "0", "0", "1", "0"])),
+        (F, dict(doc, trace=["1/2", "0", "0", "1/2", "2"])),
+    ]
+    for G, other in changed:
+        c = frobenius_from_json(G, other)
+        assert c is not b and frobenius_from_json(G, other) is c
+    assert frobenius_from_json(F, doc) is b
+
+
+@pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
+def test_repeated_parses_invert_the_gram_matrix_once(F, monkeypatch):
+    calls = []
+    real = frobenius_module.dual_bases
+    monkeypatch.setattr(frobenius_module, "dual_bases",
+                        lambda b: calls.append(b) or real(b))
+    doc = cache_doc(F)
+    for _ in range(3):
+        b = frobenius_from_json(F, doc)
+        hole_element(b)
+        window(b, b.basis_el(1))
+    assert calls == [b]
+
+
+@pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
+def test_algebra_cache_is_bounded(F):
+    def doc(i):
+        return dict(cache_doc(F), basis=[f"x{i}_{k}" for k in range(5)])
+
+    bound = frobenius_module.ALGEBRA_CACHE
+    first, second = frobenius_from_json(F, doc(0)), frobenius_from_json(F, doc(1))
+    # a hit makes the first algebra the most recently used, so the next
+    # distinct content past the bound drops the second one instead
+    assert frobenius_from_json(F, doc(0)) is first
+    for i in range(2, bound + 1):
+        frobenius_from_json(F, doc(i))
+        assert len(frobenius_module._algebras) <= bound
+    assert len(frobenius_module._algebras) == bound
+    assert frobenius_from_json(F, doc(0)) is first
+    assert frobenius_from_json(F, doc(1)) is not second
+    for i in range(bound + 1, 2 * bound):
+        frobenius_from_json(F, doc(i))
+    assert len(frobenius_module._algebras) == bound
+    assert frobenius_from_json(F, doc(0)) is not first
+
+
+def _schema_error(F, doc):
+    with pytest.raises(SchemaError) as exc:
+        frobenius_from_json(F, doc)
+    return exc.value.path, str(exc.value)
+
+
+@pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
+def test_an_algebra_hit_never_skips_validation(F):
+    # each bad document differs from the kept one in one place; after the
+    # kept one is a hit, every one still fails where and as it did cold
+    good = cache_doc(F)
+    mult = [[list(row) for row in plane] for plane in good["mult"]]
+    mult[1][2][3] = "1e3"
+    bad = [
+        ([good], "$"),
+        (dict(good, dim="5"), "$.dim"),
+        (dict(good, dim=4), "$.mult"),
+        (dict(good, basis=["e0", "e1"]), "$.basis"),
+        (dict(good, mult=mult), "$.mult[1][2][3]"),
+        (dict(good, mult=good["mult"][:4]), "$.mult"),
+        (dict(good, unit=["1", "0", "0", "1"]), "$.unit"),
+        (dict(good, trace=["1/2", "0", "0", "1/0", "3"]), "$.trace[3]"),
+        ({k: v for k, v in good.items() if k != "trace"}, "$.trace"),
+    ]
+    cold = [_schema_error(F, doc) for doc, _ in bad]
+    assert [path for path, _ in cold] == [path for _, path in bad]
+    b = frobenius_from_json(F, good)
+    assert frobenius_from_json(F, cache_doc(F)) is b
+    assert [_schema_error(F, doc) for doc, _ in bad] == cold
+    assert frobenius_from_json(F, good) is b
+
+
+@pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
+def test_a_degenerate_algebra_raises_on_every_hit(F):
+    doc = frobenius_to_json(nilpotent_block(F, F.one, F.zero))
+    first = frobenius_from_json(F, doc)
+    for _ in range(3):
+        b = frobenius_from_json(F, doc)
+        assert b is first and not verify(b).nondegenerate
+        for f in (dual_bases, hole_element, lambda b: window(b, b.basis_el(1))):
+            with pytest.raises(DegenerateTrace):
+                f(b)
+
+
 def test_surface_json():
     B = mat2_block(QQ, Fr(1))
     doc = {

@@ -461,6 +461,23 @@ def test_pair_from_json_roundtrip():
     assert check_knowledgeable(pair).passed
 
 
+@pytest.mark.parametrize("side", ["open_algebra", "closed_algebra"])
+def test_a_pair_of_equal_algebra_documents_shares_one_algebra(side):
+    # the algebra cache hands both sides the same object; the axioms must
+    # read as they do on two distinct but equal constructor algebras
+    field = PrimeField(5)
+    b, c = (getattr(knowledgeable_pair_cyclic(field, field.one), side) for _ in range(2))
+    assert b is not c
+    one = Matrix.identity(field, b.dim)
+    built = KnowledgeablePair(b, c, one, one)
+    doc = {"open": frobenius_to_json(b), "closed": frobenius_to_json(c),
+           "zipper": one.to_lists(), "cozipper": one.to_lists()}
+    parsed = knowledgeable_from_json(field, doc)
+    assert parsed.open_algebra is parsed.closed_algebra
+    assert check_knowledgeable(parsed) == check_knowledgeable(built)
+    assert check_knowledgeable(built) == knowledgeable_by_products(built)
+
+
 @pytest.mark.parametrize("mutate,path", [
     (lambda d: [], "$"),
     (lambda d: {k: v for k, v in d.items() if k != "open"}, "$.open"),

@@ -1212,12 +1212,15 @@ def test_theory_cache_is_bounded(field_doc):
     def doc(i):
         return dict(theory_doc(), field=field_doc, alphabet=[f"x{i}"])
 
-    first = theory_from_json(doc(0))
-    for i in range(1, 2 * universal.THEORY_CACHE):
+    first, second = theory_from_json(doc(0)), theory_from_json(doc(1))
+    # a hit makes the first theory the most recently used, so the next
+    # distinct content past the bound drops the second one instead
+    assert theory_from_json(doc(0)) is first
+    for i in range(2, 2 * universal.THEORY_CACHE):
         theory_from_json(doc(i))
         assert len(universal._theories) <= universal.THEORY_CACHE
-        if i == 1:
-            # a hit makes the first theory the most recently used
+        if i == universal.THEORY_CACHE:
             assert theory_from_json(doc(0)) is first
+            assert theory_from_json(doc(1)) is not second
     assert len(universal._theories) == universal.THEORY_CACHE
     assert theory_from_json(doc(0)) is not first
