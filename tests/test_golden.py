@@ -3,9 +3,13 @@
 ``tests/golden_outputs.json`` holds the CLI JSON of ``minimize``,
 ``invariants`` and ``frobenius-extract`` for every ``theory_corpus()``
 theory read over QQ and over F_7, and ``verify``, the dual bases and the
-hole element of fixed factory algebras over QQ, F_7 and F_1000003.  A
-kernel change must leave every byte of it as it is.  Regenerate it (only
-when an output is meant to change) with
+hole element of fixed factory algebras over QQ, F_7 and F_1000003.
+``tests/golden_onevar.json`` holds the one-variable outputs: the CLI JSON
+of ``onevar analyze`` and ``onevar crosscheck`` on fixed literals, a pole
+at zero and a malformed literal among them, and of ``minimize``,
+``invariants`` and ``frobenius-extract`` on ``rational1`` theory documents,
+over QQ and over F_7.  A kernel change must leave every byte of both files
+as it is.  Regenerate them (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,6 +37,7 @@ from factories import (
 )
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
+GOLDEN_ONEVAR = Path(__file__).with_name("golden_onevar.json")
 COMMANDS = ("minimize", "invariants", "frobenius-extract")
 FIELD_FLAGS = ("rational", "prime:7")
 
@@ -116,6 +121,61 @@ def golden_outputs(tmp_path) -> dict:
             "algebras": {name: algebra_outputs(b) for name, b in factory_algebras()}}
 
 
+# --zi and --zc literals of ``onevar analyze`` and ``onevar crosscheck``;
+# the last two fail, at a pole at zero (exit 1) and at a malformed literal
+# (exit 2)
+ONEVAR_SERIES = (
+    ("1:1,-2", "3,-5:1,-3,2"),
+    ("1,1:1,-1,-1", "2:1,-1"),
+    ("3,1", "5"),
+    ("1/2,0,4:3,1,0,-2", "1,1:1,-1,-1"),
+    ("2:1,-2,1", "-1:1,-2,1"),
+    ("0", "1:1,1"),
+    ("1:0,1", "1"),
+    ("1,x", "1"),
+)
+
+
+def _rational1(num, den) -> dict:
+    return {"kind": "rational1", "num": num, "den": den}
+
+
+TRACE = {"kind": "trace_of_interval"}
+# one-letter and empty-alphabet theories with both circle kinds
+ONEVAR_THEORIES = {
+    "geometric": {"alphabet": ["a"], "interval": _rational1(["1"], ["1", "-2"]),
+                  "circular": _rational1(["3", "-5"], ["1", "-3", "2"])},
+    "fibonacci_trace": {"alphabet": ["a"],
+                        "interval": _rational1(["1", "1"], ["1", "-1", "-1"]),
+                        "circular": TRACE},
+    "polynomial": {"alphabet": ["a"], "interval": _rational1(["3", "1", "1/2"], ["1"]),
+                   "circular": _rational1(["5", "0", "1"], ["2", "-1"])},
+    "empty": {"alphabet": [], "interval": _rational1(["1"], ["1"]),
+              "circular": _rational1(["5"], ["1"])},
+    "empty_trace": {"alphabet": [], "interval": _rational1(["2/3"], ["1"]),
+                    "circular": TRACE},
+}
+
+
+def onevar_outputs(tmp_path) -> dict:
+    series = {}
+    for zi, zc in ONEVAR_SERIES:
+        for flag in FIELD_FLAGS:
+            # --zi=... keeps a literal that starts with "-" from reading as a flag
+            tail = [f"--zi={zi}", f"--zc={zc}", "--field", flag]
+            series[" ".join(["analyze"] + tail)] = cli_json(["onevar", "analyze"] + tail)
+            series[" ".join(["crosscheck"] + tail)] = cli_json(
+                ["onevar", "crosscheck", "--depth", "6"] + tail)
+    theories = {}
+    for name, doc in ONEVAR_THEORIES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        theories[name] = {f"{cmd} --field {flag}": cli_json(
+            [cmd, str(path), "--field", flag])
+            for cmd in COMMANDS for flag in FIELD_FLAGS}
+    return {"series": series, "theories": theories}
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=0, separators=(",", ":")) + "\n"
 
@@ -134,7 +194,21 @@ def test_golden_file_covers_both_fields_and_stays_small():
     assert GOLDEN.stat().st_size < 50_000
 
 
+def test_onevar_outputs_match_the_golden_file(tmp_path):
+    assert _dumps(onevar_outputs(tmp_path)) == GOLDEN_ONEVAR.read_text()
+
+
+def test_onevar_golden_file_covers_both_fields_every_exit_and_stays_small():
+    doc = json.loads(GOLDEN_ONEVAR.read_text())
+    outs = list(doc["series"].values()) + [
+        v for t in doc["theories"].values() for v in t.values()]
+    assert {v["exit"] for v in outs} == {0, 1, 2}
+    assert all(any(k.endswith(flag) for k in doc["series"]) for flag in FIELD_FLAGS)
+    assert GOLDEN_ONEVAR.stat().st_size < 20_000
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
-        GOLDEN.write_text(_dumps(golden_outputs(Path(d))))
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
+        for path, outputs in ((GOLDEN, golden_outputs), (GOLDEN_ONEVAR, onevar_outputs)):
+            path.write_text(_dumps(outputs(Path(d))))
+            print(f"wrote {path} ({path.stat().st_size} bytes)")
