@@ -3,19 +3,20 @@
 Scalars are ``fractions.Fraction`` (rationals, kept in lowest terms with a
 positive denominator by the stdlib) or :class:`FpValue` (residues mod p,
 stored in ``[0, p)``).  Matrices are immutable dense row-major arrays and
-polynomials are immutable ascending coefficient tuples with no trailing
-zeros.
+polynomials are immutable ascending coefficient arrays with no trailing
+zero.
 
-A matrix stores its entries once, as integers over one denominator (the
-layout of FLINT's ``fmpq_mat``): residues in ``[0, p)`` over F_p, and over
-QQ numerators over a positive denominator that shares no factor with all
-of them.  Products, sums, elimination and solving run on these ints, and
-a result is put back in that canonical form, so equal matrices are equal
-structurally.  One elimination kernel serves both fields: over F_p, rows
-reduced mod p with one modular inverse per pivot; over QQ, fraction-free
-(Bareiss) Gauss-Jordan on the numerators, over the last pivot at the end.
-Field values (``Fraction``, ``FpValue``) are made only where a matrix is
-read entry by entry.
+Both store their entries once, as integers over one denominator (the
+layout of FLINT's ``fmpq_mat`` and ``fmpq_poly``): residues in ``[0, p)``
+over F_p, and over QQ numerators over a positive denominator that shares
+no factor with all of them.  Products, sums, division, gcds, elimination
+and solving run on these ints, and one routine (``_canonical``) puts a
+result back in that canonical form, so equal matrices or polynomials are
+equal structurally.  One elimination kernel serves both fields: over F_p,
+rows reduced mod p with one modular inverse per pivot; over QQ,
+fraction-free (Bareiss) Gauss-Jordan on the numerators, over the last
+pivot at the end.  Field values (``Fraction``, ``FpValue``) are made only
+where a matrix or polynomial is read entry by entry.
 
 No floating point is used anywhere, and every algorithm is deterministic:
 row reduction always picks the leftmost nonzero column and the topmost
@@ -28,7 +29,7 @@ import re
 import reprlib
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -459,6 +460,23 @@ def _wrap(F: Field, ints, d: int) -> tuple:
     return tuple(Fraction(v, d) if v else zero for v in ints)
 
 
+def _canonical(p: int, ints, d: int) -> tuple[tuple, int]:
+    """(ints, d) in the canonical form of Matrix and Polynomial (d nonzero,
+    prime to p over F_p): residues in [0, p) over 1, or over QQ ints over a
+    positive denominator that shares no factor with all of them."""
+    if p:
+        s = pow(d, -1, p)
+        return tuple(x * s % p for x in ints) if s != 1 else tuple(x % p for x in ints), 1
+    g = gcd(d, *ints) if d > 0 else -gcd(d, *ints)
+    return tuple(x // g for x in ints) if g != 1 else tuple(ints), d // g
+
+
+def _pair(F: Field, s) -> tuple[int, int]:
+    """A scalar as (numerator, positive denominator), (residue, 1) over F_p."""
+    s = F.of(s)
+    return (s.v, 1) if F.char else (s.numerator, s.denominator)
+
+
 def _joined(mats) -> tuple[list, int]:
     """The entries of the matrices, in order and each row-major, as ints
     over one denominator, the lcm of theirs (1 over F_p)."""
@@ -616,14 +634,7 @@ class Matrix:
     def _of_ints(cls, field: Field, ints, d: int, rows: int, cols: int) -> "Matrix":
         """The rows x cols matrix of the integers ``ints`` (flat, row-major)
         over ``d`` (nonzero; prime to p over F_p), in canonical form."""
-        p = field.char
-        if p:
-            s = pow(d, -1, p)
-            return cls._raw(field, tuple(x * s % p for x in ints) if s != 1 else
-                            tuple(x % p for x in ints), 1, rows, cols)
-        g = gcd(d, *ints) if d > 0 else -gcd(d, *ints)
-        return cls._raw(field, tuple(x // g for x in ints) if g != 1 else tuple(ints),
-                        d // g, rows, cols)
+        return cls._raw(field, *_canonical(field.char, ints, d), rows, cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -746,10 +757,8 @@ class Matrix:
                            self._den, self.rows, self.cols)
 
     def scale(self, s) -> "Matrix":
-        F = self.field
-        s = F.of(s)
-        n, d = (s.v, 1) if F.char else (s.numerator, s.denominator)
-        return Matrix._of_ints(F, [n * x for x in self._num], d * self._den,
+        n, d = _pair(self.field, s)
+        return Matrix._of_ints(self.field, [n * x for x in self._num], d * self._den,
                                self.rows, self.cols)
 
     def __mul__(self, other):
@@ -878,93 +887,102 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 class Polynomial:
     """Univariate polynomial with ascending exact coefficients.
 
-    Normalized on construction: trailing zeros stripped, so the zero
-    polynomial has an empty coefficient tuple and ``deg == -1``.
+    Stored once in the layout of :class:`Matrix` (FLINT's ``fmpq_poly``):
+    ``_num``, ints with no trailing zero, over one denominator ``_den``, in
+    the canonical form of :func:`_canonical`; the zero polynomial is ``()``
+    over 1, with ``deg == -1``.  Every operation runs on these ints, and
+    ``coeffs``, ``coeff``, ``leading`` and ``eval_at`` give field values.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_num", "_den")
 
     def __init__(self, field: Field, coeffs: Iterable):
-        cs = [field.of(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(field, *_ints(field, [field.of(c) for c in coeffs]))
+
+    def _set(self, field, ints, d):
+        num, den = _canonical(field.char, ints, d)
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        for name, value in (("field", field), ("_num", num[:n]), ("_den", den)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_ints(cls, field: Field, ints, d: int = 1) -> "Polynomial":
+        """The polynomial of ascending ints over d (nonzero; prime to p over F_p)."""
+        f = object.__new__(cls)
+        f._set(field, ints, d)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
     def zero(field: Field) -> "Polynomial":
-        return Polynomial(field, [])
+        return Polynomial._of_ints(field, ())
 
     @staticmethod
     def one(field: Field) -> "Polynomial":
-        return Polynomial(field, [field.one])
+        return Polynomial._of_ints(field, (1,))
 
-    @staticmethod
-    def constant(field: Field, c) -> "Polynomial":
-        return Polynomial(field, [c])
+    @property
+    def coeffs(self) -> tuple:
+        """The ascending coefficients as field values, wrapped on each read."""
+        return _wrap(self.field, self._num, self._den)
 
     def to_list(self) -> list:
         return [self.field.format(c) for c in self.coeffs]
 
     @property
     def deg(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._num):
+            return self.field._value(self._num[i], self._den)
         return self.field.zero
 
     def leading(self):
-        if self.is_zero():
-            return self.field.zero
-        return self.coeffs[-1]
+        return self.coeff(self.deg)
 
     def _check_field(self, other: "Polynomial"):
         if self.field != other.field:
             raise FieldMismatch("polynomials over different fields")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        d = lcm(self._den, other._den)
+        s, t = d // self._den, sign * (d // other._den)
+        return Polynomial._of_ints(self.field, [
+            s * x + t * y for x, y in zip_longest(self._num, other._num, fillvalue=0)], d)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        return Polynomial._of_ints(self.field, [-x for x in self._num], self._den)
 
     def scale(self, s) -> "Polynomial":
-        s = self.field.of(s)
-        return Polynomial(self.field, [s * c for c in self.coeffs])
+        n, d = _pair(self.field, s)
+        return Polynomial._of_ints(self.field, [n * x for x in self._num], d * self._den)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_field(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field)
-        F = self.field
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == F.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(F, out)
+        a, b = self._num, other._num
+        out = [0] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Polynomial._of_ints(self.field, out, self._den * other._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -975,12 +993,11 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         # over QQ, a = A / da and b = B / db with c^k A = Q B + R give
         # q = Q db / (c^k da) and r = R / (c^k da)
-        F = self.field
-        (a, da), (b, db) = _ints(F, self.coeffs), _ints(F, other.coeffs)
-        q, r = _poly_divmod(F.char, a, b)
-        s = 1 if F.char else da * b[-1] ** len(q)
-        return (Polynomial(F, _wrap(F, [x * db for x in q], s)),
-                Polynomial(F, _wrap(F, r, s)))
+        F, b = self.field, other._num
+        q, r = _poly_divmod(F.char, self._num, b)
+        s = 1 if F.char else self._den * b[-1] ** len(q)
+        return (Polynomial._of_ints(F, [x * other._den for x in q], s),
+                Polynomial._of_ints(F, r, s))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -989,26 +1006,20 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        if not self._num or self._num[-1] == self._den:
             return self
-        lead = self.coeffs[-1]
-        if lead == self.field.one:
-            return self
-        inv = self.field.one / lead
-        return self.scale(inv)
+        return Polynomial._of_ints(self.field, self._num, self._num[-1])
 
     def derivative(self) -> "Polynomial":
-        F = self.field
-        return Polynomial(
-            F, [F.of(i) * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        return Polynomial._of_ints(self.field, [i * c for i, c in enumerate(self._num)][1:],
+                                   self._den)
 
     def eval_at(self, x):
-        x = self.field.of(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        n, d = _pair(self.field, x)
+        acc = 0  # sum_i c_i n^i d^(deg - i), by Horner's rule
+        for i, c in enumerate(reversed(self._num)):
+            acc = acc * n + c * d ** i
+        return self.field._value(acc, self._den * d ** max(self.deg, 0))
 
     def reversed_poly(self, n: int | None = None) -> "Polynomial":
         """T^n * p(1/T): coefficients reversed into degree-n window.
@@ -1019,13 +1030,14 @@ class Polynomial:
             n = self.deg
         if n < self.deg:
             raise FieldMismatch("reversal window smaller than the degree")
-        return Polynomial(self.field, [self.coeff(n - j) for j in range(n + 1)])
+        return Polynomial._of_ints(self.field, (0,) * (n - self.deg) + self._num[::-1],
+                                   self._den)
 
     def shifted(self, k: int) -> "Polynomial":
         """Multiply by T^k."""
         if self.is_zero():
             return self
-        return Polynomial(self.field, [self.field.zero] * k + list(self.coeffs))
+        return Polynomial._of_ints(self.field, (0,) * k + self._num, self._den)
 
     def divides(self, other: "Polynomial") -> bool:
         if self.is_zero():
@@ -1035,10 +1047,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.field, self._den, self._num) == (other.field, other._den, other._num)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._den, self._num))
 
     def __repr__(self):
         if self.is_zero():
@@ -1110,9 +1122,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid's algorithm on the integer coefficients
     (:func:`_poly_gcd`); gcd(0, 0) = 0."""
     a._check_field(b)
-    F = a.field
-    g = _poly_gcd(F.char, _ints(F, a.coeffs)[0], _ints(F, b.coeffs)[0])
-    return Polynomial(F, _wrap(F, g, g[-1]) if g else ())
+    g = _poly_gcd(a.field.char, a._num, b._num)
+    return Polynomial._of_ints(a.field, g, g[-1] if g else 1)
 
 
 def poly_gcd_lcm(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -231,14 +231,15 @@ class FrobeniusAlgebra:
         cube = self._cube[0]
         return all(cube[i][j] == cube[j][i] for i, j in combinations(range(self.dim), 2))
 
-    # A degenerate trace raises inside the property, so nothing is stored
-    # and every access raises DegenerateTrace again.
+    # A degenerate trace raises inside these properties, so nothing is
+    # stored and every access raises DegenerateTrace again.
 
     @cached_property
     def duals(self) -> tuple[tuple, tuple]:
         """:func:`dual_bases` of this algebra, computed once."""
         return dual_bases(self)
 
+    @cached_property
     def _dual_rows(self) -> tuple[list, int]:
         """(g, d): g[i] the coordinates of the dual y_i, as ints over d."""
         n = self.dim
@@ -248,7 +249,7 @@ class FrobeniusAlgebra:
     @cached_property
     def hole(self) -> Matrix:
         """See :func:`hole_element`: sum_i e_i y_i, one contraction."""
-        return self._contract(*self._dual_rows())
+        return self._contract(*self._dual_rows)
 
 
 # -- verification -------------------------------------------------------------
@@ -356,7 +357,7 @@ def window(b: FrobeniusAlgebra, elem: Matrix) -> Matrix:
     h_li = sum_j g_ij (e_j elem)_l: contracted on the integer cube, with no
     product of elements."""
     cube, D = b._cube
-    g, dg = b._dual_rows()
+    g, dg = b._dual_rows
     xs, dx = b._coords(elem)
     right = [[0] * b.dim for _ in cube]  # right[j][l] = (e_j elem)_l
     for rj, plane in zip(right, cube):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgument
 from .exactla import Polynomial, poly_gcd_lcm
-from .series import CircularRepresentation, RationalFunction1, rational_to_rep
+from .series import CircularRepresentation, RationalFunction1, g_of, rational_to_rep
 from .universal import Theory, build_pair_algebra, project_word, trace_K
 
 __all__ = [
@@ -35,15 +35,6 @@ __all__ = [
     "rational1_to_json",
     "trace_series_1var",
 ]
-
-
-def g_of(z: RationalFunction1) -> Polynomial:
-    """Monic characteristic polynomial of the letter acting on the minimal
-    state space of z: T^{max(0, n-m+1)} times the degree-m reciprocal of
-    the denominator, with n = deg num and m = deg den."""
-    n, m = z.num.deg, z.den.deg
-    extra = max(0, n - m + 1)
-    return z.den.reversed_poly(m).shifted(extra).monic()
 
 
 def trace_series_1var(z: RationalFunction1) -> RationalFunction1:

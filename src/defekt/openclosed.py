@@ -157,7 +157,7 @@ def _comult_table(a: FrobeniusAlgebra) -> Matrix:
     sum_j c_tj^r g_sj with g_s the coordinates of y_s."""
     n = a.dim
     cube, D = a._cube
-    g, dg = a._dual_rows()
+    g, dg = a._dual_rows
     out = [0] * n ** 3
     for t, plane in enumerate(cube):
         for j, pairs in enumerate(plane):

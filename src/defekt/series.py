@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import AlphabetMismatch, FieldMismatch, PoleAtZero, SchemaError
-from .exactla import Field, Matrix, Polynomial, _ints, _poly_divmod, _poly_gcd, _wrap
+from .exactla import Field, Matrix, Polynomial, _poly_divmod, _poly_gcd, _wrap
 
 __all__ = [
     "CircularRepresentation",
@@ -251,9 +251,8 @@ class RationalFunction1:
     def __init__(self, field: Field, num: Polynomial, den: Polynomial):
         if num.field != field or den.field != field:
             raise FieldMismatch("rational function parts over the wrong field")
-        (n, dn), (d, dd) = _ints(field, num.coeffs), _ints(field, den.coeffs)
-        self._store(field, *_lowest_terms(field.char, [x * dd for x in n],
-                                          [x * dn for x in d]))
+        self._store(field, *_lowest_terms(field.char, [x * den._den for x in num._num],
+                                          [x * num._den for x in den._num]))
 
     @classmethod
     def _of_lowest_terms(cls, field: Field, num, den) -> "RationalFunction1":
@@ -266,8 +265,8 @@ class RationalFunction1:
         # dividing by den[0] makes the constant term of Q one (over F_p it
         # already is)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", Polynomial(field, _wrap(field, num, den[0])))
-        object.__setattr__(self, "den", Polynomial(field, _wrap(field, den, den[0])))
+        object.__setattr__(self, "num", Polynomial._of_ints(field, num, den[0]))
+        object.__setattr__(self, "den", Polynomial._of_ints(field, den, den[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction1 is immutable")
@@ -277,12 +276,6 @@ class RationalFunction1:
         """Read JSON arrays of the ascending coefficients of P and Q."""
         return RationalFunction1._of_lowest_terms(
             field, *_read_lowest_terms(field, num, den, path))
-
-    @staticmethod
-    def constant(field: Field, c) -> "RationalFunction1":
-        return RationalFunction1(
-            field, Polynomial.constant(field, c), Polynomial.one(field)
-        )
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -328,14 +321,20 @@ class RationalFunction1:
         """Power-series coefficients of orders 0 through n (n+1 values), by
         long division against the denominator (whose constant term is 1
         after normalization)."""
-        out = []
-        q = self.den.coeffs
+        return list(_wrap(self.field, *self._taylor_ints(n)))
+
+    def _taylor_ints(self, n: int) -> tuple[list, int]:
+        """The coefficients of :meth:`taylor` as ints C_k over dn dd^n, for
+        num = N / dn and den = D / dd (so D[0] = dd): C_k = N_k dd^n -
+        (sum_{i>=1} D_i C_{k-i}) / dd, exact as dd^(n-j) divides C_j."""
+        p, (N, D) = self.field.char, (self.num._num, self.den._num)
+        dd, top = self.den._den, self.den._den ** max(n, 0)
+        out: list = []
         for k in range(n + 1):
-            s = self.num.coeff(k)
-            for i in range(1, min(k, len(q) - 1) + 1):
-                s = s - q[i] * out[k - i]
-            out.append(s)
-        return out
+            c = (N[k] * top if k < len(N) else 0) - sum(
+                D[i] * out[k - i] for i in range(1, min(k, len(D) - 1) + 1)) // dd
+            out.append(c % p if p else c)
+        return out, self.num._den * top
 
 
 def taylor(z: RationalFunction1, n: int) -> list:
@@ -358,19 +357,22 @@ def rational_to_rep(z: RationalFunction1) -> LinearRepresentation:
             F, 1, 0, Matrix.zeros(F, 1, 0), (Matrix.zeros(F, 0, 0),),
             Matrix.zeros(F, 0, 1),
         )
-    n, m = z.num.deg, z.den.deg
-    extra = max(0, n - m + 1)
-    g = z.den.reversed_poly(m).shifted(extra)  # monic, degree max(n+1, m)
-    d = g.deg
-    coeffs = z.taylor(d - 1)
-    rows = []
-    for i in range(d - 1):
-        rows.append([F.one if j == i + 1 else F.zero for j in range(d)])
-    rows.append([-g.coeff(j) for j in range(d)])
-    companion = Matrix(F, rows, cols=d)
-    init = Matrix.row_vector(F, [F.one] + [F.zero] * (d - 1))
-    final = Matrix.col_vector(F, coeffs)
+    g = g_of(z)
+    d, dg = g.deg, g._den  # g is monic: the shift over dg, then -g_0 .. -g_{d-1}
+    companion = Matrix._of_ints(F, [dg * (j == i + 1) for i in range(d - 1) for j in range(d)]
+                                + [-x for x in g._num[:d]], dg, d, d)
+    init = Matrix._raw(F, (1,) + (0,) * (d - 1), 1, 1, d)
+    final = Matrix._of_ints(F, *z._taylor_ints(d - 1), d, 1)
     return LinearRepresentation(F, 1, d, init, (companion,), final)
+
+
+def g_of(z: RationalFunction1) -> Polynomial:
+    """Monic characteristic polynomial of the letter acting on the minimal
+    state space of z: T^{max(0, n-m+1)} times the degree-m reciprocal of
+    the denominator, with n = deg num and m = deg den (monic as den(0) = 1).
+    The letter of :func:`rational_to_rep` is its companion matrix."""
+    n, m = z.num.deg, z.den.deg
+    return z.den.reversed_poly(m).shifted(max(0, n - m + 1))
 
 
 # -- JSON ingestion ---------------------------------------------------------

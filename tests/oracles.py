@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and separate from the package's own
 algorithms: determinants by Laplace expansion, ranks by enumerating square
-minors or by textbook elimination, power series by direct long
-multiplication, cyclic canonical forms by trying every rotation, word
+minors or by textbook elimination, polynomials and power series by
+schoolbook arithmetic on field values, cyclic canonical forms by trying every rotation, word
 families by testing every word in turn, word saturations on matrix
 products, pair-algebra products classed one pair at a time, state-space dimensions as the rank of the Gram matrix of
 spanning diagrams, the Frobenius axioms, the window, the center, the
@@ -164,6 +164,90 @@ def rational_series(num, den, n):
     """Taylor coefficients of num/den of orders 0..n by naive series
     arithmetic."""
     return series_mul([Fraction(c) for c in num], series_inverse(den, n), n)
+
+
+# Polynomials as lists of ascending field values, by schoolbook arithmetic.
+
+
+def poly_trim(F, a):
+    a = list(a)
+    while a and a[-1] == F.zero:
+        a.pop()
+    return a
+
+
+def poly_coeff(F, a, i):
+    return a[i] if 0 <= i < len(a) else F.zero
+
+
+def poly_add(F, a, b, sign=1):
+    """a + sign * b."""
+    return poly_trim(F, [poly_coeff(F, a, i) + sign * poly_coeff(F, b, i)
+                         for i in range(max(len(a), len(b)))])
+
+
+def poly_scale(F, a, s):
+    return poly_trim(F, [s * c for c in a])
+
+
+def poly_mul(F, a, b):
+    out = [F.zero] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return poly_trim(F, out)
+
+
+def poly_divmod(F, a, b):
+    """Long division by a nonzero b: (q, r) with a = q b + r, deg r < deg b."""
+    r = list(a)
+    q = [F.zero] * max(0, len(a) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            r[i + j] = r[i + j] - q[i] * y
+    return poly_trim(F, q), poly_trim(F, r[:len(b) - 1])
+
+
+def poly_monic(F, a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def poly_derivative(F, a):
+    return poly_trim(F, [i * c for i, c in enumerate(a)][1:])
+
+
+def poly_reversed(F, a, n):
+    """T^n a(1/T)."""
+    return poly_trim(F, [poly_coeff(F, a, n - j) for j in range(n + 1)])
+
+
+def poly_shifted(F, a, k):
+    return [F.zero] * k + list(a) if a else []
+
+
+def poly_gcd(F, a, b):
+    """Monic gcd by Euclid's algorithm on field values; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, poly_divmod(F, a, b)[1]
+    return poly_monic(F, a)
+
+
+def poly_lcm(F, a, b):
+    """Monic lcm, for a and b not both zero."""
+    return poly_monic(F, poly_divmod(F, poly_mul(F, a, b), poly_gcd(F, a, b))[0])
+
+
+def series_by_long_division(F, num, den, n):
+    """Coefficients of orders 0..n of num/den, den[0] != 0, each divided
+    out by den[0] in turn."""
+    out = []
+    for k in range(n + 1):
+        s = poly_coeff(F, num, k)
+        for i in range(1, k + 1):
+            s = s - poly_coeff(F, den, i) * out[k - i]
+        out.append(s / den[0])
+    return out
 
 
 def min_rotation(word):

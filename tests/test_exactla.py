@@ -35,8 +35,23 @@ from defekt.exactla import (
 )
 from defekt.exactla import _is_prime
 
+from defekt.series import RationalFunction1, rational_to_rep
+
 from factories import FIELDS, fractions
-from oracles import naive_rank
+from oracles import (
+    naive_rank,
+    poly_add,
+    poly_derivative,
+    poly_divmod,
+    poly_gcd as oracle_gcd,
+    poly_lcm,
+    poly_monic,
+    poly_mul,
+    poly_reversed,
+    poly_scale,
+    poly_shifted,
+    series_by_long_division,
+)
 
 F7 = PrimeField(7)
 
@@ -511,3 +526,69 @@ def test_every_operation_returns_the_canonical_form(data):
         out.append(sq.inverse())
     for m in out:
         assert_canonical(m)
+
+
+@st.composite
+def polynomials(draw, field, dmax=4):
+    """A polynomial over the field of degree at most dmax, dense or sparse,
+    with coefficients of denominators 1-6."""
+    return Polynomial(field, draw(st.lists(fractions(draw(st.booleans())),
+                                           max_size=dmax + 1)))
+
+
+def assert_canonical_poly(f):
+    """f holds its coefficients once, as canonical ints with no trailing
+    zero, and equals (and hashes as) the polynomial built from them."""
+    F = f.field
+    assert all(type(x) is int for x in f._num) and (not f._num or f._num[-1])
+    if F.char:
+        assert f._den == 1 and all(0 <= x < F.char for x in f._num)
+    else:
+        assert f._den > 0 and gcd(f._den, *f._num) == 1
+    same = Polynomial(F, f.coeffs)
+    assert same == f and hash(same) == hash(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_polynomial_operations_match_the_field_valued_oracle(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    a, b = data.draw(polynomials(F)), data.draw(polynomials(F))
+    c = data.draw(polynomials(F, dmax=2))
+    if data.draw(st.booleans()):
+        a, b = a * c, b * c  # a common factor, so the gcd has work to do
+    s = data.draw(fractions(data.draw(st.booleans())))
+    k = data.draw(st.integers(0, 3))
+    A, B = list(a.coeffs), list(b.coeffs)
+    n = max(a.deg, 0) + k
+    cases = [(a + b, poly_add(F, A, B)), (a - b, poly_add(F, A, B, -1)),
+             (-a, poly_scale(F, A, -F.one)), (a.scale(s), poly_scale(F, A, F.of(s))),
+             (a * b, poly_mul(F, A, B)), (a.monic(), poly_monic(F, A)),
+             (a.derivative(), poly_derivative(F, A)),
+             (a.reversed_poly(n), poly_reversed(F, A, n)), (a.shifted(k), poly_shifted(F, A, k))]
+    if not b.is_zero():
+        q, r = divmod(a, b)
+        cases += zip((q, r), poly_divmod(F, A, B))
+    if not (a.is_zero() and b.is_zero()):
+        g, m = poly_gcd_lcm(a, b)
+        cases += [(g, oracle_gcd(F, A, B)), (m, poly_lcm(F, A, B)),
+                  (poly_gcd(a, b), oracle_gcd(F, A, B))]
+    for got, want in cases:
+        assert list(got.coeffs) == want
+        assert_canonical_poly(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_taylor_and_rational_to_rep_match_long_division(data):
+    F = data.draw(st.sampled_from(FIELDS))
+    num = data.draw(polynomials(F))
+    den = data.draw(polynomials(F, dmax=3))
+    den0 = data.draw(fractions(False).filter(lambda x: F.of(x) != F.zero))
+    den = den.shifted(1) + Polynomial(F, [den0])  # den(0) != 0
+    z = RationalFunction1(F, num, den)
+    r = rational_to_rep(z)
+    n = 2 * r.dim
+    coeffs = z.taylor(n)
+    assert coeffs == series_by_long_division(F, list(num.coeffs), list(den.coeffs), n)
+    assert [r.value((0,) * m) for m in range(n + 1)] == coeffs

@@ -37,7 +37,7 @@ from defekt.frobenius import (
     window,
 )
 
-from defekt.openclosed import check_knowledgeable
+from defekt.openclosed import _comult_table, check_knowledgeable
 
 from factories import (
     FIELDS,
@@ -435,6 +435,27 @@ def test_gram_is_inverted_once_per_algebra(monkeypatch):
     # the basis columns are built once and are the x_i of the dual bases
     assert B.basis_el(2) is B.basis_columns[2]
     assert B.duals[0] is B.basis_columns
+
+
+def test_dual_rows_are_joined_once_per_algebra(monkeypatch):
+    # window, the hole and the comultiplication table read the one held
+    # rows of the duals; a degenerate trace still raises on every access
+    joins = []
+    real = frobenius_module._joined
+    monkeypatch.setattr(frobenius_module, "_joined",
+                        lambda mats: joins.append(mats) or real(mats))
+    B = mat2_block(QQ, Fr(1))
+    for e in B.basis_columns:
+        window(B, e)
+    hole_element(B)
+    _comult_table(B)
+    assert len(joins) == 1 and B._dual_rows is B._dual_rows
+    b = nilpotent_block(QQ, Fr(1), Fr(0))
+    for _ in range(2):
+        with pytest.raises(DegenerateTrace):
+            b._dual_rows
+        with pytest.raises(DegenerateTrace):
+            window(b, b.unit_el())
 
 
 def test_gram_is_built_once_per_algebra(monkeypatch):

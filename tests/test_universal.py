@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defekt import series, universal
+from defekt import exactla, frobenius, series, universal
 from defekt.diagrams import state_space_dim
 from defekt.errors import DefektError, FieldMismatch, SchemaError
 from defekt.exactla import FpValue, Matrix, PrimeField, QQ, RationalField, hstack
@@ -1128,7 +1128,8 @@ def test_a_hit_never_skips_validation(field_doc):
 
 def _counting(monkeypatch):
     """A list that every field value, matrix, polynomial or rational
-    function built from now on appends its kind to."""
+    function built from now on appends its kind to; a field value that
+    ``_wrap`` makes counts as one "value"."""
     built = []
 
     def count(kind, f):
@@ -1140,7 +1141,18 @@ def _counting(monkeypatch):
     monkeypatch.setattr(Matrix, "__init__", count("Matrix", Matrix.__init__))
     monkeypatch.setattr(Matrix, "_raw", classmethod(
         lambda cls, *a, f=Matrix._raw: built.append("Matrix") or f(*a)))
+
+    def wrap(F, ints, d, f=exactla._wrap):
+        out = f(F, ints, d)
+        built.extend(["value"] * len(out))
+        return out
+
+    # series and frobenius import _wrap by name
+    for module in (exactla, series, frobenius):
+        monkeypatch.setattr(module, "_wrap", wrap)
     monkeypatch.setattr(Polynomial, "__init__", count("Polynomial", Polynomial.__init__))
+    monkeypatch.setattr(Polynomial, "_of_ints", classmethod(
+        lambda cls, *a, f=Polynomial._of_ints: built.append("Polynomial") or f(*a)))
     monkeypatch.setattr(RationalFunction1, "__init__",
                         count("RationalFunction1", RationalFunction1.__init__))
     monkeypatch.setattr(RationalFunction1, "_of_lowest_terms", classmethod(
