@@ -327,8 +327,8 @@ class RationalFunction1:
         """The coefficients of :meth:`taylor` as ints C_k over dn dd^n, for
         num = N / dn and den = D / dd (so D[0] = dd): C_k = N_k dd^n -
         (sum_{i>=1} D_i C_{k-i}) / dd, exact as dd^(n-j) divides C_j."""
-        p, (N, D) = self.field.char, (self.num._num, self.den._num)
-        dd, top = self.den._den, self.den._den ** max(n, 0)
+        p, N, D, dd = self.field.char, self.num._num, self.den._num, self.den._den
+        top = dd ** max(n, 0)
         out: list = []
         for k in range(n + 1):
             c = (N[k] * top if k < len(N) else 0) - sum(
