@@ -52,7 +52,6 @@ from .openclosed import (
 from .series import RationalFunction1, word_to_str
 from .universal import (
     build_pair_algebra,
-    frobenius_of_K,
     idempotent_report,
     invariant_triple,
     theory_from_json,
@@ -203,8 +202,7 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_frobenius_extract(args) -> dict:
-    t = _load_theory(args)
-    alg = frobenius_of_K(build_pair_algebra(t))
+    alg = _load_theory(args).pair_algebra.kernel
     return {
         "algebra": frobenius_to_json(alg),
         "verify": _verify_json(verify(alg)),

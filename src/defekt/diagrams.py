@@ -36,8 +36,8 @@ from .errors import (
     SizeBound,
 )
 from .exactla import Matrix
-from .series import Word, _check_word, word_from_json
-from .universal import Theory, frobenius_of_K
+from .series import Word, _check_word, canonical_rotation, word_from_json
+from .universal import Theory
 
 __all__ = [
     "Arc",
@@ -364,23 +364,20 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
 
 
 class _Context:
-    """Per-theory caches: the theory's minimal state space and arc word
-    family, memoized interval and circle values, spanning records, and the
-    kernel algebra K with its Brauer ranks D_K(r) once a dimension needs
-    them.  It holds no reference to the theory, so the theory's lifetime
-    bounds its own."""
+    """Per-theory caches: the minimal state space, memoized interval and
+    circle values, spanning records, dimensions and the Brauer ranks D_K(r)
+    of K (which the theory's pair algebra holds).  It holds no reference to
+    the theory, so the theory's lifetime bounds its own."""
 
     def __init__(self, t: Theory):
         self.field = t.field
         self.circular = t.circular
         self.space = t.statespace
-        self.arc_words = t.arc_words
         self._act: dict = {}
         self._ival: dict = {}
         self._cval: dict = {}
         self._records: dict = {}
         self._dims: dict = {}
-        self.kernel = None
         self._brauer: dict = {0: 1}
 
     def act(self, word: Word) -> Matrix:
@@ -464,7 +461,8 @@ def evaluate_closed(t: Theory, d: Diagram):
 _HEAD, _TAIL, _KET, _BRA = "head", "tail", "ket", "bra"
 
 
-def _spanning_records(ctx: _Context, eps: str) -> list:
+def _spanning_records(t: Theory, eps: str) -> list:
+    ctx = _context(t)
     recs = ctx._records.get(eps)
     if recs is not None:
         return recs
@@ -482,7 +480,7 @@ def _spanning_records(ctx: _Context, eps: str) -> list:
             halves = ([(p, _KET, ctx.space.word_basis) for p in outs if p not in co]
                       + [(p, _BRA, ctx.space.cobasis_words) for p in ins if p not in ci])
             for matched in permutations(co):
-                for arc_ws in product(ctx.arc_words, repeat=j):
+                for arc_ws in product(t.arc_words, repeat=j):
                     for half_ws in product(*(words for _, _, words in halves)):
                         ends = [None] * len(eps)
                         for pin, pout, w in zip(ci, matched, arc_ws):
@@ -511,8 +509,7 @@ def spanning_diagrams(t: Theory, eps: str) -> list:
     half-intervals by the state-space basis and cobasis words."""
     eps = _check_signs(eps, "eps")
     _check_size(len(eps), "sign sequence of length")
-    ctx = _context(t)
-    return [_record_diagram(eps, r) for r in _spanning_records(ctx, eps)]
+    return [_record_diagram(eps, r) for r in _spanning_records(t, eps)]
 
 
 def _brauer_rank(K, r: int) -> int:
@@ -520,7 +517,8 @@ def _brauer_rank(K, r: int) -> int:
     permutation of r strands with a basis element of K (dimension n) on
     each.  (sigma, a) against (tau, b) is the product, over the cycles of
     pi = tau^-1 sigma, of tr_K(k_a(i) k_b(pi i) k_a(pi i) k_b(pi^2 i) ...):
-    the closed loops of the two matchings glued, each read around once."""
+    the closed loops of the two matchings glued, each read around once;
+    tr_K is cyclic, so a loop's trace is memoized by its rotation class."""
     perms = list(permutations(range(r)))
     decos = list(product(range(K.dim), repeat=r))
     loops = {}  # each permutation's cycles, as their steps (i, pi i)
@@ -544,7 +542,7 @@ def _brauer_rank(K, r: int) -> int:
                 for a in decos:
                     v = K.field.one
                     for steps in cycles:
-                        w = tuple(x for i, j in steps for x in (a[i], b[j]))
+                        w = canonical_rotation([x for i, j in steps for x in (a[i], b[j])])
                         if w not in traces:
                             traces[w] = K.trace_of(K.product(K.basis_columns[c] for c in w))
                         v = v * traces[w]
@@ -571,11 +569,9 @@ def _dim_of(t: Theory, eps: str) -> int:
         if entries > GRAM_BOUND:
             raise SizeBound(f"the Gram matrix of D_K({top}) for A({eps}) has "
                             f"{entries} entries, more than the bound {GRAM_BOUND}")
-        if ctx.kernel is None:
-            ctx.kernel = frobenius_of_K(t.pair_algebra)
     for r, _ in terms:
         if r not in ctx._brauer:
-            ctx._brauer[r] = _brauer_rank(ctx.kernel, r)
+            ctx._brauer[r] = _brauer_rank(t.pair_algebra.kernel, r)
     dim = ctx._dims[p, m] = sum(c * ctx._brauer[r] for r, c in terms)
     return dim
 

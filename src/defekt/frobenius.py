@@ -451,22 +451,22 @@ def beta_map(b: FrobeniusAlgebra) -> BetaReport:
         ech.add(c._num)
     reps = [i for i in range(n) if ech.add([int(j == i) for j in range(n)])]
 
-    cent_mat = hstack(cent) if cent else Matrix.zeros(F, n, 0)
-    lands = True
-    cols = []
-    for i in reps:
-        w = window(b, b.basis_el(i))
-        sol = cent_mat.solve(w)
-        if sol is None:
-            lands = False
-            sol = Matrix.zeros(F, len(cent), 1)
-        cols.append(sol)
-    mat = hstack(cols) if cols and cent else Matrix.zeros(F, len(cent), len(reps))
+    # the rref of [Z | I] is [R | E], E * Z = R = [I; 0] for the center
+    # basis Z: the first c rows of E * w are the center coordinates of w,
+    # which lands when the others are zero (else its column is zero)
+    c, r = len(cent), len(reps)
+    num, d, lands = [], 1, True
+    if reps:
+        RE, _ = hstack(cent + [Matrix.identity(F, n)]).rref()
+        EW = RE._sub(cols=range(c, c + n)) * hstack([window(b, b.basis_el(i)) for i in reps])
+        landed = [not any(EW._num[c * r + j::r]) for j in range(r)]
+        lands = all(landed)
+        num, d = [x if landed[i % r] else 0 for i, x in enumerate(EW._num[:c * r])], EW._den
     return BetaReport(
         commutators=tuple(comms),
         center=tuple(cent),
         quotient_reps=tuple(reps),
-        matrix=mat,
+        matrix=Matrix._of_ints(F, num, d, c, r),
         kills_commutators=kills,
         lands_in_center=lands,
     )

@@ -39,14 +39,15 @@ __all__ = [
 
 def trace_series_1var(z: RationalFunction1) -> RationalFunction1:
     """Generating function of m |-> trace of the letter's m-th power on the
-    minimal state space of z: with g = g_of(z) of degree n and q its
-    reciprocal, this is n - T q'(T)/q(T)."""
-    F = z.field
-    g = g_of(z)
-    n = g.deg
-    q = g.reversed_poly(n)
-    num = q.scale(n) - q.derivative().shifted(1)
-    return RationalFunction1(F, num, q)
+    minimal state space of z: the :func:`_trace_series` of g_of(z)."""
+    return _trace_series(g_of(z))
+
+
+def _trace_series(g: Polynomial) -> RationalFunction1:
+    """The trace series n - T q'(T)/q(T) of a characteristic polynomial g
+    of degree n, q its reciprocal."""
+    q = g.reversed_poly(g.deg)
+    return RationalFunction1(g.field, q.scale(g.deg) - q.derivative().shifted(1), q)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def analyze(zi: RationalFunction1, zc: RationalFunction1) -> OneVarAnalysis:
     g_i = g_of(zi)
     g_c = g_of(zc)
     _, g_alpha = poly_gcd_lcm(g_i, g_c)
-    z_tr = trace_series_1var(zi)
+    z_tr = _trace_series(g_i)
     z_ci = zc - z_tr
     g_ci = g_of(z_ci)
     return OneVarAnalysis(

@@ -29,12 +29,13 @@ thanks to word saturation.  The quotient carries:
 with dim U = dim (U intersect matrix part) + dim K, and K a symmetric
 Frobenius algebra under the circle-closure trace.  Triples are flat vectors
 and the quotient is three fixed matrices on them (``PairAlgebra``): one row
-reduction of the functionals on the generators, Fmat = L * G, gives the
-basis, the class of every generator and these dimensions; K is the kernel of
-the A(+) action on that basis, and a class in K has its K coordinates at the
-kernel's free columns.  The classes of many triples are one product with M,
-and the products of a batch of classes, pair by pair, are integer
-contractions classed by one integer product with M.
+reduction of [L * G | I], the functionals on the generators, gives the basis,
+the class of every generator, these dimensions and M, which classes a
+triple; K is the kernel of the A(+) action on that basis, held as a
+Frobenius algebra, and a class in K has its K coordinates at the kernel's
+free columns.  The classes of many triples are one product with M, and the
+products of a batch of classes, pair by pair, are integer contractions
+classed by one integer product with M.
 """
 from __future__ import annotations
 
@@ -214,22 +215,18 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     span, then the vector side (columns act(w) * final on the restricted
     presentation, words extended at the front) and the quotient by it;
     finally the cobasis words, rows cotrace * action(w) on the state
-    space.  Each family is the first length-then-lex family of words with
+    space.  The restriction and the quotient solve for all letters at once.
+    Each family is the first length-then-lex family of words with
     independent vectors, and stabilizes at word length <= rep.dim.
     """
-    F = rep.field
-    nl = rep.num_letters
+    F, nl = rep.field, rep.num_letters
 
     # forward (covector) side: rows init * act(w)
     W = _saturate(F, (rep.init,), (rep.letters,))[1]
     if not W.rows:
         return _zero_statespace(F, nl)
-    f = W.rows
-    Wt = W.transpose()
-    restricted = []
-    for a in range(nl):
-        sol = Wt.solve((W * rep.letters[a]).transpose())
-        restricted.append(sol.transpose())
+    restricted = [x.transpose() for x in
+                  _solve_blocks(W.transpose(), [(W * a).transpose() for a in rep.letters])]
     gamma1 = W * rep.final
 
     # backward (vector) side on the restricted presentation
@@ -238,7 +235,7 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
         return _zero_statespace(F, nl)
     V = Vt.transpose()
     k = V.cols
-    action = tuple(V.solve(restricted[a] * V) for a in range(nl))
+    action = tuple(_solve_blocks(V, [r * V for r in restricted]))
     # the initial covector is the first kept forward row and gamma1 the
     # first kept column, so their coordinates are e_0 on either side
     cyclic = Matrix._raw(F, (1,) + (0,) * (k - 1), 1, k, 1)
@@ -247,6 +244,13 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     # covector-side word family: rows cotrace * action(w)
     cobasis = _saturate(F, (cotrace,), (action,))[0]
     return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
+
+
+def _solve_blocks(A: Matrix, rhs: list) -> list:
+    """The X_a with A X_a = rhs[a] (A of full column rank, each consistent),
+    from one solve on the blocks side by side."""
+    X, c = (A.solve(hstack(rhs)), rhs[0].cols) if rhs else (None, 0)
+    return [X._sub(cols=range(a * c, (a + 1) * c)) for a in range(len(rhs))]
 
 
 def interval_trace_series(s: StateSpace) -> CircularRepresentation:
@@ -290,15 +294,15 @@ class PairAlgebra:
     A triple is one vector of V = flat(phi) ++ flat(rho) ++ flat(a), and
     three fixed matrices on V hold the quotient: ``L``, the functionals
     (k^2 rows picking out the entries of a, then the closure covector of
-    each arc word), whose one rref on the generators G,
-    ``Fmat = L * G``, gives the basis, the generator classes and the
-    dimensions; ``B``, whose columns are the flat ``basis_triples``, so
-    ``B * x`` is the triple of the class x; and ``M``, so that ``M * v``
-    is the class of the triple v.  The arc generators are the arc states
-    the theory holds.  Exposed structure: the unit, the arc
-    subalgebra dimension, the matrix-part unit and its complement
-    ``one_K``, the kernel ideal K with its closure trace, and the word
-    projections into K.
+    each arc word), whose one rref beside I on the generators G gives the
+    basis, the generator classes, the dimensions and ``M``, so that
+    ``M * v`` is the class of a triple v in the span of the generators;
+    and ``B``, whose columns are the flat ``basis_triples``, so ``B * x``
+    is the triple of the class x.  The arc generators are the arc states
+    the theory holds.  Exposed structure: the unit, the arc subalgebra
+    dimension, the matrix-part unit and its complement ``one_K``, the
+    kernel ideal K with its closure trace and, held once built, as a
+    Frobenius algebra (``kernel``), and the word projections into K.
     """
 
     def __init__(self, theory: "Theory"):
@@ -329,21 +333,25 @@ class PairAlgebra:
         self._gens = gens
 
         # functionals: action on A(+) entrywise (the a block), then circle
-        # closures against each saturation word.  Column c of the rref
-        # holds, in its first dim rows, the class of generator c in the
-        # basis of pivot generators.
+        # closures against each saturation word.  The rref of [Fmat | I] is
+        # [R | E], E * Fmat = R: column c of R holds, in its first dim rows,
+        # the class of generator c in the basis of pivot generators, so
+        # M = E[:dim] * L classes the span of the generators.
         n = 2 * k * k + m * m
         picks = Matrix._raw(F, tuple(int(c == k * k + m * m + r)
                                      for r in range(k * k) for c in range(n)), 1, k * k, n)
         self.L = vstack([picks] + closers)
-        Fmat = self.L * _flat_columns(F, gens, n)
-        R, pivots = Fmat.rref()
+        G = _flat_columns(F, gens, n)
+        Fmat = self.L * G
+        RE, pivots = hstack([Fmat, Matrix.identity(F, Fmat.rows)]).rref()
+        pivots = [c for c in pivots if c < len(gens)]
         dim = self.dim = len(pivots)
+        self.M = RE._sub(range(dim), range(len(gens), RE.cols)) * self.L
         self.basis_triples = [gens[i] for i in pivots]
-        self.B = _flat_columns(F, self.basis_triples, n)
+        self.B = G._sub(cols=pivots)
 
         def gen_class(c):
-            return R._sub(range(dim), [c])
+            return RE._sub(range(dim), [c])
 
         # the empty arc word is generator 0 (with no generators, dim is 0
         # and nothing is read)
@@ -358,21 +366,14 @@ class PairAlgebra:
         self.U_dim = sum(1 for c in pivots if c < W)
         self.U_prime_dim = self.U_dim + k * k - dim
 
-        # L * B restricted to independent rows is invertible, and its
-        # inverse carries those functionals of a triple to its class
-        Fb = Fmat._sub(cols=pivots)
-        _, row_piv = Fb.transpose().rref()
-        self.M = Fb._sub(row_piv).inverse() * self.L._sub(row_piv)
-
         # kernel ideal: classes acting by zero on A(+), the kernel of the
         # first k^2 functionals on the basis.  Basis vector i is 1 at the
         # i-th free column and 0 at every later column, so its last nonzero
         # entry names that column.
-        self.K_basis = Fb._sub(range(k * k)).kernel_basis()
+        self.K_basis = Fmat._sub(range(k * k), pivots).kernel_basis()
         self.K_dim = len(self.K_basis)
         self._K_free = [max(r for r, x in enumerate(b._num) if x) for b in self.K_basis]
-        self._K_mat = (hstack(self.K_basis) if self.K_basis
-                       else Matrix.zeros(F, dim, 0))
+        self._K_mat = hstack(self.K_basis) if self.K_basis else Matrix.zeros(F, dim, 0)
 
     # -- coordinates -------------------------------------------------------
 
@@ -462,6 +463,11 @@ class PairAlgebra:
         return self._K_mat * z
 
     @cached_property
+    def kernel(self):
+        """:func:`frobenius_of_K` of this pair algebra, built once."""
+        return frobenius_of_K(self)
+
+    @cached_property
     def _K_trace(self) -> Matrix:
         # the closure trace trace(D*rho) + trace(a - phi) is the closure
         # against the empty arc, a row on K's basis
@@ -547,8 +553,7 @@ def frobenius_of_K(pa: PairAlgebra):
     the structure-constant cube."""
     from .frobenius import FrobeniusAlgebra
 
-    F = pa.field
-    n = pa.K_dim
+    F, n = pa.field, pa.K_dim
     if n == 0:
         return FrobeniusAlgebra(F, (), (), (), ())
     P = pa.to_K_coords(pa._products(pa._K_mat)).transpose()

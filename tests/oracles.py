@@ -513,11 +513,28 @@ def gram_rows(t, eps):
     """The Gram matrix of A(eps): the spanning records of A(mirror eps), one
     per row, paired with those of A(eps), one per column."""
     ctx = _context(t)
-    xs = _spanning_records(ctx, eps)
+    xs = _spanning_records(t, eps)
     return [[pair_value(ctx, x, y) for x in xs]
-            for y in _spanning_records(ctx, mirror_signs(eps))]
+            for y in _spanning_records(t, mirror_signs(eps))]
 
 
 def gram_dim(t, eps):
     """dim A(eps) as the rank of its Gram matrix."""
     return elimination_rank(gram_rows(t, eps))
+
+
+def beta_by_solves(b, center, reps):
+    """The matrix and the landing flag of the beta map on the given center
+    basis and coset representatives: the window of each representative,
+    by products, solved against the center one column at a time; a column
+    that does not land is zero and clears the flag."""
+    F = b.field
+    cent = hstack(list(center)) if center else Matrix.zeros(F, b.dim, 0)
+    lands, cols = True, []
+    for i in reps:
+        sol = cent.solve(window_by_products(b, b.basis_el(i)))
+        if sol is None:
+            lands, sol = False, Matrix.zeros(F, len(center), 1)
+        cols.append(sol)
+    mat = hstack(cols) if cols and center else Matrix.zeros(F, len(center), len(reps))
+    return mat, lands

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defekt import universal
 from defekt.diagrams import (
     GRAM_BOUND,
     Arc,
@@ -383,6 +384,34 @@ def test_context_lives_as_long_as_its_theory(circular):
         gc.enable()
 
 
+def test_closed_evaluation_saturates_no_arc_words():
+    # evaluating a closed diagram reads interval and circle values only
+    c = BY_NAME["two_letter_qq"]
+    t = Theory(c.field, c.alphabet, c.interval, c.circular)
+    d = Diagram("", "", (FloatingInterval((0, 1)), FloatingCircle((1,))))
+    assert evaluate_closed(t, d) == t.statespace.value((0, 1)) * t.circular.value((1,))
+    assert "arc_states" not in vars(t) and "arc_words" not in vars(t)
+
+
+def test_kernel_algebra_is_built_once_per_pair_algebra(monkeypatch):
+    # the pair algebra holds K; every dimension query reads it there
+    calls = []
+    real = universal.frobenius_of_K
+
+    def counted(pa):
+        calls.append(pa)
+        return real(pa)
+
+    monkeypatch.setattr(universal, "frobenius_of_K", counted)
+    c = BY_NAME["ex3_mu3_lam5"]
+    t = Theory(c.field, c.alphabet, c.interval, c.circular)
+    for eps in ("+-", "++--", "-+", "+-+-", "+-"):
+        state_space_dim(t, eps)
+    assert hom_dim(t, "+", "+") == state_space_dim(t, "-+")
+    assert calls == [t.pair_algebra]
+    assert t.pair_algebra.kernel is t.pair_algebra.kernel
+
+
 def test_zero_interval_dims():
     t = BY_NAME["zero_interval_qq"]
     assert state_space_dim(t, "+") == 0
@@ -464,8 +493,7 @@ def test_gram_bound_enforced():
     with pytest.raises(SizeBound):
         hom_dim(t, "---", "---")
     assert time.perf_counter() - start < 1.0
-    ctx = _context(t)
-    assert ctx.kernel is None and ctx._brauer == {0: 1}
+    assert "kernel" not in vars(t.pair_algebra) and _context(t)._brauer == {0: 1}
     assert state_space_dim(t, "++-") == hom_dim(t, "-", "+-")
 
 

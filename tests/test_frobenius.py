@@ -56,6 +56,7 @@ from factories import (
     random_symmetric_frobenius,
 )
 from oracles import (
+    beta_by_solves,
     center_by_products,
     commutators_by_products,
     hole_by_products,
@@ -588,6 +589,43 @@ def test_group_algebra_beta_zero():
 def test_point_beta_identity():
     rep = beta_map(point_block(QQ, Fr(1)))
     assert rep.matrix.to_lists() == [["1"]]
+
+
+# A cube with a nondegenerate trace that fails verify: the window of e_0
+# lands in the one-dimensional center, that of e_1 leaves it.
+LEAVING_CUBE = [[[0, 0, 0], [0, 1, -1], [0, 0, -1]],
+                [[1, -1, 0], [0, -1, 0], [0, 0, 0]],
+                [[0, 0, -1], [0, 0, 0], [-1, 0, 1]]]
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_beta_map_when_a_window_leaves_the_center(field):
+    b = FrobeniusAlgebra(field, ["e0", "e1", "e2"], LEAVING_CUBE, [1, 0, 0], [0, 2, 1])
+    assert not verify(b).passed
+    rep = beta_map(b)
+    assert (len(rep.center), rep.quotient_reps) == (1, (0, 1))
+    assert not rep.lands_in_center
+    # the leaving window's column is zero, the landing one's is not
+    assert rep.matrix.column(1) == (field.zero,) and rep.matrix[0, 0]
+    assert (rep.matrix, rep.lands_in_center) == beta_by_solves(b, rep.center,
+                                                              rep.quotient_reps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(1, 3), st.data())
+def test_beta_map_matches_one_solve_per_representative(field, n, data):
+    # arbitrary cubes and traces, so windows land or leave the center
+    entry = st.integers(-1, 1)
+    cube = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                       min_size=n, max_size=n), min_size=n, max_size=n))
+    trace = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    b = FrobeniusAlgebra(field, [f"e{i}" for i in range(n)], cube, [1] + [0] * (n - 1), trace)
+    try:
+        rep = beta_map(b)
+    except DegenerateTrace:
+        return
+    assert (rep.matrix, rep.lands_in_center) == beta_by_solves(b, rep.center,
+                                                              rep.quotient_reps)
 
 
 def test_center_and_commutators_random():

@@ -4,6 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from defekt import onevar
 from defekt.errors import DefektError
 from defekt.exactla import Polynomial, PrimeField, QQ
 from defekt.onevar import (
@@ -140,6 +141,24 @@ def test_analyze_ex3():
     assert a.z_circ_minus_trace == _rat(QQ, ["3"], ["1"])
     assert a.g_circ_interval == poly(QQ, ["0", "1"])
     assert a.dims == (2, 2, 1)
+
+
+def test_analyze_finds_each_characteristic_polynomial_once(monkeypatch):
+    # g_I, g_circ and g of Z_circ - Z^tr: the trace series is built from
+    # the g_I already found, and equals trace_series_1var
+    calls = []
+    real = onevar.g_of
+
+    def counted(z):
+        calls.append(z)
+        return real(z)
+
+    zi = _rat(QQ, ["1"], ["1", "-2"])
+    zc = _rat(QQ, ["2"], ["1", "-1"]) + zi
+    monkeypatch.setattr(onevar, "g_of", counted)
+    a = analyze(zi, zc)
+    assert len(calls) == 3
+    assert a.z_trace == trace_series_1var(zi)
 
 
 def test_analyze_ex3_tqft():

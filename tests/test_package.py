@@ -1,6 +1,8 @@
 """Checks on the package as a whole."""
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 from pathlib import Path
 
@@ -35,3 +37,12 @@ def test_every_private_function_is_used():
                 used |= names
     assert any("." in full for full, _ in private)
     assert [full for full, name in private if name not in used] == []
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.split("```", 1)[0], {})
+    assert out.getvalue().splitlines() == ["(2, 1, 1)", "True"]

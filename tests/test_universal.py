@@ -555,9 +555,12 @@ def functionals(pa, triple):
 
 
 def test_pair_algebra_solves_nothing_per_generator(monkeypatch):
-    calls = {"coords": 0, "inverse": 0}
+    # two eliminations: the one reduction of [Fmat | I], and the kernel of
+    # the A(+) action that gives K; no inverse
+    calls = {"coords": 0, "inverse": 0, "rref": 0}
     real_coords = universal.PairAlgebra.coords
     real_inverse = Matrix.inverse
+    real_rref = exactla._rref
 
     def counted_coords(self, triple):
         calls["coords"] += 1
@@ -567,14 +570,40 @@ def test_pair_algebra_solves_nothing_per_generator(monkeypatch):
         calls["inverse"] += 1
         return real_inverse(self)
 
+    def counted_rref(p, work, ncols):
+        calls["rref"] += 1
+        return real_rref(p, work, ncols)
+
     monkeypatch.setattr(universal.PairAlgebra, "coords", counted_coords)
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    monkeypatch.setattr(exactla, "_rref", counted_rref)
     for name, t in theory_corpus():
         # count only what building the pair algebra itself does
         _ = t.statespace, t.arc_words
-        calls.update(coords=0, inverse=0)
+        calls.update(coords=0, inverse=0, rref=0)
         universal.PairAlgebra(t)
-        assert calls == {"coords": 0, "inverse": 1}, name
+        assert calls == {"coords": 0, "inverse": 0, "rref": 2}, name
+
+
+def test_minimize_solves_once_per_side(monkeypatch):
+    # the restriction and the quotient each solve for all letters at once
+    calls = []
+    real_solve = Matrix.solve
+
+    def counted_solve(self, rhs):
+        calls.append(rhs.cols)
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(Matrix, "solve", counted_solve)
+    seen = set()
+    for name, t in theory_corpus():
+        rep = t.interval
+        calls.clear()
+        s = minimize(rep)
+        if rep.num_letters and s.dim:
+            seen.add(rep.num_letters)
+            assert len(calls) == 2, name
+    assert seen == {1, 2}
 
 
 @settings(max_examples=40, deadline=None)
