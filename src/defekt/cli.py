@@ -172,10 +172,10 @@ def _cmd_minimize(args) -> dict:
     return {
         "dim": ss.dim,
         "action": {
-            name: ss.action[i].to_lists() for i, name in enumerate(t.alphabet)
+            name: ss.letters[i].to_lists() for i, name in enumerate(t.alphabet)
         },
-        "cyclic": _vector_json(ss.cyclic),
-        "cotrace": _vector_json(ss.cotrace),
+        "cyclic": _vector_json(ss.final),
+        "cotrace": _vector_json(ss.init),
         "word_basis": [word_to_str(t.alphabet, w) for w in ss.word_basis],
         "cobasis_words": [word_to_str(t.alphabet, w) for w in ss.cobasis_words],
     }

@@ -364,15 +364,15 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
 
 
 class _Context:
-    """Per-theory caches: the minimal state space, memoized interval and
-    circle values, spanning records, dimensions and the Brauer ranks D_K(r)
-    of K (which the theory's pair algebra holds).  It holds no reference to
-    the theory, so the theory's lifetime bounds its own."""
+    """Per-theory caches: memoized interval and circle values, spanning
+    records, dimensions and the Brauer ranks D_K(r) of K (which the
+    theory's pair algebra holds).  It holds no reference to the theory, so
+    the theory's lifetime bounds its own, and it builds nothing: the state
+    space is handed to ``interval_value`` by its caller."""
 
     def __init__(self, t: Theory):
         self.field = t.field
         self.circular = t.circular
-        self.space = t.statespace
         self._act: dict = {}
         self._ival: dict = {}
         self._cval: dict = {}
@@ -380,19 +380,13 @@ class _Context:
         self._dims: dict = {}
         self._brauer: dict = {0: 1}
 
-    def act(self, word: Word) -> Matrix:
-        m = self._act.get(word)
-        if m is None:
-            m = self.space.act(word)
-            self._act[word] = m
-        return m
-
-    def interval_value(self, word: Word, head_label: int | None = None,
+    def interval_value(self, space, word: Word, head_label: int | None = None,
                        tail_label: int | None = None):
+        """The interval carrying word on the theory's state space ``space``."""
         key = (word, head_label, tail_label)
         v = self._ival.get(key)
         if v is None:
-            k = self.space.dim
+            k = space.dim
             for lbl in (head_label, tail_label):
                 if lbl is not None and not 0 <= lbl < k:
                     raise DefektError(
@@ -400,11 +394,14 @@ class _Context:
                         f"dimension {k}"
                     )
             # a labelled end reads one row or column of the action
-            m, head, tail = self.act(word), head_label or 0, tail_label or 0
+            m = self._act.get(word)
+            if m is None:
+                m = self._act[word] = space.act(word)
+            head, tail = head_label or 0, tail_label or 0
             if tail_label is None:
-                m = m * self.space.cyclic
+                m = m * space.final
             if head_label is None:
-                m = self.space.cotrace * m
+                m = space.init * m
             v = m[head, tail]
             self._ival[key] = v
         return v
@@ -443,7 +440,8 @@ def evaluate_closed(t: Theory, d: Diagram):
         if isinstance(c, FloatingCircle):
             val = val * ctx.circle_value(c.word)
         elif isinstance(c, FloatingInterval):
-            val = val * ctx.interval_value(c.word, c.head_label, c.tail_label)
+            val = val * ctx.interval_value(t.statespace, c.word, c.head_label,
+                                           c.tail_label)
         else:
             raise NotClosed("a boundary-attached component remains")
     return val
@@ -466,6 +464,7 @@ def _spanning_records(t: Theory, eps: str) -> list:
     recs = ctx._records.get(eps)
     if recs is not None:
         return recs
+    space = t.statespace
     ins = tuple(i for i, s in enumerate(eps) if s == "-")
     outs = tuple(i for i, s in enumerate(eps) if s == "+")
     recs = []
@@ -477,8 +476,8 @@ def _spanning_records(t: Theory, eps: str) -> list:
 
     for j in range(min(len(ins), len(outs)) + 1):
         for ci, co in product(combinations(ins, j), combinations(outs, j)):
-            halves = ([(p, _KET, ctx.space.word_basis) for p in outs if p not in co]
-                      + [(p, _BRA, ctx.space.cobasis_words) for p in ins if p not in ci])
+            halves = ([(p, _KET, space.word_basis) for p in outs if p not in co]
+                      + [(p, _BRA, space.cobasis_words) for p in ins if p not in ci])
             for matched in permutations(co):
                 for arc_ws in product(t.arc_words, repeat=j):
                     for half_ws in product(*(words for _, _, words in halves)):
@@ -560,7 +559,7 @@ def _dim_of(t: Theory, eps: str) -> int:
     p, m = eps.count("+"), eps.count("-")
     if (p, m) in ctx._dims:
         return ctx._dims[p, m]
-    k = ctx.space.dim
+    k = t.statespace.dim
     terms = [(r, c) for r in range(min(p, m) + 1)
              if (c := comb(p, r) * comb(m, r) * k ** (p + m - 2 * r))]
     top = terms[-1][0] if terms else 0

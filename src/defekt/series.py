@@ -6,7 +6,8 @@ Both are presented finitely:
 
 - :class:`LinearRepresentation` gives interval values as
   ``init * letters[w1] * ... * letters[wn] * final`` (weighted-automaton
-  style, one matrix per letter);
+  style, one matrix per letter); the minimal state space that
+  ``universal.minimize`` builds is one;
 - :class:`CircularRepresentation` gives circle values as
   ``trace(weight * letters[w1] * ... * letters[wn])``, with the weight
   commuting with every letter of a larger alphabet so the value only
@@ -15,8 +16,10 @@ Both are presented finitely:
   generating function P/Q with Q(0) != 0, the n-th Taylor coefficient being
   the value on the word with n letters.
 
-Words are plain tuples of letter indices; cyclic words are stored in a
-canonical minimal rotation so equal rotation classes compare equal.
+Both representation kinds share one base that holds and checks the
+letter matrices and gives ``act``.  Words are plain tuples of letter
+indices; cyclic words are stored in a canonical minimal rotation so equal
+rotation classes compare equal.
 """
 from __future__ import annotations
 
@@ -90,40 +93,50 @@ def _word_action(field: Field, dim: int, letters: tuple, word) -> Matrix:
     return m
 
 
-class LinearRepresentation:
-    """Finite presentation of an interval evaluation:
-    value(w) = init * letters[w1] * ... * letters[wn] * final."""
+class _Representation:
+    """A dimension and one square matrix per alphabet letter, over one
+    field, immutable; ``act(w)`` is the product of the letters along w."""
 
-    __slots__ = ("field", "num_letters", "dim", "init", "letters", "final")
+    __slots__ = ("field", "num_letters", "dim", "letters")
 
-    def __init__(self, field: Field, num_letters: int, dim: int, init: Matrix,
-                 letters, final: Matrix):
+    def __init__(self, field: Field, num_letters: int, dim: int, letters):
         letters = tuple(letters)
         if len(letters) != num_letters:
             raise FieldMismatch("one matrix per alphabet letter is required")
-        if init.rows != 1 or init.cols != dim:
-            raise FieldMismatch(f"init must be 1x{dim}")
-        if final.rows != dim or final.cols != 1:
-            raise FieldMismatch(f"final must be {dim}x1")
         for m in letters:
             if m.rows != dim or m.cols != dim:
                 raise FieldMismatch(f"letter matrices must be {dim}x{dim}")
             if m.field != field:
                 raise FieldMismatch("letter matrix over the wrong field")
-        if init.field != field or final.field != field:
-            raise FieldMismatch("boundary vectors over the wrong field")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num_letters", num_letters)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "init", init)
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "final", final)
 
     def __setattr__(self, name, value):
-        raise AttributeError("LinearRepresentation is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def act(self, word) -> Matrix:
         return _word_action(self.field, self.dim, self.letters, word)
+
+
+class LinearRepresentation(_Representation):
+    """Finite presentation of an interval evaluation:
+    value(w) = init * letters[w1] * ... * letters[wn] * final."""
+
+    __slots__ = ("init", "final")
+
+    def __init__(self, field: Field, num_letters: int, dim: int, init: Matrix,
+                 letters, final: Matrix):
+        super().__init__(field, num_letters, dim, letters)
+        if init.rows != 1 or init.cols != dim:
+            raise FieldMismatch(f"init must be 1x{dim}")
+        if final.rows != dim or final.cols != 1:
+            raise FieldMismatch(f"final must be {dim}x1")
+        if init.field != field or final.field != field:
+            raise FieldMismatch("boundary vectors over the wrong field")
+        object.__setattr__(self, "init", init)
+        object.__setattr__(self, "final", final)
 
     def value(self, word):
         w = _check_word(self.num_letters, word)
@@ -133,7 +146,7 @@ class LinearRepresentation:
         return (row * self.final)[0, 0]
 
 
-class CircularRepresentation:
+class CircularRepresentation(_Representation):
     """Finite presentation of a circular evaluation:
     value(w) = trace(weight * letters[w1] * ... * letters[wn]).
 
@@ -143,40 +156,23 @@ class CircularRepresentation:
     word itself, so any weight will do.
     """
 
-    __slots__ = ("field", "num_letters", "dim", "letters", "weight")
+    __slots__ = ("weight",)
 
     def __init__(self, field: Field, num_letters: int, dim: int, letters,
                  weight: Matrix):
-        letters = tuple(letters)
-        if len(letters) != num_letters:
-            raise FieldMismatch("one matrix per alphabet letter is required")
+        super().__init__(field, num_letters, dim, letters)
         if weight.rows != dim or weight.cols != dim:
             raise FieldMismatch(f"weight must be {dim}x{dim}")
         if weight.field != field:
             raise FieldMismatch("weight matrix over the wrong field")
-        for m in letters:
-            if m.rows != dim or m.cols != dim:
-                raise FieldMismatch(f"letter matrices must be {dim}x{dim}")
-            if m.field != field:
-                raise FieldMismatch("letter matrix over the wrong field")
         if num_letters >= 2:
-            for i, m in enumerate(letters):
+            for i, m in enumerate(self.letters):
                 if weight * m != m * weight:
                     raise FieldMismatch(
                         f"weight does not commute with letter {i}; circle "
                         "values would depend on the rotation"
                     )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num_letters", num_letters)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "weight", weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CircularRepresentation is immutable")
-
-    def act(self, word) -> Matrix:
-        return _word_action(self.field, self.dim, self.letters, word)
 
     def value(self, word):
         return (self.weight * self.act(word)).trace()

@@ -3,7 +3,9 @@
 ``minimize`` turns a linear presentation of an interval evaluation into the
 minimal state space it generates: restrict to the span reachable from the
 initial covector, then quotient by the span reachable from the final vector.
-The resulting dimension equals the rank of the (word x word) value matrix.
+The result, a ``StateSpace``, is itself the minimal ``LinearRepresentation``
+of the evaluation, with its basis and cobasis word families; its dimension
+equals the rank of the (word x word) value matrix.
 Every word family of this module (the two sides of ``minimize``, the
 cobasis words and the arc words) comes from one breadth-first saturation,
 ``_saturate``, and is the first length-then-lex family of words whose
@@ -61,7 +63,6 @@ from .series import (
     _read_circrep,
     _read_linrep,
     _read_rational1,
-    _word_action,
     rational_to_rep,
 )
 
@@ -83,45 +84,24 @@ __all__ = [
 ]
 
 
-class StateSpace:
-    """Minimal state space of an interval evaluation.
+class StateSpace(LinearRepresentation):
+    """Minimal state space of an interval evaluation: its minimal linear
+    representation.
 
-    ``value(w) = cotrace * action(w) * cyclic`` reproduces the evaluation;
-    ``action(w) * cyclic`` is the class of the word w, and the classes of
+    ``value(w) = init * act(w) * final`` reproduces the evaluation;
+    ``act(w) * final`` is the class of the word w, and the classes of
     ``word_basis`` are exactly the standard basis vectors, in order.
-    ``cobasis_words`` is the analogous covector-side word family.
+    ``cobasis_words`` is the analogous covector-side word family: the rows
+    ``init * act(w)`` of its words are independent.
     """
 
-    __slots__ = (
-        "field",
-        "num_letters",
-        "dim",
-        "action",
-        "cyclic",
-        "cotrace",
-        "word_basis",
-        "cobasis_words",
-    )
+    __slots__ = ("word_basis", "cobasis_words")
 
-    def __init__(self, field, num_letters, dim, action, cyclic, cotrace,
+    def __init__(self, field, num_letters, dim, init, letters, final,
                  word_basis, cobasis_words):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num_letters", num_letters)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "action", tuple(action))
-        object.__setattr__(self, "cyclic", cyclic)
-        object.__setattr__(self, "cotrace", cotrace)
+        super().__init__(field, num_letters, dim, init, letters, final)
         object.__setattr__(self, "word_basis", tuple(word_basis))
         object.__setattr__(self, "cobasis_words", tuple(cobasis_words))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateSpace is immutable")
-
-    def act(self, word) -> Matrix:
-        return _word_action(self.field, self.dim, self.action, word)
-
-    def value(self, word):
-        return (self.cotrace * self.act(word) * self.cyclic)[0, 0]
 
     def pairing_matrix(self) -> Matrix:
         """P[i][j] = value(word_basis[i] + word_basis[j])."""
@@ -136,16 +116,9 @@ class StateSpace:
 
 
 def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
-    return StateSpace(
-        field,
-        num_letters,
-        0,
-        tuple(Matrix.zeros(field, 0, 0) for _ in range(num_letters)),
-        Matrix.zeros(field, 0, 1),
-        Matrix.zeros(field, 1, 0),
-        (),
-        (),
-    )
+    return StateSpace(field, num_letters, 0, Matrix.zeros(field, 1, 0),
+                      (Matrix.zeros(field, 0, 0),) * num_letters,
+                      Matrix.zeros(field, 0, 1), (), ())
 
 
 def _saturate(field: Field, start: tuple, letters: tuple,
@@ -208,16 +181,17 @@ def _lines(e: list, r: int, c: int, columns: bool) -> list:
 
 
 def minimize(rep: LinearRepresentation) -> StateSpace:
-    """Minimal state space generated by an interval presentation.
+    """The minimal state space of an interval presentation: the minimal
+    linear representation with the same values.
 
     Three word families, each from :func:`_saturate`: the covector side
     (rows init * act(w), words extended at the end), restriction to their
     span, then the vector side (columns act(w) * final on the restricted
     presentation, words extended at the front) and the quotient by it;
-    finally the cobasis words, rows cotrace * action(w) on the state
-    space.  The restriction and the quotient solve for all letters at once.
-    Each family is the first length-then-lex family of words with
-    independent vectors, and stabilizes at word length <= rep.dim.
+    finally the cobasis words, rows init * act(w) on the state space.  The
+    restriction and the quotient solve for all letters at once.  Each
+    family is the first length-then-lex family of words with independent
+    vectors, and stabilizes at word length <= rep.dim.
     """
     F, nl = rep.field, rep.num_letters
 
@@ -235,15 +209,15 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
         return _zero_statespace(F, nl)
     V = Vt.transpose()
     k = V.cols
-    action = tuple(_solve_blocks(V, [r * V for r in restricted]))
+    letters = tuple(_solve_blocks(V, [r * V for r in restricted]))
     # the initial covector is the first kept forward row and gamma1 the
     # first kept column, so their coordinates are e_0 on either side
-    cyclic = Matrix._raw(F, (1,) + (0,) * (k - 1), 1, k, 1)
-    cotrace = V._sub([0])
+    final = Matrix._raw(F, (1,) + (0,) * (k - 1), 1, k, 1)
+    init = V._sub([0])
 
-    # covector-side word family: rows cotrace * action(w)
-    cobasis = _saturate(F, (cotrace,), (action,))[0]
-    return StateSpace(F, nl, k, action, cyclic, cotrace, word_basis, cobasis)
+    # covector-side word family: rows init * act(w)
+    cobasis = _saturate(F, (init,), (letters,))[0]
+    return StateSpace(F, nl, k, init, letters, final, word_basis, cobasis)
 
 
 def _solve_blocks(A: Matrix, rhs: list) -> list:
@@ -257,7 +231,7 @@ def interval_trace_series(s: StateSpace) -> CircularRepresentation:
     """The circular evaluation tracing the interval action: the circle with
     word w gets the trace of w's action on the state space."""
     return CircularRepresentation(
-        s.field, s.num_letters, s.dim, s.action,
+        s.field, s.num_letters, s.dim, s.letters,
         Matrix.identity(s.field, s.dim),
     )
 
@@ -276,7 +250,7 @@ def _arc_states(ss: StateSpace, circ: CircularRepresentation) -> list[tuple]:
     saturation's rows."""
     F, k, m = ss.field, ss.dim, circ.dim
     start = (Matrix.identity(F, k), Matrix.identity(F, m))
-    words, S = _saturate(F, start, (ss.action, circ.letters))
+    words, S = _saturate(F, start, (ss.letters, circ.letters))
     n, num, d = S.cols, S._num, S._den
     return [(w, Matrix._of_ints(F, num[i * n:i * n + k * k], d, k, k),
              Matrix._of_ints(F, num[i * n + k * k:(i + 1) * n], d, m, m))
@@ -596,6 +570,17 @@ THEORY_CACHE = 64
 _theories = LRU(THEORY_CACHE)
 
 
+def _read_rational_part(field: Field, alphabet: tuple, doc, path: str) -> tuple:
+    """A rational1 part in lowest terms: it needs an alphabet of at most one
+    letter, and an empty alphabet admits only constant data."""
+    if len(alphabet) > 1:
+        raise SchemaError(f"{path}.kind", "rational1 needs an alphabet of size <= 1")
+    num, den = part = _read_rational1(field, doc, path)
+    if not alphabet and num and (len(num) > 1 or len(den) > 1):
+        raise SchemaError(path, "an empty alphabet admits only constant data")
+    return part
+
+
 def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     """Build a Theory from its JSON document.
 
@@ -607,18 +592,18 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     The document is always read and validated in full, in two stages.
     First every scalar is read through the scalar grammar straight to
     integers (``Field._read_vector`` and ``Field._read_matrix``), and a
-    rational1 part is put in lowest terms on those integers.  The content
-    of the document is then the field (compared by ``==``), the letter
-    names and, for each part, its kind with its dimension and integers or
-    its reduced coefficients.  A document whose content equals that of
-    one of the last ``THEORY_CACHE`` theories returned gets that same
-    Theory back, with all it has built, and no field value, matrix or
-    realisation is made for it; beyond the bound the least recently
-    returned theory is dropped.  Otherwise the matrices are built from
-    the integers already read, and the checks that need them run before
-    the theory is kept: a tracerep weight must commute with the letters,
-    and rational circle data on an empty alphabet must be constant.  The
-    command line parses one theory per process.
+    rational1 part is put in lowest terms on those integers, where on an
+    empty alphabet it must be constant.  The content of the document is
+    then the field (compared by ``==``), the letter names and, for each
+    part, its kind with its dimension and integers or its reduced
+    coefficients.  A document whose content equals that of one of the
+    last ``THEORY_CACHE`` theories returned gets that same Theory back,
+    with all it has built, and no field value, matrix or realisation is
+    made for it; beyond the bound the least recently returned theory is
+    dropped.  Otherwise the matrices are built from the integers already
+    read, and the one check that needs them runs before the theory is
+    kept: a tracerep weight must commute with the letters.  The command
+    line parses one theory per process.
     """
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")
@@ -639,16 +624,7 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     if kind == "linrep":
         ipart = _read_linrep(field, alphabet, idoc, "interval")
     elif kind == "rational1":
-        if len(alphabet) > 1:
-            raise SchemaError(
-                "interval.kind", "rational1 needs an alphabet of size <= 1"
-            )
-        ipart = _read_rational1(field, idoc, "interval")
-        num, den = ipart
-        if not alphabet and num and (len(num) > 1 or len(den) > 1):
-            raise SchemaError(
-                "interval", "an empty alphabet admits only constant data"
-            )
+        ipart = _read_rational_part(field, alphabet, idoc, "interval")
     else:
         raise SchemaError("interval.kind", f"unknown kind {kind!r}")
 
@@ -660,11 +636,7 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     if ckind == "tracerep":
         cpart = _read_circrep(field, alphabet, cdoc, "circular")
     elif ckind == "rational1":
-        if len(alphabet) > 1:
-            raise SchemaError(
-                "circular.kind", "rational1 needs an alphabet of size <= 1"
-            )
-        cpart = _read_rational1(field, cdoc, "circular")
+        cpart = _read_rational_part(field, alphabet, cdoc, "circular")
     elif ckind != "trace_of_interval":
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
 

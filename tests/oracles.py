@@ -468,7 +468,7 @@ def idempotent_flags_by_pairs(pa):
             total == pa.unit)
 
 
-def pair_value(ctx, x, y):
+def pair_value(t, x, y):
     """Closed evaluation of a spanning record x of A(eps) against the mirror
     of a spanning record y of A(mirror_signs(eps)), as ``compose`` and
     ``evaluate_closed`` would give it.
@@ -479,6 +479,7 @@ def pair_value(ctx, x, y):
     appending the words in evaluation order: from a covector head it ends
     at a state vector (an interval), from an arc head of x it comes back
     (a circle)."""
+    ctx = _context(t)
     n = len(x)
     sides = (x, tuple((kind, w, None if q is None else n - 1 - q)
                       for kind, w, q in reversed(y)))
@@ -490,7 +491,7 @@ def pair_value(ctx, x, y):
             kind, w, tail = sides[side][p]
             word = word + w
             if kind == "ket":
-                return ctx.interval_value(word)
+                return ctx.interval_value(t.statespace, word)
             if side == 0:
                 heads_seen.add(p)
             side, p = 1 - side, tail
@@ -512,9 +513,8 @@ def pair_value(ctx, x, y):
 def gram_rows(t, eps):
     """The Gram matrix of A(eps): the spanning records of A(mirror eps), one
     per row, paired with those of A(eps), one per column."""
-    ctx = _context(t)
     xs = _spanning_records(t, eps)
-    return [[pair_value(ctx, x, y) for x in xs]
+    return [[pair_value(t, x, y) for x in xs]
             for y in _spanning_records(t, mirror_signs(eps))]
 
 

@@ -114,6 +114,14 @@ def test_minimize_reports_the_model(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("part", ["interval", "circular"])
+def test_rational_data_on_an_empty_alphabet_must_be_constant(tmp_path, capsys, part):
+    theory = dict(EVAL1, **{part: {"kind": "rational1", "num": ["1", "1"], "den": ["1"]}})
+    code, doc = run_cli(capsys, "invariants", write(tmp_path, "t.json", theory))
+    assert code == 2
+    assert doc["error"]["path"] == part
+    assert doc["error"]["message"].endswith("an empty alphabet admits only constant data")
+
 def test_frobenius_extract(tmp_path, capsys):
     code, doc = run_cli(capsys, "frobenius-extract",
                         write(tmp_path, "t.json", EX3))

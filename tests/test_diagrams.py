@@ -259,9 +259,9 @@ def test_labelled_interval_is_dual_basis_pairing():
             assert evaluate_closed(t, Diagram("", "", (lettered,))) == act_a[j, i]
     for j in range(space.dim):
         head_only = FloatingInterval((), head_label=j)
-        assert evaluate_closed(t, Diagram("", "", (head_only,))) == space.cyclic[j, 0]
+        assert evaluate_closed(t, Diagram("", "", (head_only,))) == space.final[j, 0]
         tail_only = FloatingInterval((), tail_label=j)
-        assert evaluate_closed(t, Diagram("", "", (tail_only,))) == space.cotrace[0, j]
+        assert evaluate_closed(t, Diagram("", "", (tail_only,))) == space.init[0, j]
 
 
 def test_inner_label_out_of_range():
@@ -391,6 +391,18 @@ def test_closed_evaluation_saturates_no_arc_words():
     d = Diagram("", "", (FloatingInterval((0, 1)), FloatingCircle((1,))))
     assert evaluate_closed(t, d) == t.statespace.value((0, 1)) * t.circular.value((1,))
     assert "arc_states" not in vars(t) and "arc_words" not in vars(t)
+
+
+def test_closed_circles_build_no_state_space():
+    # circles read the circle data only; the interval's state space is
+    # minimized when the first interval value needs it
+    c = BY_NAME["two_letter_qq"]
+    t = Theory(c.field, c.alphabet, c.interval, c.circular)
+    assert evaluate_closed(t, Diagram("", "", (FloatingCircle((0, 1)),))) == (
+        t.circular.value((0, 1)))
+    assert "statespace" not in vars(t)
+    evaluate_closed(t, Diagram("", "", (FloatingInterval((0,)),)))
+    assert "statespace" in vars(t)
 
 
 def test_kernel_algebra_is_built_once_per_pair_algebra(monkeypatch):

@@ -39,6 +39,20 @@ def test_every_private_function_is_used():
     assert [full for full, name in private if name not in used] == []
 
 
+def test_slotted_classes_stay_slotted():
+    # a subclass of a slotted class that declares no __slots__ of its own
+    # gets a __dict__ on every instance
+    seen = 0
+    for info in pkgutil.iter_modules(defekt.__path__):
+        module = importlib.import_module(f"defekt.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and any("__slots__" in vars(b) for b in cls.__mro__[1:])):
+                seen += 1
+                assert "__slots__" in vars(cls), cls.__qualname__
+    assert seen >= 3
+
+
 def test_readme_quick_start_runs():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]

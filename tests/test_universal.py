@@ -74,7 +74,7 @@ def test_minimize_polynomial_plus_dot():
     ss = minimize(rep)
     assert ss.dim == 2
     assert ss.word_basis == ((), (0,))
-    a = ss.action[0]
+    a = ss.letters[0]
     assert (a * a).is_zero()
     assert ss.pairing_matrix().to_lists() == [["3", "1"], ["1", "0"]]
 
@@ -146,6 +146,18 @@ ORDER_SENSITIVE = (
                          Matrix.col_vector(QQ, [1, 0, 0, 0])),
     CircularRepresentation(QQ, 2, 1, [Matrix(QQ, [[1]])] * 2, Matrix(QQ, [[1]])),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_minimize_is_idempotent(case):
+    # the state space is a linear representation, and already minimal
+    ss = minimize(case[0])
+    again = minimize(ss)
+    assert isinstance(ss, LinearRepresentation)
+    assert (again.dim, again.letters, again.init, again.final) == (
+        ss.dim, ss.letters, ss.init, ss.final)
+    assert (again.word_basis, again.cobasis_words) == (ss.word_basis, ss.cobasis_words)
 
 
 @settings(max_examples=40, deadline=None)
@@ -772,8 +784,7 @@ def test_saturations_and_pair_products_form_no_product_per_word_or_pair(monkeypa
         monkeypatch.setattr(owner, name, wrapped)
 
     corpus = theory_corpus()
-    # StateSpace.act reads universal's name, the representations' series'
-    monkeypatch.setattr(universal, "_word_action", counted_act)
+    # every act, the state space's too, goes through series._word_action
     monkeypatch.setattr(series, "_word_action", counted_act)
     monkeypatch.setattr(Matrix, "__mul__", counted_mul)
     within(universal, "_saturate")
