@@ -29,13 +29,14 @@ from math import comb, factorial
 
 from .errors import (
     BoundaryMismatch,
-    DefektError,
+    InvalidArgument,
     NotClosed,
     OrientationClash,
     SchemaError,
     SizeBound,
 )
 from .exactla import Matrix
+from .lru import LRU
 from .series import Word, _check_word, canonical_rotation, word_from_json
 from .universal import Theory
 
@@ -64,6 +65,9 @@ SIZE_BOUND = 8
 # Most Gram entries a dimension is ranked from: D_K(r) pairs r! (dim K)^r
 # elements, so a short boundary can exceed it when K is large.
 GRAM_BOUND = 2 ** 18
+
+# Most interval and most circle values each theory's context keeps.
+VALUE_MEMO = 512
 
 
 def _check_size(n: int, what: str) -> None:
@@ -155,7 +159,9 @@ class Diagram:
 
     Every boundary point is used by exactly one component, and arcs must
     flow from an in-point to an out-point; violations raise
-    BoundaryMismatch or OrientationClash at construction.
+    BoundaryMismatch or OrientationClash at construction.  The diagrams
+    that ``compose``, ``mirror`` and ``tensor`` build from checked ones are
+    valid by construction and are not checked again (``_built``).
     """
 
     bottom: str
@@ -167,6 +173,13 @@ class Diagram:
         _check_signs(self.bottom, "bottom")
         _check_signs(self.top, "top")
         self._validate()
+
+    @classmethod
+    def _built(cls, bottom: str, top: str, components: tuple) -> "Diagram":
+        """A diagram the library built from checked diagrams, unchecked."""
+        d = object.__new__(cls)
+        vars(d).update(bottom=bottom, top=top, components=components)
+        return d
 
     def _sign_at(self, ref: tuple) -> str:
         side, i = ref
@@ -242,8 +255,8 @@ def mirror(d: Diagram) -> Diagram:
             return ("bottom", nt - 1 - i)
         return ("top", nb - 1 - i)
 
-    return Diagram(mirror_signs(d.top), mirror_signs(d.bottom),
-                   _moved(d.components, flip))
+    return Diagram._built(mirror_signs(d.top), mirror_signs(d.bottom),
+                          _moved(d.components, flip))
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
@@ -254,8 +267,8 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
         side, i = ref
         return (side, i + (b_off if side == "bottom" else t_off))
 
-    return Diagram(d1.bottom + d2.bottom, d1.top + d2.top,
-                   d1.components + _moved(d2.components, shift))
+    return Diagram._built(d1.bottom + d2.bottom, d1.top + d2.top,
+                          d1.components + _moved(d2.components, shift))
 
 
 # -- gluing -------------------------------------------------------------------
@@ -357,25 +370,25 @@ def compose(t: Theory, d1: Diagram, d2: Diagram) -> Diagram:
         else:
             new_comps.append(FloatingInterval(word, head[1], tail[1]))
 
-    return Diagram(d1.bottom, d2.top, tuple(floats) + tuple(new_comps))
+    return Diagram._built(d1.bottom, d2.top, tuple(floats) + tuple(new_comps))
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
 class _Context:
-    """Per-theory caches: memoized interval and circle values, spanning
-    records, dimensions and the Brauer ranks D_K(r) of K (which the
-    theory's pair algebra holds).  It holds no reference to the theory, so
-    the theory's lifetime bounds its own, and it builds nothing: the state
-    space is handed to ``interval_value`` by its caller."""
+    """Per-theory caches: the last ``VALUE_MEMO`` interval and circle
+    values each, spanning records, dimensions and the Brauer ranks D_K(r)
+    of K (which the theory's pair algebra holds).  It holds no reference to
+    the theory, so the theory's lifetime bounds its own, and it builds
+    nothing: the state space is handed to ``interval_value`` by its
+    caller."""
 
     def __init__(self, t: Theory):
         self.field = t.field
         self.circular = t.circular
-        self._act: dict = {}
-        self._ival: dict = {}
-        self._cval: dict = {}
+        self._ival = LRU(VALUE_MEMO)
+        self._cval = LRU(VALUE_MEMO)
         self._records: dict = {}
         self._dims: dict = {}
         self._brauer: dict = {0: 1}
@@ -384,33 +397,29 @@ class _Context:
                        tail_label: int | None = None):
         """The interval carrying word on the theory's state space ``space``."""
         key = (word, head_label, tail_label)
-        v = self._ival.get(key)
+        v = self._ival.hit(key)
         if v is None:
             k = space.dim
             for lbl in (head_label, tail_label):
                 if lbl is not None and not 0 <= lbl < k:
-                    raise DefektError(
+                    raise InvalidArgument(
                         f"inner label {lbl} outside a state space of "
                         f"dimension {k}"
                     )
             # a labelled end reads one row or column of the action
-            m = self._act.get(word)
-            if m is None:
-                m = self._act[word] = space.act(word)
+            m = space.act(word)
             head, tail = head_label or 0, tail_label or 0
             if tail_label is None:
                 m = m * space.final
             if head_label is None:
                 m = space.init * m
-            v = m[head, tail]
-            self._ival[key] = v
+            v = self._ival.keep(key, m[head, tail])
         return v
 
     def circle_value(self, word: Word):
-        v = self._cval.get(word)
+        v = self._cval.hit(word)
         if v is None:
-            v = self.circular.value(word)
-            self._cval[word] = v
+            v = self._cval.keep(word, self.circular.value(word))
         return v
 
 

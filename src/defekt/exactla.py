@@ -214,12 +214,32 @@ def _scalar(v) -> tuple[int, int]:
     return int(m[1]), den
 
 
+def _collect(exact, doc, shape: tuple, path: str, out: list) -> None:
+    """Append ``exact`` of each scalar of a JSON array of ``shape`` to out."""
+    n = shape[0]
+    if not isinstance(doc, list) or len(doc) != n:
+        what = ("an array of {} scalars", "{} rows", "{} planes")[len(shape) - 1]
+        raise SchemaError(path, "expected " + what.format(n))
+    if len(shape) > 1:
+        inner = shape[1:]
+        for i, x in enumerate(doc):
+            _collect(exact, x, inner, f"{path}[{i}]", out)
+        return
+    for i, x in enumerate(doc):
+        try:
+            out.append(exact(x))
+        except FieldMismatch as e:
+            raise SchemaError(f"{path}[{i}]", str(e)) from None
+
+
 class Field:
     """Abstract ground field: the rationals or a prime field F_p.
 
     Every JSON scalar is read by :func:`_scalar`, then either to a field
     value (``_value``) or straight to its integer form (``_exact``: a
-    residue over F_p, a lowest-terms (numerator, denominator) over QQ)."""
+    residue over F_p, a lowest-terms (numerator, denominator) over QQ).
+    ``_read`` reads a whole array, each entry reduced on its own, so that
+    spellings such as "q/q" cannot inflate the common denominator."""
 
     char: int
     name: str
@@ -235,50 +255,16 @@ class Field:
         FieldMismatch too."""
         return self._value(*_scalar(v))
 
-    def _read_vector(self, doc, n: int, path: str) -> tuple[list, int]:
-        """A JSON array of n scalars as (ints, d), the ints over their lcm
-        denominator (residues over F_p, d = 1); a bad shape raises
-        SchemaError at ``path`` and a bad entry at its own ``path[i]``."""
-        return self._over_one_denominator(self._entries(doc, n, path))
-
-    def _read_matrix(self, doc, rows: int, cols: int, path: str) -> tuple[list, int]:
-        """A JSON array of ``rows`` arrays of ``cols`` scalars as (ints, d),
-        the ints flat in row-major order; a bad shape raises SchemaError at
-        the path of its array and a bad entry at ``path[i][j]``."""
-        return self._over_one_denominator(self._rows(doc, rows, cols, path))
-
-    def _read_cube(self, doc, n: int, path: str) -> tuple[list, int]:
-        """A JSON array of n planes of n rows of n scalars as (ints, d), the
-        ints flat in row-major order; a bad shape raises SchemaError at the
-        path of its array and a bad entry at ``path[i][j][k]``."""
-        if not isinstance(doc, list) or len(doc) != n:
-            raise SchemaError(path, f"expected {n} planes")
-        out = []
-        for i, plane in enumerate(doc):
-            out += self._rows(plane, n, n, f"{path}[{i}]")
+    def _read(self, doc, shape: tuple, path: str) -> tuple[tuple, int]:
+        """A JSON array of shape (n,), (rows, cols) or (n, n, n) as (ints,
+        d), its scalars' ``_exact`` forms flat in row-major order over their
+        lcm d (residues over F_p, d = 1).  This is canonical: a prime that
+        divides d divides some entry's reduced denominator fully, so not its
+        numerator.  A bad shape raises SchemaError at the path of its array,
+        a bad entry at its own path, ``path[i]...``."""
+        out: list = []
+        _collect(self._exact, doc, shape, path, out)
         return self._over_one_denominator(out)
-
-    def _rows(self, doc, rows: int, cols: int, path: str) -> list:
-        """The integer forms (``_exact``) of a rows x cols JSON array of
-        scalars, flat in row-major order."""
-        if not isinstance(doc, list) or len(doc) != rows:
-            raise SchemaError(path, f"expected {rows} rows")
-        out = []
-        for i, row in enumerate(doc):
-            out += self._entries(row, cols, f"{path}[{i}]")
-        return out
-
-    def _entries(self, doc, n: int, path: str) -> list:
-        """The integer forms (``_exact``) of a JSON array of n scalars."""
-        if not isinstance(doc, list) or len(doc) != n:
-            raise SchemaError(path, f"expected an array of {n} scalars")
-        out = []
-        for i, x in enumerate(doc):
-            try:
-                out.append(self._exact(x))
-            except FieldMismatch as e:
-                raise SchemaError(f"{path}[{i}]", str(e)) from None
-        return out
 
     def format(self, x) -> str:
         raise NotImplementedError
@@ -313,9 +299,9 @@ class RationalField(Field):
         return n // g, d // g
 
     @staticmethod
-    def _over_one_denominator(pairs) -> tuple[list, int]:
+    def _over_one_denominator(pairs) -> tuple[tuple, int]:
         d = lcm(*[q for _, q in pairs])
-        return [n * (d // q) for n, q in pairs], d
+        return tuple([n * (d // q) for n, q in pairs]), d
 
     def format(self, x) -> str:
         try:
@@ -386,8 +372,8 @@ class PrimeField(Field):
         return self._residue(*_scalar(v))
 
     @staticmethod
-    def _over_one_denominator(residues) -> tuple[list, int]:
-        return residues, 1
+    def _over_one_denominator(residues) -> tuple[tuple, int]:
+        return tuple(residues), 1
 
     def format(self, x) -> str:
         return str(x.v)
@@ -662,9 +648,9 @@ class Matrix:
     def from_lists(field: Field, lists, rows: int, cols: int,
                    path: str = "matrix") -> "Matrix":
         """Read a JSON array of ``rows`` arrays of ``cols`` exact scalars
-        (see :meth:`Field._read_matrix` for the paths of errors)."""
-        return Matrix._of_ints(field, *field._read_matrix(lists, rows, cols, path),
-                               rows, cols)
+        (see :meth:`Field._read` for the paths of errors), built as read:
+        the reader's ints are already canonical."""
+        return Matrix._raw(field, *field._read(lists, (rows, cols), path), rows, cols)
 
     def to_lists(self) -> list:
         return [[self.field.format(x) for x in row] for row in self.data]

@@ -632,8 +632,8 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     "trace":[...]}; a missing or null basis means the names e0, e1, ...
 
     The document is always read and validated in full: every scalar goes
-    through the scalar grammar straight to integers (``Field._read_cube``
-    and ``Field._read_vector``), and any error is raised before a lookup.
+    through the scalar grammar straight to integers (``Field._read``),
+    and any error is raised before a lookup.
     The content of the document is then the field (compared by ``==``),
     the basis names, and the cube, unit and trace as (ints, denominator).
     A document whose content equals that of one of the last
@@ -650,18 +650,18 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     if names is not None and (not isinstance(names, list) or len(names) != dim
                               or not all(isinstance(x, str) for x in names)):
         raise SchemaError(f"{path}.basis", f"expected {dim} basis names")
-    cube, D = field._read_cube(doc.get("mult"), dim, f"{path}.mult")
+    cube, D = field._read(doc.get("mult"), (dim, dim, dim), f"{path}.mult")
     # the default names are built only now, once mult has shown dim is real
     names = tuple(names or [f"e{i}" for i in range(dim)])
-    unit, du = field._read_vector(doc.get("unit"), dim, f"{path}.unit")
-    trace, dt = field._read_vector(doc.get("trace"), dim, f"{path}.trace")
-    key = (field, names, tuple(cube), D, tuple(unit), du, tuple(trace), dt)
+    unit, du = field._read(doc.get("unit"), (dim,), f"{path}.unit")
+    trace, dt = field._read(doc.get("trace"), (dim,), f"{path}.trace")
+    key = (field, names, cube, D, unit, du, trace, dt)
     b = _algebras.hit(key)
     if b is not None:
         return b
     return _algebras.keep(key, FrobeniusAlgebra._of_cube(
-        field, names, (cube, D), Matrix._of_ints(field, unit, du, dim, 1),
-        Matrix._of_ints(field, trace, dt, 1, dim)))
+        field, names, (cube, D), Matrix._raw(field, unit, du, dim, 1),
+        Matrix._raw(field, trace, dt, 1, dim)))
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
@@ -677,7 +677,7 @@ def frobenius_to_json(b: FrobeniusAlgebra) -> dict:
 
 
 def element_from_json(b: FrobeniusAlgebra, doc, path: str) -> Matrix:
-    return b._column(*b.field._read_vector(doc, b.dim, path))
+    return Matrix._raw(b.field, *b.field._read(doc, (b.dim,), path), b.dim, 1)
 
 
 # Largest genus a surface document may give a component: evaluation takes

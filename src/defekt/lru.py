@@ -1,5 +1,6 @@
 """The bounded, content-keyed caches of parsed documents
-(``universal.theory_from_json`` and ``frobenius.frobenius_from_json``)."""
+(``universal.theory_from_json`` and ``frobenius.frobenius_from_json``) and
+of the values a theory's diagrams evaluate to (``diagrams._Context``)."""
 from collections import OrderedDict
 
 

@@ -404,14 +404,8 @@ def word_to_str(alphabet, word) -> str:
 # grammar into ints, as a hashable tuple that is its content: equal tuples
 # mean equal data, and every check they make has then passed.  ``_linrep``,
 # ``_circrep`` and ``RationalFunction1._of_lowest_terms`` build from such a
-# tuple with no second parse; the weight of a tracerep is checked there,
-# by CircularRepresentation.
-
-
-def _frozen(read) -> tuple:
-    """A reader's (ints, d) with the ints as a tuple, so that it hashes."""
-    ints, d = read
-    return tuple(ints), d
+# tuple as it is (``Field._read`` gives canonical ints); the weight of a
+# tracerep is checked there, by CircularRepresentation.
 
 
 def _read_letters(field: Field, alphabet, doc, dim: int, path: str) -> tuple:
@@ -425,7 +419,7 @@ def _read_letters(field: Field, alphabet, doc, dim: int, path: str) -> tuple:
     for name in alphabet:
         if name not in doc:
             raise SchemaError(f"{path}.{name}", "missing letter matrix")
-        out.append(_frozen(field._read_matrix(doc[name], dim, dim, f"{path}.{name}")))
+        out.append(field._read(doc[name], (dim, dim), f"{path}.{name}"))
     return tuple(out)
 
 
@@ -439,8 +433,8 @@ def _read_dim(doc, path: str) -> int:
 def _read_linrep(field: Field, alphabet, doc, path: str) -> tuple:
     """(dim, init, final, letters), each vector and matrix as (ints, d)."""
     dim = _read_dim(doc, path)
-    init = _frozen(field._read_vector(doc.get("init"), dim, f"{path}.init"))
-    final = _frozen(field._read_vector(doc.get("final"), dim, f"{path}.final"))
+    init = field._read(doc.get("init"), (dim,), f"{path}.init")
+    final = field._read(doc.get("final"), (dim,), f"{path}.final")
     letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
     return dim, init, final, letters
 
@@ -448,15 +442,15 @@ def _read_linrep(field: Field, alphabet, doc, path: str) -> tuple:
 def _linrep(field: Field, part) -> LinearRepresentation:
     dim, init, final, letters = part
     return LinearRepresentation(
-        field, len(letters), dim, Matrix._of_ints(field, *init, 1, dim),
-        tuple(Matrix._of_ints(field, *m, dim, dim) for m in letters),
-        Matrix._of_ints(field, *final, dim, 1))
+        field, len(letters), dim, Matrix._raw(field, *init, 1, dim),
+        tuple(Matrix._raw(field, *m, dim, dim) for m in letters),
+        Matrix._raw(field, *final, dim, 1))
 
 
 def _read_circrep(field: Field, alphabet, doc, path: str) -> tuple:
     """(dim, weight, letters), each matrix as (ints, d)."""
     dim = _read_dim(doc, path)
-    weight = _frozen(field._read_matrix(doc.get("weight"), dim, dim, f"{path}.weight"))
+    weight = field._read(doc.get("weight"), (dim, dim), f"{path}.weight")
     letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
     return dim, weight, letters
 
@@ -466,16 +460,16 @@ def _circrep(field: Field, part, path: str) -> CircularRepresentation:
     try:
         return CircularRepresentation(
             field, len(letters), dim,
-            tuple(Matrix._of_ints(field, *m, dim, dim) for m in letters),
-            Matrix._of_ints(field, *weight, dim, dim))
+            tuple(Matrix._raw(field, *m, dim, dim) for m in letters),
+            Matrix._raw(field, *weight, dim, dim))
     except FieldMismatch as e:
         raise SchemaError(f"{path}.weight", str(e)) from None
 
 
-def _read_coefficients(field: Field, doc, path: str) -> tuple[list, int]:
+def _read_coefficients(field: Field, doc, path: str) -> tuple[tuple, int]:
     if not isinstance(doc, list):
         raise SchemaError(path, "expected an array of ascending coefficients")
-    return field._read_vector(doc, len(doc), path)
+    return field._read(doc, (len(doc),), path)
 
 
 def _read_lowest_terms(field: Field, num, den, path: str) -> tuple[tuple, tuple]:

@@ -47,8 +47,8 @@ from itertools import islice
 from operator import mul
 
 from .errors import (
-    DefektError,
     FieldMismatch,
+    InvalidArgument,
     SchemaError,
 )
 from .exactla import Echelon, Field, Matrix, _joined, field_from_json, hstack, vstack
@@ -430,7 +430,7 @@ class PairAlgebra:
             raise FieldMismatch("class coordinates have the wrong field or length")
         z = coords._sub(self._K_free)
         if self._K_mat * z != coords:
-            raise DefektError("class does not lie in the kernel ideal")
+            raise InvalidArgument("class does not lie in the kernel ideal")
         return z
 
     def from_K_coords(self, z: Matrix) -> Matrix:
@@ -591,19 +591,18 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
 
     The document is always read and validated in full, in two stages.
     First every scalar is read through the scalar grammar straight to
-    integers (``Field._read_vector`` and ``Field._read_matrix``), and a
-    rational1 part is put in lowest terms on those integers, where on an
-    empty alphabet it must be constant.  The content of the document is
-    then the field (compared by ``==``), the letter names and, for each
-    part, its kind with its dimension and integers or its reduced
-    coefficients.  A document whose content equals that of one of the
-    last ``THEORY_CACHE`` theories returned gets that same Theory back,
-    with all it has built, and no field value, matrix or realisation is
-    made for it; beyond the bound the least recently returned theory is
-    dropped.  Otherwise the matrices are built from the integers already
-    read, and the one check that needs them runs before the theory is
-    kept: a tracerep weight must commute with the letters.  The command
-    line parses one theory per process.
+    canonical integers (``Field._read``), and a rational1 part is put in
+    lowest terms on those integers, where on an empty alphabet it must be
+    constant.  The content of the document is then the field (compared
+    by ``==``), the letter names and, for each part, its kind with its
+    dimension and integers or its reduced coefficients.  A document whose
+    content equals that of one of the last ``THEORY_CACHE`` theories
+    returned gets that same Theory back, with all it has built, and no
+    field value, matrix or realisation is made for it; beyond the bound
+    the least recently returned theory is dropped.  Otherwise the
+    matrices are built as read, and the one check that needs them runs
+    before the theory is kept: a tracerep weight must commute with the
+    letters.  The command line parses one theory per process.
     """
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")

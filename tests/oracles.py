@@ -8,15 +8,18 @@ families by testing every word in turn, word saturations on matrix
 products, pair-algebra products classed one pair at a time, state-space dimensions as the rank of the Gram matrix of
 spanning diagrams, the Frobenius axioms, the window, the center, the
 regular trace form and the knowledgeable-pair axioms checked product by
-product.
+product, and document arrays read one entry at a time through
+``Field.parse``.
 Slow, but unarguable on small inputs.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from defekt.diagrams import _context, _spanning_records, mirror_signs
+from defekt.errors import FieldMismatch, SchemaError
 from defekt.exactla import Matrix, hstack
 from defekt.frobenius import VerifyReport, verify, window
 from defekt.openclosed import KnowledgeableReport
@@ -538,3 +541,32 @@ def beta_by_solves(b, center, reps):
         cols.append(sol)
     mat = hstack(cols) if cols and center else Matrix.zeros(F, len(center), len(reps))
     return mat, lands
+
+
+def read_array(field, doc, shape, path):
+    """What ``Field._read`` gives for a JSON array of the given shape: each
+    entry through ``Field.parse`` in row-major order, then the values as
+    ints over the lcm of their denominators (residues over 1 over F_p).
+    The first bad array or entry in document order raises SchemaError at
+    its own path."""
+    values = []
+
+    def walk(doc, shape, path):
+        n = shape[0]
+        if not isinstance(doc, list) or len(doc) != n:
+            what = {1: f"an array of {n} scalars", 2: f"{n} rows", 3: f"{n} planes"}
+            raise SchemaError(path, f"expected {what[len(shape)]}")
+        for i, x in enumerate(doc):
+            if len(shape) > 1:
+                walk(x, shape[1:], f"{path}[{i}]")
+                continue
+            try:
+                values.append(field.parse(x))
+            except FieldMismatch as e:
+                raise SchemaError(f"{path}[{i}]", e.message) from None
+
+    walk(doc, tuple(shape), path)
+    if field.char:
+        return tuple(v.v for v in values), 1
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d

@@ -152,6 +152,18 @@ def test_eval_diagram(tmp_path, capsys):
     assert doc == {"value": "2"}
 
 
+def test_eval_diagram_names_an_inner_label_out_of_range(tmp_path, capsys):
+    # dim A(+) = 2, so basis index 7 names no basis covector
+    theory = write(tmp_path, "t.json", TWO_LETTER)
+    interval = write(tmp_path, "i.json", {
+        "components": [{"kind": "interval", "word": "ab", "head_label": 7}],
+    })
+    code, doc = run_cli(capsys, "eval-diagram", theory, interval)
+    assert code == 1
+    assert doc == {"error": {"code": "invalid_argument", "message":
+                             "inner label 7 outside a state space of dimension 2"}}
+
+
 def test_eval_diagram_refuses_to_write_a_scalar_over_4300_digits(tmp_path,
                                                                 capsys):
     big = "1" + "0" * 4000

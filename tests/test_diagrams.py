@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from defekt import universal
 from defekt.diagrams import (
     GRAM_BOUND,
+    VALUE_MEMO,
     Arc,
     Diagram,
     FloatingCircle,
@@ -403,6 +404,61 @@ def test_closed_circles_build_no_state_space():
     assert "statespace" not in vars(t)
     evaluate_closed(t, Diagram("", "", (FloatingInterval((0,)),)))
     assert "statespace" in vars(t)
+
+
+def test_value_memos_keep_at_most_value_memo_entries():
+    # the interval and circle values of VALUE_MEMO + 1 distinct words are
+    # right, and each memo keeps only the last VALUE_MEMO of them
+    c = BY_NAME["two_letter_qq"]
+    t = Theory(c.field, c.alphabet, c.interval, c.circular)
+    words = [w for n in range(10) for w in product(range(2), repeat=n)][:VALUE_MEMO + 1]
+    assert len(set(words)) == VALUE_MEMO + 1
+    for w in words:
+        assert evaluate_closed(t, Diagram("", "", (FloatingInterval(w),))) == (
+            t.statespace.value(w))
+        assert evaluate_closed(t, Diagram("", "", (FloatingCircle(w),))) == (
+            t.circular.value(w))
+    ctx = _context(t)
+    assert len(ctx._ival) <= VALUE_MEMO and len(ctx._cval) <= VALUE_MEMO
+    assert not hasattr(ctx, "_act")
+
+
+@pytest.mark.parametrize("name", ["eval1_lam5", "ex3_mu3_lam5", "two_letter_qq",
+                                  "two_letter_f7", "zero_interval_qq", "tqft_fib"])
+def test_built_diagrams_pass_the_full_check(name):
+    # compose, mirror and tensor do not check the diagrams they build from
+    # checked ones; every one of them passes the constructor's check
+    t = BY_NAME[name]
+    built = []
+    for eps in ("+", "+-", "-+", "++-", "+-+-"):
+        xs = spanning_diagrams(t, eps)[:10]
+        cls = closures(t, eps)[:10]
+        through = [tensor(c, x) for c in cls for x in xs[:3]]  # eps -> eps
+        built += cls + through + [mirror(d) for d in through]
+        built += [compose(t, x, c) for x in xs for c in cls]
+        built += [compose(t, x, d) for x in xs[:3] for d in through]
+        built += [compose(t, d, e) for d in through[:4] for e in through[:4]]
+    assert any(d.bottom and d.top for d in built)
+    for d in built:
+        assert Diagram(d.bottom, d.top, d.components) == d
+
+
+def test_parsing_and_composing_two_pieces_checks_each_piece_once(monkeypatch):
+    # the two parsed pieces are checked; what compose, mirror and tensor
+    # build from them is not
+    t = BY_NAME["two_letter_qq"]
+    checked = []
+    real = Diagram._validate
+    monkeypatch.setattr(Diagram, "_validate", lambda d: checked.append(d) or real(d))
+    lower = diagram_from_json(t.alphabet, {"top": "+-", "components": [
+        {"kind": "arc", "from": ["top", 1], "to": ["top", 0], "word": "ab"}]})
+    upper = diagram_from_json(t.alphabet, {"bottom": "+-", "components": [
+        {"kind": "arc", "from": ["bottom", 0], "to": ["bottom", 1], "word": "b"}]})
+    closed = compose(t, lower, upper)
+    assert len(checked) == 2
+    again = tensor(closed, compose(t, mirror(upper), mirror(lower)))
+    assert len(checked) == 2
+    assert evaluate_closed(t, again) == evaluate_closed(t, closed) ** 2
 
 
 def test_kernel_algebra_is_built_once_per_pair_algebra(monkeypatch):

@@ -4,9 +4,13 @@ import contextlib
 import importlib
 import io
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import defekt
+from defekt.exactla import QQ, Matrix, PrimeField
 
 
 def test_every_exported_name_resolves():
@@ -37,6 +41,32 @@ def test_every_private_function_is_used():
                 used |= names
     assert any("." in full for full, _ in private)
     assert [full for full, name in private if name not in used] == []
+
+
+def test_no_module_raises_the_base_error():
+    # every domain failure raises a subclass of DefektError with its own code
+    raised = []
+    for path in Path(defekt.__path__[0]).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                raised.append((path.name, node.lineno, name))
+    assert len(raised) > 50
+    assert [r for r in raised if r[2] == "DefektError"] == []
+
+
+def test_raw_guard_refuses_what_is_not_canonical(raw_guard):
+    # the corpora in conftest.RAW_GUARDED build every Matrix._raw under this
+    # guard; it takes canonical ints and refuses anything else
+    assert Matrix._raw(QQ, (1, 2), 3, 1, 2) == Matrix(QQ, [[Fraction(1, 3), Fraction(2, 3)]])
+    for num, den, rows, cols in [((2, 4), 2, 1, 2), ((1, 2), -3, 1, 2),
+                                 ((1,), 1, 1, 2), ([1, 2], 3, 1, 2)]:
+        with pytest.raises(AssertionError):
+            Matrix._raw(QQ, num, den, rows, cols)
+    with pytest.raises(AssertionError):
+        Matrix._raw(PrimeField(7), (8,), 1, 1, 1)
+    assert len(raw_guard) == 1
 
 
 def test_slotted_classes_stay_slotted():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from defekt.cli import run
 from defekt.errors import FieldMismatch, SchemaError
-from defekt.exactla import PrimeField, QQ, _ints, _wrap
+from defekt.exactla import PrimeField, QQ, _canonical, _ints, _wrap
 from defekt.frobenius import (
     element_from_json,
     frobenius_from_json,
@@ -24,6 +24,7 @@ from defekt.openclosed import knowledgeable_from_json, openclosed_from_json
 from defekt.universal import theory_from_json
 
 from factories import FIELDS, knowledgeable_pair_cyclic, mat2_block
+from oracles import read_array
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -180,22 +181,23 @@ SCALARS = st.one_of(
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from(FIELDS), SCALARS)
 def test_integer_readers_agree_with_parse(field, v):
-    # the vector and the cube reader accept what Field.parse accepts, raise
-    # its message at the entry's path, and their ints wrap to its value
+    # the reader of vectors and cubes accepts what Field.parse accepts,
+    # raises its message at the entry's path, and its ints wrap to its value
     try:
         want = field.parse(v)
     except FieldMismatch as e:
-        for read, doc, path in ((field._read_vector, [v], "$[0]"),
-                                (field._read_cube, [[[v]]], "$[0][0][0]")):
+        for doc, shape, path in (([v], (1,), "$[0]"),
+                                 ([[[v]]], (1, 1, 1), "$[0][0][0]")):
             with pytest.raises(SchemaError) as exc:
-                read(doc, 1, "$")
+                field._read(doc, shape, "$")
             assert exc.value.path == path
             assert exc.value.message == f"{path}: {e.message}"
     else:
-        got = field._read_vector([v], 1, "$")
-        assert got == _ints(field, [want])
+        got = field._read([v], (1,), "$")
+        ints, d = _ints(field, [want])
+        assert got == (tuple(ints), d)
         assert _wrap(field, *got) == (want,)
-        assert field._read_cube([[[v]]], 1, "$") == got
+        assert field._read([[[v]]], (1, 1, 1), "$") == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,12 +209,13 @@ def test_matrix_reader_agrees_with_parse(field, v):
         want = field.parse(v)
     except FieldMismatch as e:
         with pytest.raises(SchemaError) as exc:
-            field._read_matrix([["1", v]], 1, 2, "$")
+            field._read([["1", v]], (1, 2), "$")
         assert exc.value.path == "$[0][1]"
         assert exc.value.message == f"$[0][1]: {e.message}"
     else:
-        got = field._read_matrix([["1", v]], 1, 2, "$")
-        assert got == _ints(field, [field.one, want])
+        got = field._read([["1", v]], (1, 2), "$")
+        ints, d = _ints(field, [field.one, want])
+        assert got == (tuple(ints), d)
         assert _wrap(field, *got) == (field.one, want)
 
 
@@ -225,5 +228,53 @@ def test_matrix_reader_agrees_with_parse(field, v):
 def test_matrix_reader_shape_errors(doc, path, message):
     for field in FIELDS:
         with pytest.raises(SchemaError) as exc:
-            field._read_matrix(doc, 2, 2, "$")
+            field._read(doc, (2, 2), "$")
         assert (exc.value.path, exc.value.message) == (path, f"{path}: {message}")
+
+
+# Well-formed spellings of one scalar, among them "q/q" forms over large
+# primes q, which only a per-entry reduction keeps out of the common
+# denominator, and denominators that 7 divides, which F_7 refuses unless
+# they reduce away; and spellings the grammar refuses.
+SPELLINGS = st.one_of(
+    st.integers(-30, 30),
+    st.from_regex(r"[+-]?[0-9]{1,6}(/[1-9][0-9]{0,5})?", fullmatch=True),
+    st.builds(lambda n, q: f"{n * q}/{q}", st.integers(-3, 3),
+              st.sampled_from([1000003, 998244353, 2 ** 61 - 1])),
+    st.builds(lambda n, k: f"{n}/{7 * k}", st.integers(-20, 20), st.integers(1, 3)),
+)
+REFUSED = st.sampled_from(["1.5", "1/0", " 3", True, None, 0.5])
+SHAPES = st.one_of(st.tuples(st.integers(0, 5)),
+                   st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                   st.integers(0, 2).map(lambda n: (n, n, n)))
+
+
+def _arrays(shape, scalars, exact):
+    """Nested arrays of the given shape; unless exact, any array may also
+    come out too short, too long, or as no array at all."""
+    if not shape:
+        return scalars
+    inner = _arrays(shape[1:], scalars, exact)
+    right = st.lists(inner, min_size=shape[0], max_size=shape[0])
+    if exact:
+        return right
+    return st.one_of(right, right, st.lists(inner, max_size=shape[0] + 1), st.just("1"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QQ, F7]), SHAPES, st.booleans(), st.data())
+def test_array_reader_matches_the_per_entry_reference(field, shape, exact, data):
+    # Field._read gives what reading entry by entry through Field.parse
+    # gives, already in canonical form, and raises the same error at the
+    # same path at every depth
+    doc = data.draw(_arrays(shape, SPELLINGS if exact else SPELLINGS | REFUSED, exact))
+    try:
+        want = read_array(field, doc, shape, "$")
+    except SchemaError as e:
+        with pytest.raises(SchemaError) as exc:
+            field._read(doc, shape, "$")
+        assert (exc.value.path, exc.value.message) == (e.path, e.message)
+    else:
+        got = field._read(doc, shape, "$")
+        assert got == want
+        assert _canonical(field.char, *got) == got
