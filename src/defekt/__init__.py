@@ -20,7 +20,8 @@ The package works over the rationals or a prime field, always exactly:
 - ``openclosed``: zipper/cozipper pairs, mixed open-closed surface
   evaluation, and circle state-space estimates.
 - ``lru``: the bounded map behind the content-keyed theory and algebra
-  caches.
+  caches, and the memo of exact documents already accepted in front of
+  them.
 - ``cli``: the ``defekt`` command-line tool (JSON in, JSON out).
 """
 

@@ -160,7 +160,8 @@ class Diagram:
     Every boundary point is used by exactly one component, and arcs must
     flow from an in-point to an out-point; violations raise
     BoundaryMismatch or OrientationClash at construction.  The diagrams
-    that ``compose``, ``mirror`` and ``tensor`` build from checked ones are
+    that ``compose``, ``mirror`` and ``tensor`` build from checked ones,
+    and those ``spanning_diagrams`` builds from a spanning record, are
     valid by construction and are not checked again (``_built``).
     """
 
@@ -508,7 +509,7 @@ def _record_diagram(eps: str, ends: tuple) -> Diagram:
     for want in (_KET, _BRA):
         comps.extend(HalfInterval(("top", p), w)
                      for p, (kind, w, _) in enumerate(ends) if kind == want)
-    return Diagram("", eps, tuple(comps))
+    return Diagram._built("", eps, tuple(comps))
 
 
 def spanning_diagrams(t: Theory, eps: str) -> list:

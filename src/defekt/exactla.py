@@ -214,22 +214,28 @@ def _scalar(v) -> tuple[int, int]:
     return int(m[1]), den
 
 
-def _collect(exact, doc, shape: tuple, path: str, out: list) -> None:
-    """Append ``exact`` of each scalar of a JSON array of ``shape`` to out."""
+def _collect(exact, doc, shape: tuple, path: str, out: list, at: tuple = ()) -> None:
+    """Append ``exact`` of each scalar of a JSON array of ``shape`` to out.
+    The array is ``path`` indexed by ``at``; that text is built only for
+    an error."""
     n = shape[0]
     if not isinstance(doc, list) or len(doc) != n:
         what = ("an array of {} scalars", "{} rows", "{} planes")[len(shape) - 1]
-        raise SchemaError(path, "expected " + what.format(n))
+        raise SchemaError(_indexed(path, at), "expected " + what.format(n))
     if len(shape) > 1:
         inner = shape[1:]
         for i, x in enumerate(doc):
-            _collect(exact, x, inner, f"{path}[{i}]", out)
+            _collect(exact, x, inner, path, out, at + (i,))
         return
     for i, x in enumerate(doc):
         try:
             out.append(exact(x))
         except FieldMismatch as e:
-            raise SchemaError(f"{path}[{i}]", str(e)) from None
+            raise SchemaError(_indexed(path, at + (i,)), str(e)) from None
+
+
+def _indexed(path: str, at: tuple) -> str:
+    return path + "".join(f"[{i}]" for i in at)
 
 
 class Field:
@@ -686,8 +692,12 @@ class Matrix:
         c, num = self.cols, self._num
         rows = range(self.rows) if rows is None else rows
         cols = range(c) if cols is None else cols
-        return Matrix._of_ints(self.field, [num[r * c + j] for r in rows for j in cols],
-                               self._den, len(rows), len(cols))
+        sub = [num[r * c + j] for r in rows for j in cols]
+        # residues stay canonical; over QQ the kept numerators may share a
+        # factor with the denominator
+        if self.field.char:
+            return Matrix._raw(self.field, tuple(sub), 1, len(rows), len(cols))
+        return Matrix._of_ints(self.field, sub, self._den, len(rows), len(cols))
 
     def transpose(self) -> "Matrix":
         c, num = self.cols, self._num
@@ -792,8 +802,11 @@ class Matrix:
         # over QQ the numerators have the rref of the matrix itself
         work = [list(self._num[i * c:(i + 1) * c]) for i in range(self.rows)]
         d, pivots = _rref(self.field.char, work, c)
-        return Matrix._of_ints(self.field, [x for row in work for x in row], d,
-                               self.rows, c), pivots
+        flat = [x for row in work for x in row]
+        # over F_p _rref leaves residues in [0, p) over 1
+        if self.field.char:
+            return Matrix._raw(self.field, tuple(flat), 1, self.rows, c), pivots
+        return Matrix._of_ints(self.field, flat, d, self.rows, c), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

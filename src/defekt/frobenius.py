@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .exactla import Echelon, Field, Matrix, _ints, _joined, _wrap, hstack
-from .lru import LRU
+from .lru import LRU, read_once
 
 __all__ = [
     "BetaReport",
@@ -622,25 +622,37 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
 
 
 # Most algebras frobenius_from_json keeps, keyed by the content it reads;
-# the least recently returned one is dropped first.
+# the least recently returned one is dropped first.  ``_algebra_reads``
+# maps as many exact documents (with the field) to that content.
 ALGEBRA_CACHE = 64
 _algebras = LRU(ALGEBRA_CACHE)
+_algebra_reads = LRU(ALGEBRA_CACHE)
 
 
 def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     """Parse {"dim":n,"basis":[names],"mult":[[[c]]],"unit":[...],
     "trace":[...]}; a missing or null basis means the names e0, e1, ...
 
-    The document is always read and validated in full: every scalar goes
-    through the scalar grammar straight to integers (``Field._read``),
-    and any error is raised before a lookup.
-    The content of the document is then the field (compared by ``==``),
-    the basis names, and the cube, unit and trace as (ints, denominator).
-    A document whose content equals that of one of the last
-    ``ALGEBRA_CACHE`` algebras returned gets that same immutable algebra
-    back, with its Gram matrix, dual bases and hole element if they were
-    built; beyond the bound the least recently returned one is dropped.
+    A document is read and validated in full unless its exact JSON value
+    (``lru.image``: plain JSON only, so never one with a ``bool``,
+    ``float``, tuple, non-``str`` key or subclass in it), over the same
+    field, equals one of the last ``ALGEBRA_CACHE`` documents accepted;
+    such a repeat goes straight to the content that one had.  The read
+    takes every scalar through the scalar grammar straight to integers
+    (``Field._read``) and raises any error before a lookup.  The content
+    is then the field (compared by ``==``), the basis names, and the
+    cube, unit and trace as (ints, denominator).  Content equal to that
+    of one of the last ``ALGEBRA_CACHE`` algebras returned gets that same
+    immutable algebra back, with its Gram matrix, dual bases and hole
+    element if they were built; beyond the bound the least recently
+    returned one is dropped.
     """
+    return read_once(doc, field, _algebra_reads, _algebras,
+                     lambda: _algebra_content(field, doc, path), _build_algebra)
+
+
+def _algebra_content(field: Field, doc, path: str) -> tuple:
+    """The content key of an algebra document, read and checked in full."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an algebra object")
     dim = doc.get("dim")
@@ -655,13 +667,16 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     names = tuple(names or [f"e{i}" for i in range(dim)])
     unit, du = field._read(doc.get("unit"), (dim,), f"{path}.unit")
     trace, dt = field._read(doc.get("trace"), (dim,), f"{path}.trace")
-    key = (field, names, cube, D, unit, du, trace, dt)
-    b = _algebras.hit(key)
-    if b is not None:
-        return b
-    return _algebras.keep(key, FrobeniusAlgebra._of_cube(
+    return field, names, cube, D, unit, du, trace, dt
+
+
+def _build_algebra(key: tuple) -> FrobeniusAlgebra:
+    """The FrobeniusAlgebra of a content key."""
+    field, names, cube, D, unit, du, trace, dt = key
+    dim = len(names)
+    return FrobeniusAlgebra._of_cube(
         field, names, (cube, D), Matrix._raw(field, unit, du, dim, 1),
-        Matrix._raw(field, trace, dt, 1, dim)))
+        Matrix._raw(field, trace, dt, 1, dim))
 
 
 def frobenius_to_json(b: FrobeniusAlgebra) -> dict:

@@ -52,7 +52,7 @@ from .errors import (
     SchemaError,
 )
 from .exactla import Echelon, Field, Matrix, _joined, field_from_json, hstack, vstack
-from .lru import LRU
+from .lru import LRU, read_once
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -565,9 +565,11 @@ def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
 # -- theory ingestion --------------------------------------------------------
 
 # Most theories theory_from_json keeps, keyed by the content it reads; the
-# least recently returned one is dropped first.
+# least recently returned one is dropped first.  ``_theory_reads`` maps as
+# many exact documents (with the field override) to that content.
 THEORY_CACHE = 64
 _theories = LRU(THEORY_CACHE)
+_theory_reads = LRU(THEORY_CACHE)
 
 
 def _read_rational_part(field: Field, alphabet: tuple, doc, path: str) -> tuple:
@@ -589,21 +591,31 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     Circular kinds: tracerep, rational1 (alphabet size <= 1),
     trace_of_interval.
 
-    The document is always read and validated in full, in two stages.
-    First every scalar is read through the scalar grammar straight to
-    canonical integers (``Field._read``), and a rational1 part is put in
+    A document is read and validated in full unless its exact JSON value
+    (``lru.image``: plain JSON only, so never one with a ``bool``,
+    ``float``, tuple, non-``str`` key or subclass in it), with the same
+    ``field_override``, equals one of the last ``THEORY_CACHE`` documents
+    accepted; such a repeat goes straight to the content that one had.
+    The read takes every scalar through the scalar grammar straight to
+    canonical integers (``Field._read``) and puts a rational1 part in
     lowest terms on those integers, where on an empty alphabet it must be
-    constant.  The content of the document is then the field (compared
-    by ``==``), the letter names and, for each part, its kind with its
-    dimension and integers or its reduced coefficients.  A document whose
-    content equals that of one of the last ``THEORY_CACHE`` theories
-    returned gets that same Theory back, with all it has built, and no
-    field value, matrix or realisation is made for it; beyond the bound
-    the least recently returned theory is dropped.  Otherwise the
-    matrices are built as read, and the one check that needs them runs
-    before the theory is kept: a tracerep weight must commute with the
-    letters.  The command line parses one theory per process.
+    constant.  The content is then the field (compared by ``==``), the
+    letter names and, for each part, its kind with its dimension and
+    integers or its reduced coefficients.  Content equal to that of one
+    of the last ``THEORY_CACHE`` theories returned gets that same Theory
+    back, with all it has built, and no field value, matrix or
+    realisation is made for it; beyond the bound the least recently
+    returned theory is dropped.  Otherwise the matrices are built from
+    the content, and the one check that needs them runs before the
+    theory is kept: a tracerep weight must commute with the letters.
+    The command line parses one theory per process.
     """
+    return read_once(doc, field_override, _theory_reads, _theories,
+                     lambda: _theory_content(doc, field_override), _build_theory)
+
+
+def _theory_content(doc, field_override: Field | None) -> tuple:
+    """The content key of a theory document, read and checked in full."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")
     field = field_override or field_from_json(doc.get("field"))
@@ -639,11 +651,12 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     elif ckind != "trace_of_interval":
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
 
-    key = (field, alphabet, kind, ipart, ckind, cpart)
-    t = _theories.hit(key)
-    if t is not None:
-        return t
+    return field, alphabet, kind, ipart, ckind, cpart
 
+
+def _build_theory(key: tuple) -> Theory:
+    """The Theory of a content key, its matrices built as read."""
+    field, alphabet, kind, ipart, ckind, cpart = key
     if kind == "linrep":
         interval = _linrep(field, ipart)
     else:
@@ -664,4 +677,4 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
         # the circle data was built from the state space: hand it to the
         # theory (cached_property reads the instance dict first)
         vars(t)["statespace"] = space
-    return _theories.keep(key, t)
+    return t

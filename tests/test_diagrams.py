@@ -426,15 +426,16 @@ def test_value_memos_keep_at_most_value_memo_entries():
 @pytest.mark.parametrize("name", ["eval1_lam5", "ex3_mu3_lam5", "two_letter_qq",
                                   "two_letter_f7", "zero_interval_qq", "tqft_fib"])
 def test_built_diagrams_pass_the_full_check(name):
-    # compose, mirror and tensor do not check the diagrams they build from
-    # checked ones; every one of them passes the constructor's check
+    # spanning_diagrams, compose, mirror and tensor do not check the
+    # diagrams they build; every one of them passes the constructor's check
     t = BY_NAME[name]
     built = []
     for eps in ("+", "+-", "-+", "++-", "+-+-"):
-        xs = spanning_diagrams(t, eps)[:10]
+        spanning = spanning_diagrams(t, eps)
+        xs = spanning[:10]
         cls = closures(t, eps)[:10]
         through = [tensor(c, x) for c in cls for x in xs[:3]]  # eps -> eps
-        built += cls + through + [mirror(d) for d in through]
+        built += spanning + cls + through + [mirror(d) for d in through]
         built += [compose(t, x, c) for x in xs for c in cls]
         built += [compose(t, x, d) for x in xs[:3] for d in through]
         built += [compose(t, d, e) for d in through[:4] for e in through[:4]]
@@ -459,6 +460,8 @@ def test_parsing_and_composing_two_pieces_checks_each_piece_once(monkeypatch):
     again = tensor(closed, compose(t, mirror(upper), mirror(lower)))
     assert len(checked) == 2
     assert evaluate_closed(t, again) == evaluate_closed(t, closed) ** 2
+    # nor are the spanning diagrams
+    assert spanning_diagrams(t, "+-+-") and len(checked) == 2
 
 
 def test_kernel_algebra_is_built_once_per_pair_algebra(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from defekt.errors import (
@@ -39,6 +39,7 @@ from defekt.series import RationalFunction1, rational_to_rep
 
 from factories import FIELDS, fractions
 from oracles import (
+    elimination_rank,
     naive_rank,
     poly_add,
     poly_derivative,
@@ -525,6 +526,34 @@ def test_every_operation_returns_the_canonical_form(data):
     if sq.rank() == r:
         out.append(sq.inverse())
     for m in out:
+        assert_canonical(m)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(FIELDS[1:]), st.data())
+def test_prime_field_rref_and_submatrices_are_built_canonical(raw_guard, F, data):
+    # over F_p rref and _sub hand their residues to Matrix._raw unreduced;
+    # raw_guard asserts each such build is already canonical
+    a = data.draw(matrices(field=F, nmax=5))
+    rows = data.draw(st.lists(st.integers(0, a.rows - 1), max_size=a.rows))
+    cols = data.draw(st.lists(st.integers(0, a.cols - 1), max_size=a.cols))
+    before = len(raw_guard)
+    R, pivots = a.rref()
+    subs = {(tuple(rows), tuple(cols)): a._sub(rows, cols),
+            (tuple(rows), tuple(range(a.cols))): a._sub(rows=rows),
+            (tuple(range(a.rows)), tuple(cols)): a._sub(cols=cols)}
+    assert len(raw_guard) == before + 4
+    # R is the reduced echelon form of a row space equal to a's
+    rank = elimination_rank(a.data)
+    assert len(pivots) == rank == elimination_rank(a.data + R.data)
+    for i, pc in enumerate(pivots):
+        assert R[i, pc] == 1 and all(R[r, pc] == 0 for r in range(R.rows) if r != i)
+        assert all(R[i, c] == 0 for c in range(pc))
+    assert all(R[r, c] == 0 for r in range(rank, R.rows) for c in range(R.cols))
+    for (rs, cs), m in subs.items():
+        assert m.data == tuple(tuple(a[r, c] for c in cs) for r in rs)
+    for m in (R, *subs.values()):
         assert_canonical(m)
 
 
