@@ -36,7 +36,7 @@ from .errors import (
     SizeBound,
 )
 from .exactla import Matrix
-from .lru import LRU
+from .lru import LRU, remember
 from .series import Word, _check_word, canonical_rotation, word_from_json
 from .universal import Theory
 
@@ -68,6 +68,11 @@ GRAM_BOUND = 2 ** 18
 
 # Most interval and most circle values each theory's context keeps.
 VALUE_MEMO = 512
+
+# Most diagram pieces diagram_from_json remembers, keyed by their exact
+# document and alphabet; the least recently read one is dropped first.
+PIECE_MEMO = 256
+_pieces = LRU(PIECE_MEMO)
 
 
 def _check_size(n: int, what: str) -> None:
@@ -636,7 +641,21 @@ def diagram_from_json(alphabet, doc, path: str = "$") -> Diagram:
     strings of letter names or arrays of letter names.  Structural
     problems raise SchemaError; a structurally valid but inconsistent
     diagram raises the matching domain error from the constructor.
+
+    A piece is read and checked in full unless its exact JSON value
+    (``lru.exact``), under an equal alphabet, equals one of the last
+    ``PIECE_MEMO`` pieces accepted; such a repeat gets that same immutable
+    Diagram back.  Only plain JSON is remembered, and only once it has
+    been accepted, so a rejected piece raises the same error at the same
+    path on every call.
     """
+    alphabet = tuple(alphabet)
+    return remember(doc, alphabet, _pieces,
+                    lambda: _diagram_read(alphabet, doc, path))
+
+
+def _diagram_read(alphabet: tuple, doc, path: str) -> Diagram:
+    """The Diagram of a piece document, read and checked in full."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a diagram object")
     for key in ("bottom", "top"):

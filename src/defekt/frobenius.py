@@ -109,10 +109,6 @@ class FrobeniusAlgebra:
     def dim(self) -> int:
         return len(self.names)
 
-    @property
-    def is_zero_algebra(self) -> bool:
-        return self.dim == 0
-
     @cached_property
     def mult(self) -> tuple:
         """The structure constants as field values, from the integer cube."""
@@ -146,9 +142,6 @@ class FrobeniusAlgebra:
 
     def unit_el(self) -> Matrix:
         return self._unit
-
-    def zero_el(self) -> Matrix:
-        return Matrix.zeros(self.field, self.dim, 1)
 
     def _coords(self, x: Matrix) -> tuple:
         """(ints, d) of an element, which must be a dim x 1 column over the
@@ -634,10 +627,11 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     "trace":[...]}; a missing or null basis means the names e0, e1, ...
 
     A document is read and validated in full unless its exact JSON value
-    (``lru.image``: plain JSON only, so never one with a ``bool``,
-    ``float``, tuple, non-``str`` key or subclass in it), over the same
-    field, equals one of the last ``ALGEBRA_CACHE`` documents accepted;
-    such a repeat goes straight to the content that one had.  The read
+    (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
+    with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
+    over the same field, equals one of the last ``ALGEBRA_CACHE``
+    documents accepted; such a repeat goes straight to the content that
+    one had.  The read
     takes every scalar through the scalar grammar straight to integers
     (``Field._read``) and raises any error before a lookup.  The content
     is then the field (compared by ``==``), the basis names, and the

@@ -1,14 +1,16 @@
 """The bounded, content-keyed caches of parsed documents
-(``universal.theory_from_json`` and ``frobenius.frobenius_from_json``) and
-of the values a theory's diagrams evaluate to (``diagrams._Context``).
+(``universal.theory_from_json``, ``frobenius.frobenius_from_json`` and
+``diagrams.diagram_from_json``) and of the values a theory's diagrams
+evaluate to (``diagrams._Context``).
 
 A document reader checks a document in full unless its exact JSON value
-equals one it has already accepted within the bound: ``read_once`` keeps,
-beside the objects, a memo from the document's ``image`` to the content
-key the full read gave.  Only plain JSON has an image, so a document with
-a ``bool``, a ``float``, a tuple, a non-``str`` key or a subclass of
-``list``, ``dict``, ``str`` or ``int`` anywhere in it is read in full on
-every call."""
+equals one it has already accepted within the bound: the memo key is the
+document's ``exact`` bytes, one C call.  Only plain JSON is remembered
+(``image``, walked on a miss), so a document with a ``bool``, a
+``float``, a tuple, a non-``str`` key or a subclass of ``list``,
+``dict``, ``str`` or ``int`` anywhere in it is read in full on every
+call."""
+import marshal
 from collections import OrderedDict
 
 
@@ -69,22 +71,46 @@ def image(value):
         return None
 
 
+def exact(value):
+    """The type-exact bytes ``marshal.dumps(value, 2)``, or None for a
+    value marshal refuses (a subclass of ``int``, ``str``, ``list`` or
+    ``dict``, an unknown type, cyclic or too deep nesting).  They tell a
+    ``bool`` from an ``int``, a tuple from a list and an ``int`` key from
+    a ``str`` key.  Format 2 writes no back-references, which later
+    formats make from object sharing and string interning, so equal
+    values with equal key order give equal bytes."""
+    try:
+        return marshal.dumps(value, 2)
+    except ValueError:
+        return None
+
+
+def remember(doc, tag, memo: LRU, read):
+    """``read()``, or the value it gave before for a document equal to
+    ``doc`` type for type, read with the same ``tag``.  ``memo`` maps
+    (exact bytes, tag) to that value; it is kept only once ``read``
+    returns, and only for plain JSON, so a rejected document raises the
+    same error on every call."""
+    b = exact(doc)
+    if b is None:
+        return read()
+    value = memo.hit((b, tag))
+    if value is None:
+        value = read()
+        if image(doc) is not None:
+            memo.keep((b, tag), value)
+    return value
+
+
 def read_once(doc, tag, memo: LRU, kept: LRU, read, build):
     """The object a document reader returns for ``doc`` read with ``tag``
     (its field).  ``read()`` reads and checks the document in full and
-    gives its content key, ``build(key)`` the object for a content key,
-    which ``kept`` holds by content.  ``memo`` maps (image, tag) to the
-    content key of a document accepted before, so an equal document skips
-    the read; a document is put in it only once its object is returned, so
-    a rejected one raises the same error on every call."""
-    img = image(doc)
-    key = None if img is None else memo.hit((img, tag))
-    fresh = key is None
-    if fresh:
-        key = read()
+    gives its content key, which ``memo`` remembers (``remember``), so an
+    equal document skips the read.  ``build(key)`` gives the object for a
+    content key, which ``kept`` holds by content; a check it makes
+    depends on the content alone, so it fails alike on every call."""
+    key = remember(doc, tag, memo, read)
     obj = kept.hit(key)
     if obj is None:
         obj = kept.keep(key, build(key))
-    if fresh and img is not None:
-        memo.keep((img, tag), key)
     return obj

@@ -103,17 +103,6 @@ class StateSpace(LinearRepresentation):
         object.__setattr__(self, "word_basis", tuple(word_basis))
         object.__setattr__(self, "cobasis_words", tuple(cobasis_words))
 
-    def pairing_matrix(self) -> Matrix:
-        """P[i][j] = value(word_basis[i] + word_basis[j])."""
-        return Matrix(
-            self.field,
-            [
-                [self.value(wi + wj) for wj in self.word_basis]
-                for wi in self.word_basis
-            ],
-            cols=self.dim,
-        )
-
 
 def _zero_statespace(field: Field, num_letters: int) -> StateSpace:
     return StateSpace(field, num_letters, 0, Matrix.zeros(field, 1, 0),
@@ -412,16 +401,6 @@ class PairAlgebra:
         s, t = self.triple_of(x), self.triple_of(y)
         return self.coords(tuple(map(mul, s, t)))
 
-    def arc_class(self, word) -> Matrix:
-        """Class of the arc decorated by the given word."""
-        phi = self.statespace.act(word)
-        return self.coords((phi, self.circ.act(word), phi))
-
-    def closure_value(self, x: Matrix, word=()) -> object:
-        """Circle closure of a class against a word: the scalar obtained by
-        closing the pair off with an arc carrying the word."""
-        return (self._closer_row(word) * (self.B * x))[0, 0]
-
     # -- kernel ideal ------------------------------------------------------
 
     def to_K_coords(self, coords: Matrix) -> Matrix:
@@ -432,9 +411,6 @@ class PairAlgebra:
         if self._K_mat * z != coords:
             raise InvalidArgument("class does not lie in the kernel ideal")
         return z
-
-    def from_K_coords(self, z: Matrix) -> Matrix:
-        return self._K_mat * z
 
     @cached_property
     def kernel(self):
@@ -592,10 +568,11 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     trace_of_interval.
 
     A document is read and validated in full unless its exact JSON value
-    (``lru.image``: plain JSON only, so never one with a ``bool``,
-    ``float``, tuple, non-``str`` key or subclass in it), with the same
-    ``field_override``, equals one of the last ``THEORY_CACHE`` documents
-    accepted; such a repeat goes straight to the content that one had.
+    (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
+    with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
+    with the same ``field_override``, equals one of the last
+    ``THEORY_CACHE`` documents accepted; such a repeat goes straight to
+    the content that one had.
     The read takes every scalar through the scalar grammar straight to
     canonical integers (``Field._read``) and puts a rational1 part in
     lowest terms on those integers, where on an empty alphabet it must be

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from defekt import frobenius, universal  # noqa: E402
+from defekt import diagrams, frobenius, universal  # noqa: E402
 from defekt.exactla import Matrix, _canonical  # noqa: E402
 
 # The test modules of the input corpora (the golden outputs, the command
@@ -16,13 +16,14 @@ RAW_GUARDED = {"test_golden", "test_cli", "test_scalar_input"}
 @pytest.fixture(autouse=True)
 def _fresh_document_caches():
     """Each test starts with no parsed theory or algebra kept and no
-    document remembered as read, so a test that counts the constructions
-    of a fresh theory, the Gram inversions of a fresh algebra or the reads
-    of a document sees them all."""
+    document or diagram piece remembered as read, so a test that counts
+    the constructions of a fresh theory, the Gram inversions of a fresh
+    algebra or the reads of a document or piece sees them all."""
     universal._theories.clear()
     universal._theory_reads.clear()
     frobenius._algebras.clear()
     frobenius._algebra_reads.clear()
+    diagrams._pieces.clear()
 
 
 @pytest.fixture

@@ -338,7 +338,7 @@ def commutators_by_products(b):
 def hole_by_products(b):
     """The hole element sum_i x_i y_i over the dual bases, one ``b.mul``
     and one addition of columns per term."""
-    out = b.zero_el()
+    out = zero_el(b)
     for x, y in zip(*b.duals):
         out = out + b.mul(x, y)
     return out
@@ -347,7 +347,7 @@ def hole_by_products(b):
 def window_by_products(b, elem):
     """The window sum_i y_i elem x_i over the dual bases, two ``b.mul`` and
     one addition of columns per term."""
-    out = b.zero_el()
+    out = zero_el(b)
     for x, y in zip(*b.duals):
         out = out + b.mul(b.mul(y, elem), x)
     return out
@@ -570,3 +570,40 @@ def read_array(field, doc, shape, path):
         return tuple(v.v for v in values), 1
     d = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (d // v.denominator) for v in values), d
+
+
+# -- readers of the package's structures that only tests use -------------
+
+
+def pairing_matrix(ss):
+    """P[i][j] = value(word_basis[i] + word_basis[j]) of a state space."""
+    return Matrix(ss.field, [[ss.value(wi + wj) for wj in ss.word_basis]
+                             for wi in ss.word_basis], cols=ss.dim)
+
+
+def arc_class(pa, word):
+    """Class of the arc decorated by the given word, in the pair algebra's
+    quotient coordinates."""
+    phi = pa.statespace.act(word)
+    return pa.coords((phi, pa.circ.act(word), phi))
+
+
+def closure_value(pa, x, word=()):
+    """Circle closure of a class against a word: the scalar obtained by
+    closing the pair off with an arc carrying the word."""
+    return (pa._closer_row(word) * (pa.B * x))[0, 0]
+
+
+def from_K_coords(pa, z):
+    """The class in quotient coordinates of a K element given in K's
+    coordinates."""
+    return pa._K_mat * z
+
+
+def zero_el(b):
+    """The zero element of a Frobenius algebra, as a column."""
+    return Matrix.zeros(b.field, b.dim, 1)
+
+
+def is_zero_algebra(b):
+    return b.dim == 0

@@ -2,13 +2,17 @@
 algebra caches: a repeat of an exact JSON value skips the read, and
 nothing else does."""
 import copy
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defekt import diagrams
 from defekt import frobenius, universal
+from defekt.diagrams import diagram_from_json
+from defekt.errors import SchemaError
 from defekt.exactla import QQ, Field, PrimeField
 from defekt.frobenius import frobenius_from_json, frobenius_to_json
 from defekt.lru import image
@@ -277,3 +281,164 @@ def test_image_is_type_exact():
     assert image({"a": 1}) != image(["a", 1]) and image({}) != image([])
     for bad in ([True], [1.0], (1,), {1: "a"}, [S("1")], L(), D(), [[0.5]], {"a": [False]}):
         assert image(bad) is None
+
+
+def test_equal_documents_share_one_memo_key(monkeypatch):
+    # one document from json.loads, one from literals (their keys are
+    # interned) and one whose letter rows are one shared list: the memo
+    # key is the same for all three, however their objects are shared
+    row = ["1", "1"]
+    shared = {"field": {"type": "prime", "p": 7}, "alphabet": ["a"],
+              "interval": {"kind": "linrep", "dim": 2, "init": ["1", "0"],
+                           "letters": {"a": [row, row]}, "final": ["1", "0"]},
+              "circular": {"kind": "trace_of_interval"}}
+    literal = {"field": {"type": "prime", "p": 7}, "alphabet": ["a"],
+               "interval": {"kind": "linrep", "dim": 2, "init": ["1", "0"],
+                            "letters": {"a": [["1", "1"], ["1", "1"]]},
+                            "final": ["1", "0"]},
+               "circular": {"kind": "trace_of_interval"}}
+    loaded = json.loads(json.dumps(literal))
+    assert loaded == literal == shared
+    reads = _counting_reads(monkeypatch)
+    first = theory_from_json(loaded)
+    n = len(reads)
+    assert n
+    assert theory_from_json(literal) is first
+    assert theory_from_json(shared) is first
+    assert len(reads) == n
+    assert len(universal._theory_reads) == 1
+
+
+LETTERS = ("a", "b")
+
+
+def _word(draw):
+    w = "".join(draw(st.lists(st.sampled_from(LETTERS), max_size=3)))
+    return w if draw(st.booleans()) else list(w)
+
+
+def _label(draw):
+    return draw(st.one_of(st.none(), st.integers(0, 2)))
+
+
+@st.composite
+def piece_docs(draw):
+    """A valid diagram piece over LETTERS: every in-point (bottom '+',
+    top '-') ends an arc or a half interval, every out-point too, and a
+    few floating intervals and circles ride along.  The bottom is never
+    empty, so every mutation has a site."""
+    bottom = "".join(draw(st.lists(st.sampled_from("+-"), min_size=1, max_size=3)))
+    top = "".join(draw(st.lists(st.sampled_from("+-"), max_size=3)))
+    points = [("bottom", i, c == "+") for i, c in enumerate(bottom)]
+    points += [("top", i, c == "-") for i, c in enumerate(top)]
+    ins = draw(st.permutations([[s, i] for s, i, into in points if into]))
+    outs = draw(st.permutations([[s, i] for s, i, into in points if not into]))
+    arcs = draw(st.integers(0, min(len(ins), len(outs))))
+    comps = [{"kind": "arc", "from": a, "to": b, "word": _word(draw)}
+             for a, b in zip(ins[:arcs], outs[:arcs])]
+    comps += [{"kind": "half", "end": e, "word": _word(draw), "label": _label(draw)}
+              for e in ins[arcs:] + outs[arcs:]]
+    for _ in range(draw(st.integers(0, 2))):
+        comps.append(draw(st.sampled_from([
+            {"kind": "interval", "word": _word(draw),
+             "head_label": _label(draw), "tail_label": _label(draw)},
+            {"kind": "circle", "word": _word(draw)},
+        ])))
+    doc = {"bottom": bottom, "top": top, "components": draw(st.permutations(comps))}
+    return copy.deepcopy(doc)
+
+
+# The piece mutations: those of the theory and algebra documents (a bool
+# or a float for an endpoint index or a label, a tuple for a list, an int
+# key, subclasses, respellings) and two of the piece grammar.
+PIECE_MUTATIONS = {
+    **MUTATIONS,
+    "unknown-kind": lambda x: {**x, "kind": "ribbon"} if type(x) is dict and "kind" in x else None,
+    "foreign-letter": lambda x: x + "z" if type(x) is str else None,
+}
+
+
+def _piece_outcome(alphabet, doc, path):
+    try:
+        return diagram_from_json(alphabet, doc, path)
+    except Exception as e:
+        return type(e), getattr(e, "path", None), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(piece_docs(), st.sampled_from(sorted(PIECE_MUTATIONS)),
+       st.sampled_from(["$", "$.pieces[1].upper"]), st.data())
+def test_a_mutated_piece_reads_warm_as_it_reads_cold(doc, kind, path, data):
+    mutate = PIECE_MUTATIONS[kind]
+    at = data.draw(st.sampled_from([at for at in _sites(doc)
+                                    if mutate(_value(doc, at)) is not None]))
+    mutated = _mutated(doc, at, mutate)
+    diagrams._pieces.clear()
+    cold = _piece_outcome(LETTERS, mutated, path)
+    diagrams._pieces.clear()
+    first = diagram_from_json(LETTERS, doc)
+    assert diagram_from_json(LETTERS, copy.deepcopy(doc), path) is first
+    assert _piece_outcome(LETTERS, mutated, path) == cold
+    assert _piece_outcome(LETTERS, mutated, path) == cold
+    assert diagram_from_json(LETTERS, doc) is first
+    assert len(diagrams._pieces) <= diagrams.PIECE_MEMO
+
+
+def _counting_pieces(monkeypatch):
+    """The list every full piece read appends to from now on."""
+    reads = []
+    real = diagrams._diagram_read
+    monkeypatch.setattr(diagrams, "_diagram_read",
+                        lambda *a: reads.append(a) or real(*a))
+    return reads
+
+
+PIECE = {"bottom": "+-", "components": [
+    {"kind": "arc", "from": ["bottom", 0], "to": ["bottom", 1], "word": "ab"}]}
+
+
+def test_a_piece_under_another_alphabet_is_read_again(monkeypatch):
+    reads = _counting_pieces(monkeypatch)
+    ab = diagram_from_json(("a", "b"), PIECE)
+    assert diagram_from_json(["a", "b"], copy.deepcopy(PIECE)) is ab
+    assert len(reads) == 1
+    ba = diagram_from_json(("b", "a"), PIECE)
+    assert len(reads) == 2
+    assert ab.components[0].word == (0, 1) and ba.components[0].word == (1, 0)
+    with pytest.raises(SchemaError) as exc:
+        diagram_from_json(("a",), PIECE, "$.p")
+    assert exc.value.path == "$.p.components[0].word"
+    assert diagram_from_json(("a", "b"), PIECE) is ab
+    assert len(reads) == 3
+
+
+def test_the_piece_memo_is_bounded(monkeypatch):
+    bound = diagrams.PIECE_MEMO
+    for i in range(2 * bound):
+        # a key the reader ignores makes each piece another exact value
+        diagram_from_json(LETTERS, dict(PIECE, note=str(i)))
+        assert len(diagrams._pieces) <= bound
+    assert len(diagrams._pieces) == bound
+    reads = _counting_pieces(monkeypatch)
+    diagram_from_json(LETTERS, dict(PIECE, note=str(2 * bound - 1)))
+    assert reads == []
+    # the first pieces were dropped, so they are read in full again
+    diagram_from_json(LETTERS, dict(PIECE, note="0"))
+    assert reads
+
+
+def test_a_weight_that_fails_the_build_check_fails_on_every_call():
+    # the read accepts the document; the commuting check runs on the built
+    # matrices, and its content is never kept, so every call raises anew
+    doc = {"field": FIELD_DOCS[QQ], "alphabet": ["a", "b"],
+           "interval": {"kind": "linrep", "dim": 1, "init": ["1"],
+                        "letters": {"a": [["1"]], "b": [["1"]]}, "final": ["1"]},
+           "circular": {"kind": "tracerep", "dim": 2,
+                        "letters": {"a": [["1", "1"], ["0", "1"]],
+                                    "b": [["1", "0"], ["0", "1"]]},
+                        "weight": [["1", "0"], ["0", "2"]]}}
+    for _ in range(3):
+        with pytest.raises(SchemaError) as exc:
+            theory_from_json(copy.deepcopy(doc))
+        assert exc.value.path == "circular.weight"
+    assert len(universal._theories) == 0
