@@ -76,7 +76,8 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read input: {exc}") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int over 4,300 digits
+    # bad JSON, bad UTF-8, an int over 4,300 digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(path, f"invalid JSON: {exc}") from None
 
 

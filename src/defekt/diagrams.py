@@ -645,9 +645,10 @@ def diagram_from_json(alphabet, doc, path: str = "$") -> Diagram:
     A piece is read and checked in full unless its exact JSON value
     (``lru.exact``), under an equal alphabet, equals one of the last
     ``PIECE_MEMO`` pieces accepted; such a repeat gets that same immutable
-    Diagram back.  Only plain JSON is remembered, and only once it has
-    been accepted, so a rejected piece raises the same error at the same
-    path on every call.
+    Diagram back.  A piece that differs in spelling, key order or an
+    ignored key is read in full and gets a Diagram of its own.  Only plain
+    JSON is remembered, and only once it has been accepted, so a rejected
+    piece raises the same error at the same path on every call.
     """
     alphabet = tuple(alphabet)
     return remember(doc, alphabet, _pieces,

@@ -27,7 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .exactla import Echelon, Field, Matrix, _ints, _joined, _wrap, hstack
-from .lru import LRU, read_once
+from .lru import LRU, remember
 
 __all__ = [
     "BetaReport",
@@ -614,12 +614,10 @@ def embedding_obstruction(b: FrobeniusAlgebra) -> ObstructionReport:
 # -- JSON ---------------------------------------------------------------------
 
 
-# Most algebras frobenius_from_json keeps, keyed by the content it reads;
-# the least recently returned one is dropped first.  ``_algebra_reads``
-# maps as many exact documents (with the field) to that content.
+# Most algebras frobenius_from_json keeps, keyed by their exact document
+# and field; the least recently returned one is dropped first.
 ALGEBRA_CACHE = 64
 _algebras = LRU(ALGEBRA_CACHE)
-_algebra_reads = LRU(ALGEBRA_CACHE)
 
 
 def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
@@ -630,23 +628,20 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
     with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
     over the same field, equals one of the last ``ALGEBRA_CACHE``
-    documents accepted; such a repeat goes straight to the content that
-    one had.  The read
-    takes every scalar through the scalar grammar straight to integers
-    (``Field._read``) and raises any error before a lookup.  The content
-    is then the field (compared by ``==``), the basis names, and the
-    cube, unit and trace as (ints, denominator).  Content equal to that
-    of one of the last ``ALGEBRA_CACHE`` algebras returned gets that same
-    immutable algebra back, with its Gram matrix, dual bases and hole
-    element if they were built; beyond the bound the least recently
-    returned one is dropped.
+    documents accepted; such a repeat gets that same immutable algebra
+    back, with its Gram matrix, dual bases and hole element if they were
+    built; beyond the bound the least recently returned one is dropped.
+    A document that differs in spelling, key order or an ignored key is
+    read in full and gets an algebra of its own.  The read takes every
+    scalar through the scalar grammar straight to integers
+    (``Field._read``) and raises any error before the algebra is built.
     """
-    return read_once(doc, field, _algebra_reads, _algebras,
-                     lambda: _algebra_content(field, doc, path), _build_algebra)
+    return remember(doc, field, _algebras,
+                    lambda: _algebra_read(field, doc, path))
 
 
-def _algebra_content(field: Field, doc, path: str) -> tuple:
-    """The content key of an algebra document, read and checked in full."""
+def _algebra_read(field: Field, doc, path: str) -> FrobeniusAlgebra:
+    """The FrobeniusAlgebra of a document, read and checked in full."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an algebra object")
     dim = doc.get("dim")
@@ -661,13 +656,6 @@ def _algebra_content(field: Field, doc, path: str) -> tuple:
     names = tuple(names or [f"e{i}" for i in range(dim)])
     unit, du = field._read(doc.get("unit"), (dim,), f"{path}.unit")
     trace, dt = field._read(doc.get("trace"), (dim,), f"{path}.trace")
-    return field, names, cube, D, unit, du, trace, dt
-
-
-def _build_algebra(key: tuple) -> FrobeniusAlgebra:
-    """The FrobeniusAlgebra of a content key."""
-    field, names, cube, D, unit, du, trace, dt = key
-    dim = len(names)
     return FrobeniusAlgebra._of_cube(
         field, names, (cube, D), Matrix._raw(field, unit, du, dim, 1),
         Matrix._raw(field, trace, dt, 1, dim))

@@ -1,15 +1,16 @@
-"""The bounded, content-keyed caches of parsed documents
-(``universal.theory_from_json``, ``frobenius.frobenius_from_json`` and
-``diagrams.diagram_from_json``) and of the values a theory's diagrams
-evaluate to (``diagrams._Context``).
+"""The bounded caches of parsed documents (``universal.theory_from_json``,
+``frobenius.frobenius_from_json`` and ``diagrams.diagram_from_json``) and
+of the values a theory's diagrams evaluate to (``diagrams._Context``).
 
-A document reader checks a document in full unless its exact JSON value
-equals one it has already accepted within the bound: the memo key is the
-document's ``exact`` bytes, one C call.  Only plain JSON is remembered
-(``image``, walked on a miss), so a document with a ``bool``, a
-``float``, a tuple, a non-``str`` key or a subclass of ``list``,
-``dict``, ``str`` or ``int`` anywhere in it is read in full on every
-call."""
+Each document reader keeps one ``LRU`` and reads through ``remember``: a
+document is checked in full unless its exact JSON value equals one the
+reader has already accepted within the bound, and then the object built
+for that one is returned.  The memo key is the document's ``exact``
+bytes, one C call, so this module alone decides when two documents are
+the same.  Only plain JSON is remembered (``image``, walked on a miss),
+so a document with a ``bool``, a ``float``, a tuple, a non-``str`` key or
+a subclass of ``list``, ``dict``, ``str`` or ``int`` anywhere in it is
+read in full on every call."""
 import marshal
 from collections import OrderedDict
 
@@ -87,10 +88,10 @@ def exact(value):
 
 def remember(doc, tag, memo: LRU, read):
     """``read()``, or the value it gave before for a document equal to
-    ``doc`` type for type, read with the same ``tag``.  ``memo`` maps
-    (exact bytes, tag) to that value; it is kept only once ``read``
-    returns, and only for plain JSON, so a rejected document raises the
-    same error on every call."""
+    ``doc`` type for type and in key order, read with the same ``tag``.
+    ``memo`` maps (exact bytes, tag) to that value; it is kept only once
+    ``read`` returns, and only for plain JSON, so a rejected document
+    raises the same error on every call."""
     b = exact(doc)
     if b is None:
         return read()
@@ -101,16 +102,3 @@ def remember(doc, tag, memo: LRU, read):
             memo.keep((b, tag), value)
     return value
 
-
-def read_once(doc, tag, memo: LRU, kept: LRU, read, build):
-    """The object a document reader returns for ``doc`` read with ``tag``
-    (its field).  ``read()`` reads and checks the document in full and
-    gives its content key, which ``memo`` remembers (``remember``), so an
-    equal document skips the read.  ``build(key)`` gives the object for a
-    content key, which ``kept`` holds by content; a check it makes
-    depends on the content alone, so it fails alike on every call."""
-    key = remember(doc, tag, memo, read)
-    obj = kept.hit(key)
-    if obj is None:
-        obj = kept.keep(key, build(key))
-    return obj

@@ -52,7 +52,7 @@ from .errors import (
     SchemaError,
 )
 from .exactla import Echelon, Field, Matrix, _joined, field_from_json, hstack, vstack
-from .lru import LRU, read_once
+from .lru import LRU, remember
 from .series import (
     CircularRepresentation,
     LinearRepresentation,
@@ -540,12 +540,10 @@ def idempotent_report(pa: PairAlgebra) -> IdempotentReport:
 
 # -- theory ingestion --------------------------------------------------------
 
-# Most theories theory_from_json keeps, keyed by the content it reads; the
-# least recently returned one is dropped first.  ``_theory_reads`` maps as
-# many exact documents (with the field override) to that content.
+# Most theories theory_from_json keeps, keyed by their exact document and
+# field override; the least recently returned one is dropped first.
 THEORY_CACHE = 64
 _theories = LRU(THEORY_CACHE)
-_theory_reads = LRU(THEORY_CACHE)
 
 
 def _read_rational_part(field: Field, alphabet: tuple, doc, path: str) -> tuple:
@@ -571,28 +569,25 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
     with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
     with the same ``field_override``, equals one of the last
-    ``THEORY_CACHE`` documents accepted; such a repeat goes straight to
-    the content that one had.
+    ``THEORY_CACHE`` documents accepted; such a repeat gets that same
+    Theory back, with all it has built, and no field value, matrix or
+    realisation is made for it; beyond the bound the least recently
+    returned theory is dropped.  A document that differs in spelling, key
+    order or an ignored key is read in full and gets a Theory of its own.
     The read takes every scalar through the scalar grammar straight to
     canonical integers (``Field._read``) and puts a rational1 part in
     lowest terms on those integers, where on an empty alphabet it must be
-    constant.  The content is then the field (compared by ``==``), the
-    letter names and, for each part, its kind with its dimension and
-    integers or its reduced coefficients.  Content equal to that of one
-    of the last ``THEORY_CACHE`` theories returned gets that same Theory
-    back, with all it has built, and no field value, matrix or
-    realisation is made for it; beyond the bound the least recently
-    returned theory is dropped.  Otherwise the matrices are built from
-    the content, and the one check that needs them runs before the
-    theory is kept: a tracerep weight must commute with the letters.
+    constant.  The matrices are then built, and the one check that needs
+    them runs before the theory is kept: a tracerep weight must commute
+    with the letters.
     The command line parses one theory per process.
     """
-    return read_once(doc, field_override, _theory_reads, _theories,
-                     lambda: _theory_content(doc, field_override), _build_theory)
+    return remember(doc, field_override, _theories,
+                    lambda: _theory_read(doc, field_override))
 
 
-def _theory_content(doc, field_override: Field | None) -> tuple:
-    """The content key of a theory document, read and checked in full."""
+def _theory_read(doc, field_override: Field | None) -> Theory:
+    """The Theory of a document, read and checked in full."""
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a theory object")
     field = field_override or field_from_json(doc.get("field"))
@@ -628,12 +623,6 @@ def _theory_content(doc, field_override: Field | None) -> tuple:
     elif ckind != "trace_of_interval":
         raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
 
-    return field, alphabet, kind, ipart, ckind, cpart
-
-
-def _build_theory(key: tuple) -> Theory:
-    """The Theory of a content key, its matrices built as read."""
-    field, alphabet, kind, ipart, ckind, cpart = key
     if kind == "linrep":
         interval = _linrep(field, ipart)
     else:

@@ -15,14 +15,12 @@ RAW_GUARDED = {"test_golden", "test_cli", "test_scalar_input"}
 
 @pytest.fixture(autouse=True)
 def _fresh_document_caches():
-    """Each test starts with no parsed theory or algebra kept and no
-    document or diagram piece remembered as read, so a test that counts
-    the constructions of a fresh theory, the Gram inversions of a fresh
-    algebra or the reads of a document or piece sees them all."""
+    """Each test starts with no theory, algebra or diagram piece
+    remembered as read, so a test that counts the constructions of a
+    fresh theory, the Gram inversions of a fresh algebra or the reads of a
+    document or piece sees them all."""
     universal._theories.clear()
-    universal._theory_reads.clear()
     frobenius._algebras.clear()
-    frobenius._algebra_reads.clear()
     diagrams._pieces.clear()
 
 

@@ -504,6 +504,17 @@ def test_huge_json_int_exits_two(tmp_path, capsys):
     assert doc["error"]["path"] == str(broken)
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # the JSON decoder runs out of recursion depth on this nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, doc = run_cli(capsys, "minimize", str(deep))
+    assert code == 2
+    assert doc["error"]["code"] == "schema"
+    assert "invalid JSON: " in doc["error"]["message"]
+    assert doc["error"]["path"] == str(deep)
+
+
 def test_schema_errors_name_the_path(tmp_path, capsys):
     doc = pair5_doc()
     del doc["zipper"]

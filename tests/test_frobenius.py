@@ -1,4 +1,5 @@
 """Tests for the symmetric Frobenius algebra engine."""
+import copy
 import random
 from fractions import Fraction as Fr
 from functools import cached_property
@@ -861,6 +862,9 @@ def cache_doc(F):
 
 @pytest.mark.parametrize("F", CACHE_FIELDS, ids=str)
 def test_equal_content_returns_the_same_algebra(F):
+    # a document respelled, reordered or with its default basis named is
+    # read in full and builds an algebra of its own with equal values; an
+    # exact repeat gets the one it built back
     doc = cache_doc(F)
     b = frobenius_from_json(F, doc)
     same = [
@@ -871,9 +875,12 @@ def test_equal_content_returns_the_same_algebra(F):
         dict(doc, basis=[f"e{i}" for i in range(5)]),
     ]
     for other in same:
-        assert frobenius_from_json(F, other) is b
+        c = frobenius_from_json(F, other)
+        assert c is not b and frobenius_to_json(c) == frobenius_to_json(b)
+        assert frobenius_from_json(F, copy.deepcopy(other)) is c
     # the field is compared by ==
-    assert frobenius_from_json(PrimeField(7) if F.char else RationalField(), doc) is b
+    assert frobenius_from_json(PrimeField(7) if F.char else RationalField(),
+                               copy.deepcopy(doc)) is b
     changed = [
         (F, dict(doc, basis=["a", "b", "c", "d", "e"])),
         (PrimeField(11) if F.char else F7, doc),

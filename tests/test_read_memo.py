@@ -1,5 +1,5 @@
-"""Tests for the memo of accepted documents in front of the theory and
-algebra caches: a repeat of an exact JSON value skips the read, and
+"""Tests for the memos of accepted documents kept by the theory, algebra
+and diagram readers: a repeat of an exact JSON value skips the read, and
 nothing else does."""
 import copy
 import json
@@ -26,9 +26,7 @@ FIELD_DOCS = {QQ: {"type": "rational"}, F7: {"type": "prime", "p": 7}}
 
 def _forget():
     universal._theories.clear()
-    universal._theory_reads.clear()
     frobenius._algebras.clear()
-    frobenius._algebra_reads.clear()
 
 
 def _scalar(draw):
@@ -200,8 +198,8 @@ def _algebra(F):
 
 
 # name: (reader, a valid document, the reader's memo, its bound)
-THEORY_MEMO = (universal._theory_reads, universal.THEORY_CACHE)
-ALGEBRA_MEMO = (frobenius._algebra_reads, frobenius.ALGEBRA_CACHE)
+THEORY_MEMO = (universal._theories, universal.THEORY_CACHE)
+ALGEBRA_MEMO = (frobenius._algebras, frobenius.ALGEBRA_CACHE)
 READERS = {
     "theory-QQ": (lambda d: theory_from_json(d, QQ), THEORY, *THEORY_MEMO),
     "theory-F7": (theory_from_json, THEORY, *THEORY_MEMO),
@@ -220,19 +218,18 @@ def _counting_reads(monkeypatch):
 
 @pytest.mark.parametrize("name", READERS)
 def test_a_repeated_document_is_not_read_again(monkeypatch, name):
-    read, doc, _, _ = READERS[name]
+    read, doc, memo, _ = READERS[name]
     reads = _counting_reads(monkeypatch)
     first = read(doc)
     assert reads
     reads.clear()
     assert read(copy.deepcopy(doc)) is first
     assert reads == []
-    # with its object dropped, the remembered content builds it again
-    universal._theories.clear()
-    frobenius._algebras.clear()
+    # with its object dropped, the document is read in full again
+    memo.clear()
     again = read(doc)
     assert again is not first and _content(again) == _content(first)
-    assert reads == []
+    assert reads
 
 
 @pytest.mark.parametrize("name", READERS)
@@ -269,7 +266,9 @@ def test_documents_without_an_image_are_read_in_full(monkeypatch):
         reads.clear()
         t = theory_from_json(doc)
         n = len(reads)
-        assert n and theory_from_json(doc) is t and len(reads) == 2 * n
+        again = theory_from_json(doc)
+        assert n and again is not t and len(reads) == 2 * n
+        assert _content(again) == _content(t)
 
 
 def test_image_is_type_exact():
@@ -306,7 +305,7 @@ def test_equal_documents_share_one_memo_key(monkeypatch):
     assert theory_from_json(literal) is first
     assert theory_from_json(shared) is first
     assert len(reads) == n
-    assert len(universal._theory_reads) == 1
+    assert len(universal._theories) == 1
 
 
 LETTERS = ("a", "b")
@@ -429,7 +428,8 @@ def test_the_piece_memo_is_bounded(monkeypatch):
 
 def test_a_weight_that_fails_the_build_check_fails_on_every_call():
     # the read accepts the document; the commuting check runs on the built
-    # matrices, and its content is never kept, so every call raises anew
+    # matrices, and the document is never remembered, so every call raises
+    # anew
     doc = {"field": FIELD_DOCS[QQ], "alphabet": ["a", "b"],
            "interval": {"kind": "linrep", "dim": 1, "init": ["1"],
                         "letters": {"a": [["1"]], "b": [["1"]]}, "final": ["1"]},

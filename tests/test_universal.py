@@ -1,5 +1,6 @@
 """Tests for the universal module: minimization, the pair state space, its
 ideals, and the kernel Frobenius algebra."""
+import copy
 import random
 from fractions import Fraction as Fr
 from itertools import product
@@ -922,7 +923,6 @@ def test_one_letter_tracerep_takes_any_weight(rational_doc):
         "weight": _matrix_json(circ.weight),
     })
     want = (invariant_triple(r), frobenius_to_json(frobenius_of_K(r.pair_algebra)))
-    universal._theories.clear()  # equal content would return r itself
     t = theory_from_json(doc)
     assert t is not r
     assert (invariant_triple(t), frobenius_to_json(frobenius_of_K(t.pair_algebra))) == want
@@ -1039,13 +1039,28 @@ def respelled_documents(draw):
     return spelled(doc, 0), _reordered(spelled(doc, 1))
 
 
+def _built(t):
+    """What a theory is built to, comparable across objects: its field,
+    letters and kinds, the matrices of both parts (in lowest terms), its
+    invariant triple and its kernel algebra."""
+    iv, circ = t.interval, t.circular
+    return (t.field, t.alphabet, t.circular_is_trace,
+            iv.init, iv.letters, iv.final, circ.letters, circ.weight,
+            invariant_triple(t), frobenius_to_json(frobenius_of_K(t.pair_algebra)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(respelled_documents())
 def test_equal_content_returns_the_same_theory(docs):
+    # a respelled and reordered document is read in full and builds a
+    # theory of its own with equal values; an exact repeat gets the one
+    # it built back
     doc, respelled = docs
     t = theory_from_json(doc)
-    assert theory_from_json(respelled) is t
-    assert theory_from_json(doc) is t
+    r = theory_from_json(respelled)
+    assert r is not t and _built(r) == _built(t)
+    assert theory_from_json(copy.deepcopy(doc)) is t
+    assert theory_from_json(copy.deepcopy(respelled)) is r
     assert len(universal._theories) <= universal.THEORY_CACHE
 
 
@@ -1121,8 +1136,12 @@ def test_trace_mode_hit_does_not_minimize(monkeypatch):
     t = theory_from_json(doc)
     assert len(calls) == 1
     assert theory_from_json(doc) is t
-    assert theory_from_json(_reordered(doc)) is t
+    assert theory_from_json(copy.deepcopy(doc)) is t
     assert len(calls) == 1
+    # a reordered document is read in full and minimizes to equal values
+    r = theory_from_json(_reordered(doc))
+    assert len(calls) == 2
+    assert r is not t and _built(r) == _built(t)
 
 
 def _schema_path(doc):
@@ -1216,12 +1235,13 @@ HIT_DOCS = ([linrep_doc(f) for f in FIELD_DOCS] + ONE_LETTER_RATIONAL_DOCS
 def test_a_hit_builds_no_field_value_matrix_or_function(monkeypatch, doc):
     t = theory_from_json(doc)
     built = _counting(monkeypatch)
-    assert theory_from_json(_reordered(doc)) is t
+    assert theory_from_json(copy.deepcopy(doc)) is t
     assert built == []
-    # the counters see a miss build the theory
-    universal._theories.clear()
-    assert theory_from_json(doc) is not t
+    # the counters see a reordered document read in full, to equal values
+    r = theory_from_json(_reordered(doc))
+    assert r is not t
     assert "Matrix" in built and "value" not in built
+    assert _built(r) == _built(t)
 
 
 def _times(coeffs, factor):
@@ -1247,11 +1267,13 @@ RATIONAL1_RESPELLINGS = {
 @pytest.mark.parametrize("doc", ONE_LETTER_RATIONAL_DOCS, ids=FIELD_IDS)
 def test_equal_rational1_functions_return_the_same_theory(doc, part, respell):
     # num and den written with a common factor, or with den(0) != 1, are
-    # the same reduced, normalised function, so the same theory
+    # the same reduced, normalised function: the respelled document is read
+    # in full and builds a theory of its own with equal values
     t = theory_from_json(doc)
     num, den = respell(doc[part]["num"], doc[part]["den"])
     respelled = _with(doc, part, num=num, den=den)
-    assert theory_from_json(respelled) is t
+    r = theory_from_json(respelled)
+    assert r is not t and _built(r) == _built(t)
     # scaling only the numerator is another function
     other = _with(doc, part, num=_times(doc[part]["num"], ["2"]))
     assert theory_from_json(other) is not t
@@ -1259,9 +1281,11 @@ def test_equal_rational1_functions_return_the_same_theory(doc, part, respell):
 
 @pytest.mark.parametrize("doc", ONE_LETTER_RATIONAL_DOCS, ids=FIELD_IDS)
 def test_zero_rational1_functions_return_the_same_theory(doc):
+    # every spelling of the zero function builds a theory with equal values
     t = theory_from_json(_with(doc, "circular", num=[], den=["1"]))
     for num, den in ((["0"], ["1", "3"]), (["0/2", "0"], ["-1/2"])):
-        assert theory_from_json(_with(doc, "circular", num=num, den=den)) is t
+        r = theory_from_json(_with(doc, "circular", num=num, den=den))
+        assert r is not t and _built(r) == _built(t)
 
 
 @pytest.mark.parametrize("field_doc", FIELD_DOCS, ids=FIELD_IDS)
