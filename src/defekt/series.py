@@ -122,9 +122,12 @@ class _Representation:
 
 class LinearRepresentation(_Representation):
     """Finite presentation of an interval evaluation:
-    value(w) = init * letters[w1] * ... * letters[wn] * final."""
+    value(w) = init * letters[w1] * ... * letters[wn] * final.
 
-    __slots__ = ("init", "final")
+    It owns its minimal state space: ``universal.minimize`` builds it on
+    the first call and holds it in the private slot ``_minimal``."""
+
+    __slots__ = ("init", "final", "_minimal")
 
     def __init__(self, field: Field, num_letters: int, dim: int, init: Matrix,
                  letters, final: Matrix):

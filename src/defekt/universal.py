@@ -173,6 +173,20 @@ def minimize(rep: LinearRepresentation) -> StateSpace:
     """The minimal state space of an interval presentation: the minimal
     linear representation with the same values.
 
+    The presentation owns its minimal state space: the first call builds
+    it and holds it on ``rep``, and every later call on the same object
+    returns that same StateSpace, so ``minimize(rep) is minimize(rep)``.
+    """
+    ss = getattr(rep, "_minimal", None)
+    if ss is None:
+        ss = _minimize(rep)
+        object.__setattr__(rep, "_minimal", ss)
+    return ss
+
+
+def _minimize(rep: LinearRepresentation) -> StateSpace:
+    """The state space :func:`minimize` holds, built.
+
     Three word families, each from :func:`_saturate`: the covector side
     (rows init * act(w), words extended at the end), restriction to their
     span, then the vector side (columns act(w) * final on the restricted
@@ -447,8 +461,10 @@ class Theory:
 
     @cached_property
     def statespace(self) -> StateSpace:
-        """The minimal state space of the interval evaluation."""
-        return minimize(self.interval)
+        """The minimal state space the interval owns, built by
+        :func:`minimize` if the interval holds none yet."""
+        held = getattr(self.interval, "_minimal", None)
+        return held if held is not None else minimize(self.interval)
 
     @cached_property
     def arc_states(self) -> tuple:
@@ -631,16 +647,10 @@ def _theory_read(doc, field_override: Field | None) -> Theory:
                     LinearRepresentation(field, 0, r.dim, r.init, (), r.final))
     is_trace = ckind == "trace_of_interval"
     if is_trace:
-        space = minimize(interval)
-        circular = interval_trace_series(space)
+        circular = interval_trace_series(minimize(interval))
     elif ckind == "tracerep":
         circular = _circrep(field, cpart, "circular")
     else:
         circular = CircularRepresentation.from_rational(
             RationalFunction1._of_lowest_terms(field, *cpart), len(alphabet))
-    t = Theory(field, alphabet, interval, circular, is_trace)
-    if is_trace:
-        # the circle data was built from the state space: hand it to the
-        # theory (cached_property reads the instance dict first)
-        vars(t)["statespace"] = space
-    return t
+    return Theory(field, alphabet, interval, circular, is_trace)

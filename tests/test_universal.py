@@ -168,6 +168,32 @@ def test_minimize_is_idempotent(case):
 
 @settings(max_examples=40, deadline=None)
 @given(presentations())
+def test_a_presentation_owns_its_minimal_state_space(case):
+    # the first minimize builds the state space and the presentation holds
+    # it; the held result is what a fresh build on equal matrices gives
+    rep = case[0]
+    ss = minimize(rep)
+    assert minimize(rep) is ss
+    fresh = minimize(_unminimized(rep))
+    assert fresh is not ss
+    assert (fresh.dim, fresh.word_basis, fresh.cobasis_words) == (
+        ss.dim, ss.word_basis, ss.cobasis_words)
+    assert (fresh.init, fresh.letters, fresh.final) == (ss.init, ss.letters, ss.final)
+
+
+def test_representations_stay_immutable_when_they_hold_a_state_space():
+    t = two_letter_theory(QQ, Fr(2))
+    rep, circ = t.interval, t.circular
+    ss = minimize(rep)
+    for obj in (rep, ss, circ):
+        for name in ("dim", "letters", "_minimal", "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    assert minimize(rep) is ss
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
 @example(ORDER_SENSITIVE)
 def test_word_families_are_the_greedy_length_then_lex_families(case):
     rep, circ = case
@@ -183,6 +209,13 @@ def test_word_families_are_the_greedy_length_then_lex_families(case):
     assert arcs == greedy_words(
         words_upto(rep.num_letters, len(arcs[-1]) + 1),
         lambda w: ss.act(w).flat() + circ.act(w).flat())
+
+
+def _unminimized(rep):
+    """A new presentation with rep's matrices, owning no state space yet,
+    so that minimizing it does the whole build."""
+    return LinearRepresentation(rep.field, rep.num_letters, rep.dim, rep.init,
+                                rep.letters, rep.final)
 
 
 def _recorded_saturations(run):
@@ -223,7 +256,7 @@ def test_integer_saturation_matches_the_matrix_route(t):
     # words: each integer saturation keeps the words and, as the rows of
     # its matrix, the states of the saturation on Matrix products
     def run():
-        ss = minimize(t.interval)
+        ss = minimize(_unminimized(t.interval))
         return ss, universal._arc_states(ss, t.circular)
 
     (ss, arcs), calls = _recorded_saturations(run)
@@ -615,7 +648,7 @@ def test_minimize_solves_once_per_side(monkeypatch):
     monkeypatch.setattr(Matrix, "solve", counted_solve)
     seen = set()
     for name, t in theory_corpus():
-        rep = t.interval
+        rep = _unminimized(t.interval)
         calls.clear()
         s = minimize(rep)
         if rep.num_letters and s.dim:
@@ -1107,7 +1140,10 @@ def _scalar_paths(doc, path=()):
                          + ONE_LETTER_RATIONAL_DOCS,
                          ids=["linrep-QQ", "linrep-F7", "rational1-QQ", "rational1-F7"])
 def test_every_scalar_is_part_of_the_content(base):
+    # each scalar reaches the built theory: adding 1 to any one of them
+    # gives a theory with other matrices or invariants
     t = theory_from_json(base)
+    built = _built(t)
     paths = list(_scalar_paths(base))
     assert len(paths) >= 6
     for path in paths:
@@ -1117,7 +1153,9 @@ def test_every_scalar_is_part_of_the_content(base):
         for k in head:
             node = node[k]
         node[last] = str(Fr(node[last]) + 1)
-        assert theory_from_json(doc) is not t, path
+        r = theory_from_json(doc)
+        assert r is not t, path
+        assert _built(r) != built, path
 
 
 def test_field_override_is_part_of_the_content():
@@ -1125,6 +1163,17 @@ def test_field_override_is_part_of_the_content():
     t = theory_from_json(theory_doc(), field_override=F7)
     assert t is not theory_from_json(theory_doc())
     assert theory_from_json(theory_doc(), field_override=PrimeField(7)) is t
+
+
+@pytest.mark.parametrize("doc", [linrep_doc(FIELD_DOCS[0]), ONE_LETTER_RATIONAL_DOCS[0],
+                                 dict(theory_doc(), circular={"kind": "trace_of_interval"})],
+                         ids=["linrep", "rational1", "trace_of_interval"])
+def test_a_theory_reads_its_state_space_off_the_interval(doc):
+    t = theory_from_json(doc)
+    assert t.statespace is minimize(t.interval)
+    if t.circular_is_trace:
+        # the circle data was built from the state space the theory holds
+        assert all(c is s for c, s in zip(t.circular.letters, t.statespace.letters))
 
 
 def test_trace_mode_hit_does_not_minimize(monkeypatch):
