@@ -631,6 +631,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Matrix is immutable")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -914,6 +917,9 @@ class Polynomial:
         return f
 
     def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod

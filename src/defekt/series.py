@@ -116,6 +116,9 @@ class _Representation:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def act(self, word) -> Matrix:
         return _word_action(self.field, self.dim, self.letters, word)
 
@@ -268,6 +271,9 @@ class RationalFunction1:
         object.__setattr__(self, "den", Polynomial._of_ints(field, den, den[0]))
 
     def __setattr__(self, name, value):
+        raise AttributeError("RationalFunction1 is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("RationalFunction1 is immutable")
 
     @staticmethod

@@ -461,10 +461,8 @@ class Theory:
 
     @cached_property
     def statespace(self) -> StateSpace:
-        """The minimal state space the interval owns, built by
-        :func:`minimize` if the interval holds none yet."""
-        held = getattr(self.interval, "_minimal", None)
-        return held if held is not None else minimize(self.interval)
+        """The minimal state space the interval owns: :func:`minimize`."""
+        return minimize(self.interval)
 
     @cached_property
     def arc_states(self) -> tuple:

@@ -57,6 +57,21 @@ from oracles import (
 F7 = PrimeField(7)
 
 
+def test_matrices_and_polynomials_refuse_assignment_and_deletion():
+    m = Matrix(QQ, [[Fraction(1, 2), 3]])
+    m.data  # built on first read and kept
+    f = Polynomial(QQ, [Fraction(1, 3), 2])
+    for obj, names in ((m, ("field", "rows", "cols", "_num", "_den", "_data")),
+                       (f, ("field", "_num", "_den"))):
+        for name in names:
+            held = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is held
+
+
 def test_rational_field_parse_and_format():
     assert QQ.parse("3/2") == Fraction(3, 2)
     assert QQ.parse(-4) == Fraction(-4)

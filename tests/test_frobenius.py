@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 from functools import cached_property
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defekt.errors import (
@@ -16,12 +16,13 @@ from defekt.errors import (
     SchemaError,
 )
 import defekt.frobenius as frobenius_module
-from defekt.exactla import Field, FpValue, Matrix, PrimeField, QQ, RationalField
+from defekt.exactla import Field, FpValue, Matrix, PrimeField, QQ, RationalField, hstack
 from defekt.frobenius import (
     FrobeniusAlgebra,
     SurfaceComponent,
     SurfaceSpec,
     _commutator_rows,
+    _generators,
     beta_map,
     center_basis,
     commutator_space,
@@ -39,6 +40,7 @@ from defekt.frobenius import (
 )
 
 from defekt.openclosed import _comult_table, check_knowledgeable
+from defekt.universal import build_pair_algebra
 
 from factories import (
     FIELDS,
@@ -54,7 +56,9 @@ from factories import (
     point_block,
     random_element,
     random_invertible,
+    random_scalar,
     random_symmetric_frobenius,
+    theory_corpus,
 )
 from oracles import (
     beta_by_solves,
@@ -228,6 +232,85 @@ def perturbed_algebras(draw):
 def test_verify_witness_is_first_failing_triple(b):
     # the whole report, every flag and witness, equals the product route's
     assert verify(b) == verify_by_products(b)
+
+
+# -- the generator route of associativity ---------------------------------------
+
+
+def _hidden_mat2_sum(field, rng, blocks):
+    """A direct sum of ``blocks`` copies of Mat_2 with random nonzero trace
+    scales, rewritten over a random basis."""
+    b = None
+    for _ in range(blocks):
+        blk = mat2_block(field, random_scalar(rng, field, nonzero=True))
+        b = blk if b is None else direct_sum(b, blk)
+    return change_basis(b, random_invertible(rng, field, b.dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.data())
+def test_zero_multiplication_takes_every_basis_element(field, n, data):
+    # products add nothing to the span, so S is the whole basis
+    z = field.zero
+    trace = [field.of(data.draw(fractions(False))) for _ in range(n)]
+    b = FrobeniusAlgebra(field, [f"e{i}" for i in range(n)],
+                         [[[z] * n for _ in range(n)] for _ in range(n)], [z] * n, trace)
+    assert _generators(b) == list(range(n))
+    rep = verify(b)
+    assert rep == verify_by_products(b) and rep.associative
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 1), st.data())
+def test_verify_in_dimensions_zero_and_one(field, n, data):
+    def draw():
+        return field.of(data.draw(fractions(data.draw(st.booleans()))))
+
+    b = FrobeniusAlgebra(field, [f"e{i}" for i in range(n)],
+                         [[[draw() for _ in range(n)] for _ in range(n)] for _ in range(n)],
+                         [draw() for _ in range(n)], [draw() for _ in range(n)])
+    assert _generators(b) == list(range(n))
+    rep = verify(b)
+    assert rep == verify_by_products(b) and rep.associative
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(2, 3), st.integers(0, 2 ** 16))
+def test_hidden_mat2_sums_need_two_generators(field, blocks, seed):
+    # one element generates a commutative subalgebra, so a noncommutative
+    # algebra needs at least two generators
+    b = _hidden_mat2_sum(field, random.Random(seed), blocks)
+    assert len(_generators(b)) >= 2
+    rep = verify(b)
+    assert rep == verify_by_products(b) and rep.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, F7]), st.integers(0, 2 ** 16), st.data())
+def test_a_perturbation_away_from_the_generators_is_found(field, seed, data):
+    # the shifted constant c_ij^k has none of i, j, k among the generators
+    # of the unperturbed algebra, so the generators' own products keep
+    # their values
+    rng = random.Random(seed)
+    b = data.draw(st.sampled_from([
+        lambda: _hidden_mat2_sum(field, rng, 2),
+        lambda: random_symmetric_frobenius(rng, field, max_dim=6),
+        lambda: group_algebra_cyclic(field, 4),
+    ]))()
+    rest = [i for i in range(b.dim) if i not in _generators(b)]
+    assume(rest)
+    i, j, k = (data.draw(st.sampled_from(rest)) for _ in range(3))
+    mult = [[list(row) for row in plane] for plane in b.mult]
+    mult[i][j][k] += field.of(Fr(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))))
+    c = FrobeniusAlgebra(field, b.names, mult, b.unit, b.trace)
+    assert verify(c) == verify_by_products(c)
+
+
+def test_verify_on_a_sixteen_dimensional_hidden_mat2_sum():
+    b = _hidden_mat2_sum(QQ, random.Random(16), 4)
+    assert b.dim == 16 and len(_generators(b)) >= 2
+    rep = verify(b)
+    assert rep == verify_by_products(b) and rep.passed
 
 
 def test_axioms_commutators_and_hole_form_no_products(monkeypatch):
@@ -460,6 +543,94 @@ def test_dual_rows_are_joined_once_per_algebra(monkeypatch):
             b._dual_rows
         with pytest.raises(DegenerateTrace):
             window(b, b.unit_el())
+
+
+def test_window_matrix_is_built_once_per_algebra(monkeypatch):
+    # window, beta_map, eval_surface and the Cardy check of a pair read the
+    # one held W: dim column contractions in all; a degenerate trace stores
+    # nothing and raises on every access
+    built = []
+    real = FrobeniusAlgebra._window_column
+    monkeypatch.setattr(FrobeniusAlgebra, "_window_column",
+                        lambda b, i: built.append((b, i)) or real(b, i))
+    pair = knowledgeable_pair_matrix(QQ)
+    B = pair.open_algebra
+    s = SurfaceSpec((SurfaceComponent(1, ((B.basis_el(1),), (), (B.basis_el(2),))),))
+    window(B, B.basis_el(2))
+    beta_map(B)
+    value = eval_surface(B, s)
+    assert check_knowledgeable(pair).cardy
+    assert built == [(B, i) for i in range(B.dim)]
+    assert B.window_matrix is B.window_matrix
+    assert eval_surface_by_surgery(B, s) == value
+    b = nilpotent_block(QQ, Fr(1), Fr(0))
+    for _ in range(2):
+        with pytest.raises(DegenerateTrace):
+            b.window_matrix
+        with pytest.raises(DegenerateTrace):
+            beta_map(b)
+    assert "window_matrix" not in vars(b)
+
+
+def _factory_algebras(field, rng):
+    o = field.one
+    pairs = [knowledgeable_pair_matrix(field)]
+    if field == F7:
+        pairs.append(knowledgeable_pair_cyclic(field, o))
+    return [point_block(field, o), nilpotent_block(field, o, o),
+            jordan3_block(field, o, o, o), mat2_block(field, o),
+            group_algebra_cyclic(field, 3),
+            direct_sum(mat2_block(field, o), nilpotent_block(field, o, o)),
+            random_symmetric_frobenius(rng, field),
+            change_basis(direct_sum(mat2_block(field, o), jordan3_block(field, o, o, o)),
+                         random_invertible(rng, field, 7))
+            ] + [a for p in pairs for a in (p.open_algebra, p.closed_algebra)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_windows_are_the_held_matrix_times_the_element(field):
+    rng = random.Random(71)
+    for b in _factory_algebras(field, rng):
+        elems = list(b.basis_columns) + [b.unit_el(), random_element(rng, b)]
+        windows = [window_by_products(b, x) for x in elems]
+        assert [window(b, x) for x in elems] == windows
+        assert b.window_matrix == hstack(windows[:b.dim])
+
+
+def test_windows_of_the_corpus_kernels_are_the_product_route_windows():
+    checked = 0
+    for name, t in theory_corpus():
+        pa = build_pair_algebra(t)
+        if pa.K_dim:
+            b = pa.kernel
+            for x in b.basis_columns + (b.unit_el(),):
+                assert window(b, x) == window_by_products(b, x), name
+            checked += 1
+    assert checked >= 3
+
+
+def test_an_undecorated_side_circle_inserts_the_window_of_the_unit():
+    # over a nonsymmetric trace the hole sum_i x_i y_i differs from
+    # window(1) = sum_i y_i x_i; the closed form inserts window(1), as the
+    # surgery oracle does
+    B = mat2_block(QQ, Fr(1))
+    b = FrobeniusAlgebra(QQ, B.names, B.mult, B.unit, [1, 0, 0, 2])
+    assert not verify(b).symmetric
+    assert hole_element(b) == b.el([2, 0, 0, 1])
+    assert window(b, b.unit_el()) == b.el([Fr(3, 2), 0, 0, Fr(3, 2)])
+    s = SurfaceSpec((SurfaceComponent(0, ((b.basis_el(0),), ())),))
+    assert eval_surface(b, s) == eval_surface_by_surgery(b, s) == Fr(3, 2)
+
+
+def test_algebras_refuse_assignment_and_deletion():
+    B = mat2_block(QQ, Fr(1))
+    W, hole, duals = B.window_matrix, B.hole, B.duals
+    for name in ("field", "names", "_cube", "window_matrix", "hole", "duals", "other"):
+        with pytest.raises(AttributeError):
+            setattr(B, name, None)
+        with pytest.raises(AttributeError):
+            delattr(B, name)
+    assert B.window_matrix is W and B.hole is hole and B.duals is duals
 
 
 def test_gram_is_built_once_per_algebra(monkeypatch):

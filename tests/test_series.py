@@ -33,6 +33,17 @@ def rat(num, den=(1,)):
     return RationalFunction1(QQ, Polynomial(QQ, num), Polynomial(QQ, den))
 
 
+def test_rational_functions_refuse_assignment_and_deletion():
+    f = rat([1, 2], [1, -1])
+    for name in ("field", "num", "den"):
+        held = getattr(f, name)
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+        assert getattr(f, name) is held
+
+
 def test_canonical_rotation_bab():
     # alphabet a=0, b=1: "bab" canonicalizes to "abb"
     assert canonical_rotation((1, 0, 1)) == (0, 1, 1)

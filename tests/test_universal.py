@@ -192,6 +192,25 @@ def test_representations_stay_immutable_when_they_hold_a_state_space():
     assert minimize(rep) is ss
 
 
+def test_representations_refuse_deletion():
+    # deleting is refused as assigning is, on both representation kinds,
+    # so the held state space cannot be dropped and built again
+    t = two_letter_theory(QQ, Fr(2))
+    rep, circ = t.interval, t.circular
+    assert isinstance(rep, LinearRepresentation)
+    assert isinstance(circ, CircularRepresentation)
+    ss = minimize(rep)
+    for obj, names in ((rep, ("dim", "letters", "init", "final", "_minimal")),
+                       (circ, ("dim", "letters", "weight")),
+                       (ss, ("dim", "letters", "init", "final"))):
+        for name in names:
+            held = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is held
+    assert minimize(rep) is ss and minimize(rep) is minimize(rep)
+
+
 @settings(max_examples=40, deadline=None)
 @given(presentations())
 @example(ORDER_SENSITIVE)
@@ -873,8 +892,10 @@ def test_theory_from_json_trace_of_interval():
 ], ids=["rational1", "trace"])
 def test_theory_builds_its_state_space_and_pair_algebra_once(monkeypatch,
                                                              circular):
+    # counts builds of the state space (the private _minimize), not calls
+    # of minimize, which answers from the interval once it holds one
     calls = {"minimize": 0, "pair_algebra": 0}
-    real_minimize = universal.minimize
+    real_minimize = universal._minimize
     real_init = universal.PairAlgebra.__init__
 
     def counted_minimize(rep):
@@ -885,7 +906,7 @@ def test_theory_builds_its_state_space_and_pair_algebra_once(monkeypatch,
         calls["pair_algebra"] += 1
         real_init(self, theory)
 
-    monkeypatch.setattr(universal, "minimize", counted_minimize)
+    monkeypatch.setattr(universal, "_minimize", counted_minimize)
     monkeypatch.setattr(universal.PairAlgebra, "__init__", counted_init)
     doc = theory_doc()
     doc["circular"] = circular
@@ -1177,9 +1198,10 @@ def test_a_theory_reads_its_state_space_off_the_interval(doc):
 
 
 def test_trace_mode_hit_does_not_minimize(monkeypatch):
+    # counts builds of the state space (the private _minimize)
     calls = []
-    real_minimize = universal.minimize
-    monkeypatch.setattr(universal, "minimize",
+    real_minimize = universal._minimize
+    monkeypatch.setattr(universal, "_minimize",
                         lambda rep: calls.append(rep) or real_minimize(rep))
     doc = dict(theory_doc(), circular={"kind": "trace_of_interval"})
     t = theory_from_json(doc)
