@@ -19,9 +19,9 @@ The package works over the rationals or a prime field, always exactly:
   map from the cocenter to the center, and a semisimplicity obstruction.
 - ``openclosed``: zipper/cozipper pairs, mixed open-closed surface
   evaluation, and circle state-space estimates.
-- ``lru``: the bounded map behind the content-keyed theory and algebra
-  caches, and the memo of exact documents already accepted in front of
-  them.
+- ``lru``: the bounded map behind the three document memos (theories,
+  algebras and diagram pieces, each keyed by a document's exact bytes)
+  and the diagram context's memos of interval and circle values.
 - ``cli``: the ``defekt`` command-line tool (JSON in, JSON out).
 """
 

@@ -55,10 +55,8 @@ __all__ = [
     "RationalField",
     "field_from_json",
     "hstack",
-    "kernel_basis",
     "poly_gcd",
     "poly_gcd_lcm",
-    "rref",
     "vstack",
 ]
 
@@ -1062,17 +1060,6 @@ class Polynomial:
             return "Poly[0]"
         terms = ", ".join(self.field.format(c) for c in self.coeffs)
         return f"Poly[{terms}]"
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with deterministic pivoting; returns
-    (rref matrix, pivot column indices)."""
-    return m.rref()
-
-
-def kernel_basis(m: Matrix) -> list[Matrix]:
-    """Deterministic basis of the right kernel (column vectors)."""
-    return m.kernel_basis()
 
 
 def _poly_divmod(p: int, a, b) -> tuple[list, list]:

@@ -692,12 +692,12 @@ def frobenius_from_json(field: Field, doc, path: str = "$") -> FrobeniusAlgebra:
     "trace":[...]}; a missing or null basis means the names e0, e1, ...
 
     A document is read and validated in full unless its exact JSON value
-    (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
-    with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
-    over the same field, equals one of the last ``ALGEBRA_CACHE``
-    documents accepted; such a repeat gets that same immutable algebra
-    back, with its Gram matrix, dual bases and hole element if they were
-    built; beyond the bound the least recently returned one is dropped.
+    (its ``lru.exact`` bytes, under the memo rule of ``lru``), over the
+    same field, equals one of the last ``ALGEBRA_CACHE`` documents
+    accepted; such a repeat gets that same immutable algebra back, with
+    its Gram matrix, dual bases, hole element and window matrix W if they
+    were built; beyond the bound the least recently returned one is
+    dropped.
     A document that differs in spelling, key order or an ignored key is
     read in full and gets an algebra of its own.  The read takes every
     scalar through the scalar grammar straight to integers

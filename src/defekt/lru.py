@@ -7,10 +7,13 @@ document is checked in full unless its exact JSON value equals one the
 reader has already accepted within the bound, and then the object built
 for that one is returned.  The memo key is the document's ``exact``
 bytes, one C call, so this module alone decides when two documents are
-the same.  Only plain JSON is remembered (``image``, walked on a miss),
-so a document with a ``bool``, a ``float``, a tuple, a non-``str`` key or
-a subclass of ``list``, ``dict``, ``str`` or ``int`` anywhere in it is
-read in full on every call."""
+the same.  The one memo rule: every accepted document is kept under its
+exact bytes and the reader's tag, whatever JSON or Python types it holds,
+so one with a ``bool``, a ``float`` or a tuple in it is remembered too,
+apart from the same document with an ``int`` or a list in that place; a
+document marshal refuses (a subclass of ``list``, ``dict``, ``str`` or
+``int``, a cycle, too deep nesting) is read in full on every call, and a
+rejected one is never kept."""
 import marshal
 from collections import OrderedDict
 
@@ -38,40 +41,6 @@ class LRU(OrderedDict):
         return value
 
 
-class _NotPlain(Exception):
-    pass
-
-
-def _image(value):
-    t = type(value)
-    if t is str or t is int or value is None:
-        return value
-    if t is list:
-        return tuple([_image(x) for x in value])
-    if t is dict:
-        out = [dict]
-        for k, x in value.items():
-            if type(k) is not str:
-                raise _NotPlain
-            out += (k, _image(x))
-        return tuple(out)
-    raise _NotPlain
-
-
-def image(value):
-    """A hashable image of a JSON value, equal for two values exactly when
-    they are equal with the same types: a list becomes a tuple, a dict with
-    ``str`` keys a tuple tagged with ``dict`` of its keys and values in
-    insertion order, and the leaves are ``str``, ``int`` (not ``bool``) or
-    None.  Anything else (a ``bool``, a ``float``, a tuple, a non-``str``
-    key, a subclass of ``list``, ``dict``, ``str`` or ``int``), or nesting
-    too deep to walk, gives None."""
-    try:
-        return _image(value)
-    except (_NotPlain, RecursionError):
-        return None
-
-
 def exact(value):
     """The type-exact bytes ``marshal.dumps(value, 2)``, or None for a
     value marshal refuses (a subclass of ``int``, ``str``, ``list`` or
@@ -89,16 +58,15 @@ def exact(value):
 def remember(doc, tag, memo: LRU, read):
     """``read()``, or the value it gave before for a document equal to
     ``doc`` type for type and in key order, read with the same ``tag``.
-    ``memo`` maps (exact bytes, tag) to that value; it is kept only once
-    ``read`` returns, and only for plain JSON, so a rejected document
+    ``memo`` maps (exact bytes, tag) to that value for every document
+    ``read`` accepts, whatever types it holds; a document ``exact``
+    refuses is read on every call, and a rejected one is never kept, so it
     raises the same error on every call."""
     b = exact(doc)
     if b is None:
         return read()
     value = memo.hit((b, tag))
     if value is None:
-        value = read()
-        if image(doc) is not None:
-            memo.keep((b, tag), value)
+        value = memo.keep((b, tag), read())
     return value
 

@@ -580,9 +580,8 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     trace_of_interval.
 
     A document is read and validated in full unless its exact JSON value
-    (its ``lru.exact`` bytes; only plain JSON is remembered, so never one
-    with a ``bool``, ``float``, tuple, non-``str`` key or subclass in it),
-    with the same ``field_override``, equals one of the last
+    (its ``lru.exact`` bytes, under the memo rule of ``lru``), with the
+    same ``field_override``, equals one of the last
     ``THEORY_CACHE`` documents accepted; such a repeat gets that same
     Theory back, with all it has built, and no field value, matrix or
     realisation is made for it; beyond the bound the least recently

@@ -27,10 +27,8 @@ from defekt.exactla import (
     PrimeField,
     field_from_json,
     hstack,
-    kernel_basis,
     poly_gcd,
     poly_gcd_lcm,
-    rref,
     vstack,
 )
 from defekt.exactla import _is_prime
@@ -173,12 +171,12 @@ def test_zero_dimensional_matrices():
 
 def test_rref_is_deterministic_and_reduced():
     m = Matrix(QQ, [[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    r, pivots = rref(m)
+    r, pivots = m.rref()
     assert pivots == (0, 1)
     assert r.data[0][0] == 1 and r.data[1][1] == 1
     assert r.data[2] == (0, 0, 0)
     # row-reducing twice changes nothing
-    assert rref(r)[0] == r
+    assert r.rref()[0] == r
 
 
 def test_rank_matches_minor_oracle():
@@ -193,7 +191,7 @@ def test_rank_matches_minor_oracle():
 
 def test_kernel_basis():
     m = Matrix(QQ, [[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(m)
+    basis = m.kernel_basis()
     assert len(basis) == 2
     for v in basis:
         assert (m * v).is_zero()

@@ -15,7 +15,7 @@ from defekt.diagrams import diagram_from_json
 from defekt.errors import SchemaError
 from defekt.exactla import QQ, Field, PrimeField
 from defekt.frobenius import frobenius_from_json, frobenius_to_json
-from defekt.lru import image
+from defekt.lru import exact
 from defekt.universal import theory_from_json
 
 from factories import random_symmetric_frobenius
@@ -254,15 +254,15 @@ def test_field_override_is_part_of_the_memo_key():
     assert theory_from_json(THEORY).field == F7
 
 
-def test_documents_without_an_image_are_read_in_full(monkeypatch):
+def test_documents_marshal_refuses_are_read_in_full(monkeypatch):
     deep = []
     for _ in range(5000):
         deep = [deep]
     cyclic = dict(THEORY)
     cyclic["self"] = cyclic
     reads = _counting_reads(monkeypatch)
-    for doc in (dict(THEORY, note=deep), cyclic, dict(THEORY, note=True)):
-        assert image(doc) is None
+    for doc in (dict(THEORY, note=deep), cyclic):
+        assert exact(doc) is None
         reads.clear()
         t = theory_from_json(doc)
         n = len(reads)
@@ -271,15 +271,27 @@ def test_documents_without_an_image_are_read_in_full(monkeypatch):
         assert _content(again) == _content(t)
 
 
-def test_image_is_type_exact():
+def test_exact_is_type_exact():
     plain = {"a": [1, "1", None, [], {}], "b": {"c": [[0]]}}
-    assert image(plain) == image(copy.deepcopy(plain))
-    assert hash(image(plain)) == hash(image(copy.deepcopy(plain)))
-    assert image(plain) != image(dict(reversed(plain.items())))
-    assert image([1]) != image(["1"]) and image([{}]) != image([[]])
-    assert image({"a": 1}) != image(["a", 1]) and image({}) != image([])
-    for bad in ([True], [1.0], (1,), {1: "a"}, [S("1")], L(), D(), [[0.5]], {"a": [False]}):
-        assert image(bad) is None
+    assert exact(plain) == exact(copy.deepcopy(plain))
+    assert exact(plain) != exact(dict(reversed(plain.items())))
+    assert exact([1]) != exact(["1"]) and exact([{}]) != exact([[]])
+    assert exact({"a": 1}) != exact(["a", 1]) and exact({}) != exact([])
+    for x, y in (([True], [1]), ([False], [0]), ([1.0], [1]), ((1,), [1]),
+                 ({1: "a"}, {"1": "a"}), ({"a": [0.5]}, {"a": ["0.5"]})):
+        assert exact(x) is not None and exact(y) is not None
+        assert exact(x) != exact(y)
+
+    class I(int):
+        pass
+
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    cyclic = {}
+    cyclic["self"] = cyclic
+    for bad in ([S("1")], L(), D(), {"a": [I(1)]}, cyclic, deep):
+        assert exact(bad) is None
 
 
 def test_equal_documents_share_one_memo_key(monkeypatch):
@@ -424,6 +436,34 @@ def test_the_piece_memo_is_bounded(monkeypatch):
     # the first pieces were dropped, so they are read in full again
     diagram_from_json(LETTERS, dict(PIECE, note="0"))
     assert reads
+
+
+# name: (reader, a valid document it ignores a "note" key of, the full
+# read it goes through on a miss, the content of what it returns)
+NOTED_READERS = {
+    "theory": (theory_from_json, THEORY, (universal, "_theory_read"), _content),
+    "algebra": (lambda d: frobenius_from_json(F7, d), _algebra(F7),
+                (frobenius, "_algebra_read"), _content),
+    "piece": (lambda d: diagram_from_json(LETTERS, d), PIECE,
+              (diagrams, "_diagram_read"), lambda d: d),
+}
+
+
+@pytest.mark.parametrize("name", NOTED_READERS)
+def test_documents_with_a_bool_or_a_float_are_remembered(monkeypatch, name):
+    read, doc, (module, full), content = NOTED_READERS[name]
+    reads = []
+    real = getattr(module, full)
+    monkeypatch.setattr(module, full, lambda *a: reads.append(a) or real(*a))
+    for note in (True, 1.5):
+        noted = dict(doc, note=note)
+        reads.clear()
+        first = read(noted)
+        assert read(copy.deepcopy(noted)) is first
+        assert len(reads) == 1
+    # True and 1 are equal in Python, but not the same document
+    as_bool, as_int = read(dict(doc, note=True)), read(dict(doc, note=1))
+    assert as_bool is not as_int and content(as_bool) == content(as_int)
 
 
 def test_a_weight_that_fails_the_build_check_fails_on_every_call():
