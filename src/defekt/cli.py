@@ -133,8 +133,11 @@ def _parse_series(field: Field, text: str, flag: str) -> RationalFunction1:
 def _emit(doc, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError("--out", f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -424,7 +427,7 @@ def run(argv=None) -> int:
     errors, 2 on malformed input."""
     args = _build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        _emit(args.handler(args), args.out)
     except SchemaError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc), "path": exc.path}},
               None)
@@ -432,7 +435,6 @@ def run(argv=None) -> int:
     except DefektError as exc:
         _emit({"error": {"code": exc.code, "message": str(exc)}}, None)
         return 1
-    _emit(doc, args.out)
     return 0
 
 

@@ -278,9 +278,13 @@ class RationalFunction1:
 
     @staticmethod
     def from_lists(field: Field, num, den, path: str = "rational1") -> "RationalFunction1":
-        """Read JSON arrays of the ascending coefficients of P and Q."""
+        """The RationalFunction1 P/Q, in lowest terms, of JSON arrays of the
+        ascending coefficients of P and Q; a bad array is refused at
+        ``path.num`` or ``path.den``."""
+        n, dn = _read_coefficients(field, num, f"{path}.num")
+        d, dd = _read_coefficients(field, den, f"{path}.den")
         return RationalFunction1._of_lowest_terms(
-            field, *_read_lowest_terms(field, num, den, path))
+            field, *_lowest_terms(field.char, [x * dd for x in n], [x * dn for x in d]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -408,17 +412,12 @@ def word_to_str(alphabet, word) -> str:
     return "".join(alphabet[a] for a in word)
 
 
-# The parts of a theory document are read in two stages.  ``_read_linrep``,
-# ``_read_circrep`` and ``_read_rational1`` read a part through the scalar
-# grammar into ints, as a hashable tuple that is its content: equal tuples
-# mean equal data, and every check they make has then passed.  ``_linrep``,
-# ``_circrep`` and ``RationalFunction1._of_lowest_terms`` build from such a
-# tuple as it is (``Field._read`` gives canonical ints); the weight of a
-# tracerep is checked there, by CircularRepresentation.
+# ``Field._read`` gives canonical ints, so ``Matrix._raw`` takes them as
+# they are.
 
 
 def _read_letters(field: Field, alphabet, doc, dim: int, path: str) -> tuple:
-    """One (ints, d) per letter of the alphabet, in its order."""
+    """One dim x dim matrix per letter of the alphabet, in its order."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object keyed by letter names")
     unknown = sorted(set(doc) - set(alphabet))
@@ -428,7 +427,8 @@ def _read_letters(field: Field, alphabet, doc, dim: int, path: str) -> tuple:
     for name in alphabet:
         if name not in doc:
             raise SchemaError(f"{path}.{name}", "missing letter matrix")
-        out.append(field._read(doc[name], (dim, dim), f"{path}.{name}"))
+        out.append(Matrix._raw(field, *field._read(doc[name], (dim, dim), f"{path}.{name}"),
+                               dim, dim))
     return tuple(out)
 
 
@@ -439,38 +439,26 @@ def _read_dim(doc, path: str) -> int:
     return dim
 
 
-def _read_linrep(field: Field, alphabet, doc, path: str) -> tuple:
-    """(dim, init, final, letters), each vector and matrix as (ints, d)."""
+def _read_linrep(field: Field, alphabet, doc, path: str) -> LinearRepresentation:
+    """The LinearRepresentation of a linrep part."""
     dim = _read_dim(doc, path)
     init = field._read(doc.get("init"), (dim,), f"{path}.init")
     final = field._read(doc.get("final"), (dim,), f"{path}.final")
     letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
-    return dim, init, final, letters
-
-
-def _linrep(field: Field, part) -> LinearRepresentation:
-    dim, init, final, letters = part
     return LinearRepresentation(
-        field, len(letters), dim, Matrix._raw(field, *init, 1, dim),
-        tuple(Matrix._raw(field, *m, dim, dim) for m in letters),
+        field, len(letters), dim, Matrix._raw(field, *init, 1, dim), letters,
         Matrix._raw(field, *final, dim, 1))
 
 
-def _read_circrep(field: Field, alphabet, doc, path: str) -> tuple:
-    """(dim, weight, letters), each matrix as (ints, d)."""
+def _read_circrep(field: Field, alphabet, doc, path: str) -> CircularRepresentation:
+    """The CircularRepresentation of a tracerep part; a weight that does not
+    commute with the letters is refused at ``path.weight``."""
     dim = _read_dim(doc, path)
     weight = field._read(doc.get("weight"), (dim, dim), f"{path}.weight")
     letters = _read_letters(field, alphabet, doc.get("letters", {}), dim, f"{path}.letters")
-    return dim, weight, letters
-
-
-def _circrep(field: Field, part, path: str) -> CircularRepresentation:
-    dim, weight, letters = part
     try:
         return CircularRepresentation(
-            field, len(letters), dim,
-            tuple(Matrix._raw(field, *m, dim, dim) for m in letters),
-            Matrix._raw(field, *weight, dim, dim))
+            field, len(letters), dim, letters, Matrix._raw(field, *weight, dim, dim))
     except FieldMismatch as e:
         raise SchemaError(f"{path}.weight", str(e)) from None
 
@@ -481,23 +469,8 @@ def _read_coefficients(field: Field, doc, path: str) -> tuple[tuple, int]:
     return field._read(doc, (len(doc),), path)
 
 
-def _read_lowest_terms(field: Field, num, den, path: str) -> tuple[tuple, tuple]:
-    """The coefficient arrays num and den in lowest terms
-    (:func:`_lowest_terms`)."""
-    n, dn = _read_coefficients(field, num, f"{path}.num")
-    d, dd = _read_coefficients(field, den, f"{path}.den")
-    return _lowest_terms(field.char, [x * dd for x in n], [x * dn for x in d])
-
-
-def _read_rational1(field: Field, doc, path: str) -> tuple[tuple, tuple]:
-    num = doc.get("num")
-    den = doc.get("den")
-    if num is None:
-        raise SchemaError(f"{path}.num", "missing coefficient list")
-    if den is None:
-        raise SchemaError(f"{path}.den", "missing coefficient list")
-    return _read_lowest_terms(field, num, den, path)
-
-
 def rational1_from_json(field: Field, doc, path: str) -> RationalFunction1:
-    return RationalFunction1._of_lowest_terms(field, *_read_rational1(field, doc, path))
+    for key in ("num", "den"):
+        if doc.get(key) is None:
+            raise SchemaError(f"{path}.{key}", "missing coefficient list")
+    return RationalFunction1.from_lists(field, doc["num"], doc["den"], path)

@@ -58,11 +58,9 @@ from .series import (
     LinearRepresentation,
     RationalFunction1,
     Word,
-    _circrep,
-    _linrep,
     _read_circrep,
     _read_linrep,
-    _read_rational1,
+    rational1_from_json,
     rational_to_rep,
 )
 
@@ -520,9 +518,11 @@ def frobenius_of_K(pa: PairAlgebra):
     F, n = pa.field, pa.K_dim
     if n == 0:
         return FrobeniusAlgebra(F, (), (), (), ())
-    P = pa.to_K_coords(pa._products(pa._K_mat)).transpose()
+    # K is an ideal containing one_K, so these lie in K: their K coordinates
+    # are read at the free columns, without the check of to_K_coords
+    P = pa._products(pa._K_mat)._sub(pa._K_free).transpose()
     return FrobeniusAlgebra._of_cube(F, tuple(f"k{i}" for i in range(n)), (P._num, P._den),
-                                     pa.to_K_coords(pa.one_K), pa._K_trace)
+                                     pa.one_K._sub(pa._K_free), pa._K_trace)
 
 
 @dataclass(frozen=True)
@@ -560,15 +560,16 @@ THEORY_CACHE = 64
 _theories = LRU(THEORY_CACHE)
 
 
-def _read_rational_part(field: Field, alphabet: tuple, doc, path: str) -> tuple:
-    """A rational1 part in lowest terms: it needs an alphabet of at most one
-    letter, and an empty alphabet admits only constant data."""
+def _read_rational_part(field: Field, alphabet: tuple, doc, path: str) -> RationalFunction1:
+    """The RationalFunction1 of a rational1 part: it needs an alphabet of at
+    most one letter, and an empty alphabet admits only constant data, judged
+    in lowest terms."""
     if len(alphabet) > 1:
         raise SchemaError(f"{path}.kind", "rational1 needs an alphabet of size <= 1")
-    num, den = part = _read_rational1(field, doc, path)
-    if not alphabet and num and (len(num) > 1 or len(den) > 1):
+    z = rational1_from_json(field, doc, path)
+    if not alphabet and not z.is_zero() and (z.num.deg > 0 or z.den.deg > 0):
         raise SchemaError(path, "an empty alphabet admits only constant data")
-    return part
+    return z
 
 
 def theory_from_json(doc, field_override: Field | None = None) -> Theory:
@@ -587,12 +588,12 @@ def theory_from_json(doc, field_override: Field | None = None) -> Theory:
     realisation is made for it; beyond the bound the least recently
     returned theory is dropped.  A document that differs in spelling, key
     order or an ignored key is read in full and gets a Theory of its own.
-    The read takes every scalar through the scalar grammar straight to
-    canonical integers (``Field._read``) and puts a rational1 part in
-    lowest terms on those integers, where on an empty alphabet it must be
-    constant.  The matrices are then built, and the one check that needs
-    them runs before the theory is kept: a tracerep weight must commute
-    with the letters.
+    The read is one pass, interval part then circular part: each part's
+    scalars go through the scalar grammar straight to canonical integers
+    (``Field._read``), and the part is built from them as it is read, a
+    rational1 part in lowest terms, where on an empty alphabet it must be
+    constant.  A tracerep weight must commute with the letters, which is
+    checked as that part is built, before the theory is kept.
     The command line parses one theory per process.
     """
     return remember(doc, field_override, _theories,
@@ -618,9 +619,11 @@ def _theory_read(doc, field_override: Field | None) -> Theory:
         raise SchemaError("interval", "expected an object with a 'kind' key")
     kind = idoc.get("kind")
     if kind == "linrep":
-        ipart = _read_linrep(field, alphabet, idoc, "interval")
+        interval = _read_linrep(field, alphabet, idoc, "interval")
     elif kind == "rational1":
-        ipart = _read_rational_part(field, alphabet, idoc, "interval")
+        r = rational_to_rep(_read_rational_part(field, alphabet, idoc, "interval"))
+        interval = (r if alphabet else
+                    LinearRepresentation(field, 0, r.dim, r.init, (), r.final))
     else:
         raise SchemaError("interval.kind", f"unknown kind {kind!r}")
 
@@ -628,26 +631,13 @@ def _theory_read(doc, field_override: Field | None) -> Theory:
     if not isinstance(cdoc, dict):
         raise SchemaError("circular", "expected an object with a 'kind' key")
     ckind = cdoc.get("kind")
-    cpart = None
     if ckind == "tracerep":
-        cpart = _read_circrep(field, alphabet, cdoc, "circular")
+        circular = _read_circrep(field, alphabet, cdoc, "circular")
     elif ckind == "rational1":
-        cpart = _read_rational_part(field, alphabet, cdoc, "circular")
-    elif ckind != "trace_of_interval":
-        raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
-
-    if kind == "linrep":
-        interval = _linrep(field, ipart)
-    else:
-        r = rational_to_rep(RationalFunction1._of_lowest_terms(field, *ipart))
-        interval = (r if alphabet else
-                    LinearRepresentation(field, 0, r.dim, r.init, (), r.final))
-    is_trace = ckind == "trace_of_interval"
-    if is_trace:
-        circular = interval_trace_series(minimize(interval))
-    elif ckind == "tracerep":
-        circular = _circrep(field, cpart, "circular")
-    else:
         circular = CircularRepresentation.from_rational(
-            RationalFunction1._of_lowest_terms(field, *cpart), len(alphabet))
-    return Theory(field, alphabet, interval, circular, is_trace)
+            _read_rational_part(field, alphabet, cdoc, "circular"), len(alphabet))
+    elif ckind == "trace_of_interval":
+        circular = interval_trace_series(minimize(interval))
+    else:
+        raise SchemaError("circular.kind", f"unknown kind {ckind!r}")
+    return Theory(field, alphabet, interval, circular, ckind == "trace_of_interval")

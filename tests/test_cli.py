@@ -535,6 +535,17 @@ def test_out_flag_and_byte_stability(tmp_path, capsys):
     assert json.loads(first.read_text())["triple"] == [2, 1, 1]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+def test_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, where):
+    theory = write(tmp_path, "t.json", EX3)
+    out = tmp_path / "missing" / "o.json" if where == "missing-dir" else tmp_path
+    code, doc = run_cli(capsys, "minimize", theory, "--out", str(out))
+    assert code == 2
+    assert doc["error"]["code"] == "schema"
+    assert doc["error"]["path"] == "--out"
+    assert "cannot write output: " in doc["error"]["message"]
+
+
 def test_module_entry_point(tmp_path):
     theory = write(tmp_path, "t.json", EVAL1)
     # the child imports the same defekt as this process, installed or not

@@ -1013,6 +1013,37 @@ def test_theory_from_json_rational1_needs_small_alphabet():
         theory_from_json(doc)
 
 
+def test_theory_parts_are_read_in_order_and_judged_in_lowest_terms():
+    # a bad scalar in both parts is refused at the interval's
+    doc = theory_doc()
+    doc["interval"]["num"][0] = "1.5"
+    doc["circular"]["num"][0] = "1.5"
+    assert _schema_path(doc) == "interval.num[0]"
+    # an empty alphabet takes (1+T)/(1+T) and 0/(1+T), constant in lowest
+    # terms, and refuses (1+T)/1
+    for num, den, value in ((["1", "1"], ["1", "1"], Fr(1)), (["0"], ["1", "1"], Fr(0))):
+        part = {"kind": "rational1", "num": num, "den": den}
+        t = theory_from_json({"alphabet": [], "interval": part, "circular": part})
+        assert (t.interval.value(()), t.circular.value(())) == (value, value)
+    bad = {"kind": "rational1", "num": ["1", "1"], "den": ["1"]}
+    assert _schema_path({"alphabet": [], "interval": bad, "circular": bad}) == "interval"
+    # rational1_from_json reads a part as from_lists reads its arrays
+    for num, den in ((["2", "2"], ["4", "-4"]), (["1"], ["1", "1/2"])):
+        assert (series.rational1_from_json(QQ, {"num": num, "den": den}, "z")
+                == RationalFunction1.from_lists(QQ, num, den, "z"))
+    for num, den, path in ((None, ["1"], "z.num"), (["1"], None, "z.den"),
+                           (["x"], ["1"], "z.num[0]"), (["1"], "1", "z.den"),
+                           ([1.5], ["1"], "z.num[0]"), (["1"], ["0"], None)):
+        part = {k: v for k, v in (("num", num), ("den", den)) if v is not None}
+        errors = []
+        for read in (lambda: series.rational1_from_json(QQ, part, "z"),
+                     lambda: RationalFunction1.from_lists(QQ, num, den, "z")):
+            with pytest.raises(DefektError) as exc:
+                read()
+            errors.append((type(exc.value), getattr(exc.value, "path", None)))
+        assert errors == [errors[0], (errors[0][0], path)]
+
+
 # -- theory cache --------------------------------------------------------------
 
 
